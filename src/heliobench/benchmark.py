@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from .corpus import Corpus, Indicator, category_values
 from .errors import CategoryNotFoundError, EmptyDataError, InvalidInputError
-from .histogram import BinSpec, Scale, build_histogram, pooled_bin_spec
+from .histogram import BinSpec, Scale, build_histogram, check_alpha, pooled_bin_spec
 from .infogain import DEFAULT_CONFIG, DivergenceConfig, gains_against_reference
 
 DEFAULT_BIN_COUNT = 20
@@ -43,7 +43,6 @@ class BenchmarkRequest:
     scales: Mapping[Indicator, Scale] = field(default_factory=lambda: dict(DEFAULT_SCALES))
     alpha: float = DEFAULT_ALPHA
     k: int = DEFAULT_TOP_K
-    prestige_path: str | None = None
 
     def __post_init__(self):
         if not self.reference:
@@ -54,8 +53,7 @@ class BenchmarkRequest:
             raise InvalidInputError("indicators must be distinct")
         if self.k < 1:
             raise InvalidInputError(f"k must be >= 1, got {self.k}")
-        if self.alpha < 0:
-            raise InvalidInputError(f"alpha must be >= 0, got {self.alpha}")
+        check_alpha(self.alpha)
 
     def scale_for(self, indicator: Indicator) -> Scale:
         return self.scales.get(indicator, DEFAULT_SCALES[indicator])

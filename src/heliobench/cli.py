@@ -21,16 +21,23 @@ from pathlib import Path
 from .benchmark import (
     DEFAULT_ALPHA,
     DEFAULT_BIN_COUNT,
+    DEFAULT_SCALES,
     DEFAULT_TOP_K,
     BenchmarkRequest,
     cross_indicator_summary,
     run_benchmark,
     top_k,
 )
-from .corpus import Indicator, category_values, load_corpus, validate_corpus
+from .corpus import (
+    DEFAULT_MIN_RECORDS,
+    Indicator,
+    category_values,
+    load_corpus,
+    validate_corpus,
+)
 from .errors import CorpusFormatError, HeliobenchError
 from .heliomap import layout_map, load_prestige_order, render_svg
-from .histogram import build_histogram, pooled_bin_spec
+from .histogram import build_histogram, check_alpha, pooled_bin_spec
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -40,11 +47,11 @@ EXIT_INTERNAL = 4
 DEFAULTS = {
     "indicator": "all",
     "bins": DEFAULT_BIN_COUNT,
-    "scale": None,  # None = per-indicator default (log for es, linear otherwise)
+    "scale": None,  # None = per-indicator DEFAULT_SCALES
     "alpha": DEFAULT_ALPHA,
     "k": DEFAULT_TOP_K,
     "format": "json",
-    "min_records": 5,
+    "min_records": DEFAULT_MIN_RECORDS,
     "category": None,
     "reference": None,
     "prestige": None,
@@ -61,18 +68,37 @@ _COERCE = {
     "category": lambda s: [s],
 }
 
+# Shared by the argument parser and the config-file reader.
+_CHOICES = {
+    "indicator": ("if", "es", "ii", "all"),
+    "scale": ("linear", "log"),
+    "format": ("json", "csv"),
+}
+
 
 def _read_config_file(path: str) -> dict:
-    """key=value lines; blank lines and # comments ignored."""
+    """key=value lines, coerced like the matching flags; blank lines and #
+    comments ignored. Unknown keys and malformed values raise
+    CorpusFormatError naming the line."""
     entries = {}
-    for n, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    text = Path(path).read_text(encoding="utf-8-sig")
+    for n, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise CorpusFormatError(f"config entry is not key=value: {raw!r}", line=n)
-        key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in DEFAULTS:
+            raise CorpusFormatError(f"unknown config key {key!r}", line=n)
+        try:
+            entries[key] = _COERCE.get(key, str)(value)
+        except ValueError:
+            raise CorpusFormatError(f"config {key}: invalid value {value!r}", line=n) from None
+        if key in _CHOICES and value not in _CHOICES[key]:
+            raise CorpusFormatError(
+                f"config {key}: {value!r} is not one of {', '.join(_CHOICES[key])}", line=n
+            )
     return entries
 
 
@@ -84,10 +110,12 @@ def _resolve(args: argparse.Namespace) -> dict:
         if cli_value is not None and cli_value is not False:
             resolved[key] = cli_value
         elif key in file_cfg:
-            coerce = _COERCE.get(key, str)
-            resolved[key] = coerce(file_cfg[key])
+            resolved[key] = file_cfg[key]
         else:
             resolved[key] = default
+    # Checked before any command runs, because the resolved config is
+    # printed as JSON first and a non-finite alpha has no JSON form.
+    check_alpha(resolved["alpha"])
     resolved["input"] = args.input
     resolved["command"] = args.command
     return resolved
@@ -110,6 +138,11 @@ def _slug(name: str) -> str:
     return re.sub(r"[^a-z0-9]+", "-", name.lower()).strip("-") or "unnamed"
 
 
+def _json(obj, indent: int | None = None) -> str:
+    """Sorted-key JSON that raises ValueError rather than write NaN or Infinity."""
+    return json.dumps(obj, indent=indent, sort_keys=True, allow_nan=False)
+
+
 def _emit(text: str, out_dir: str | None, filename: str) -> None:
     if out_dir is None:
         sys.stdout.write(text)
@@ -124,7 +157,7 @@ def _emit(text: str, out_dir: str | None, filename: str) -> None:
 def cmd_validate(resolved: dict) -> int:
     corpus = load_corpus(resolved["input"])
     report = validate_corpus(corpus, min_records=resolved["min_records"])
-    _emit(json.dumps(report.to_dict(), indent=2, sort_keys=True), resolved["out"], "validation.json")
+    _emit(_json(report.to_dict(), indent=2), resolved["out"], "validation.json")
     return EXIT_OK
 
 
@@ -132,7 +165,7 @@ def cmd_hist(resolved: dict) -> int:
     corpus = load_corpus(resolved["input"])
     categories = resolved["category"] or corpus.category_names()
     for indicator in _indicators(resolved):
-        scale = resolved["scale"] or ("log" if indicator is Indicator.EIGENFACTOR else "linear")
+        scale = resolved["scale"] or DEFAULT_SCALES[indicator]
         spec = pooled_bin_spec(corpus, indicator, resolved["bins"], scale)
         for cat in categories:
             values, skipped = category_values(corpus, cat, indicator)
@@ -140,7 +173,7 @@ def cmd_hist(resolved: dict) -> int:
             doc = {"category": cat, "indicator": indicator.code, "skipped": skipped}
             doc.update(hist.to_dict())
             _emit(
-                json.dumps(doc, sort_keys=True),
+                _json(doc),
                 resolved["out"],
                 f"hist_{_slug(cat)}_{indicator.code}.json",
             )
@@ -155,7 +188,6 @@ def _bench_results(corpus, resolved: dict):
         scales=_scales(resolved),
         alpha=resolved["alpha"],
         k=resolved["k"],
-        prestige_path=resolved["prestige"],
     )
     return [top_k(result, request.k) for result in run_benchmark(corpus, request)]
 
@@ -169,7 +201,7 @@ def cmd_bench(resolved: dict) -> int:
         text = (
             result.to_csv()
             if fmt == "csv"
-            else json.dumps(result.to_dict(), indent=2, sort_keys=True)
+            else _json(result.to_dict(), indent=2)
         )
         _emit(text, resolved["out"], f"bench_{ref_slug}_{result.indicator.code}.{fmt}")
     if resolved["summary"]:
@@ -177,7 +209,7 @@ def cmd_bench(resolved: dict) -> int:
         text = (
             summary.to_csv()
             if fmt == "csv"
-            else json.dumps(summary.to_dict(), indent=2, sort_keys=True)
+            else _json(summary.to_dict(), indent=2)
         )
         _emit(text, resolved["out"], f"bench_{ref_slug}_summary.{fmt}")
     return EXIT_OK
@@ -205,9 +237,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, reference: bool = False) -> None:
         p.add_argument("--input", required=True, help="corpus CSV file")
         p.add_argument("--config", help="optional key=value config file")
-        p.add_argument("--indicator", choices=["if", "es", "ii", "all"], default=None)
+        p.add_argument("--indicator", choices=_CHOICES["indicator"], default=None)
         p.add_argument("--bins", type=int, default=None, help="bin count (default 20)")
-        p.add_argument("--scale", choices=["linear", "log"], default=None,
+        p.add_argument("--scale", choices=_CHOICES["scale"], default=None,
                        help="override binning scale for all indicators")
         p.add_argument("--alpha", type=float, default=None,
                        help="smoothing pseudo-count (default 0.5)")
@@ -234,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="rank categories by information gain")
     common(p_bench, reference=True)
-    p_bench.add_argument("--format", choices=["json", "csv"], default=None)
+    p_bench.add_argument("--format", choices=_CHOICES["format"], default=None)
     p_bench.add_argument("--summary", action="store_true", default=False,
                          help="also write the cross-indicator summary table")
     p_bench.set_defaults(func=cmd_bench)
@@ -255,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         resolved = _resolve(args)
-        print(f"resolved-config: {json.dumps(resolved, sort_keys=True)}", file=sys.stderr)
+        print(f"resolved-config: {_json(resolved)}", file=sys.stderr)
         return args.func(resolved)
     except (CorpusFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

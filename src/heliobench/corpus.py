@@ -1,12 +1,15 @@
 """Ingestion and indexing of journal impact-indicator tables.
 
-The expected input is a UTF-8 CSV with header
+The expected input is a UTF-8 CSV (a byte-order mark is allowed) with header
 
     journal,category,impact_factor,eigenfactor,immediacy
 
 one row per (journal, category) pair. A journal listed under several
 categories contributes one row per category. Empty indicator cells mean
 "value not available" and are kept as missing, never coerced to zero.
+
+A Corpus stores one float64 column per indicator (NaN = missing) and one
+sorted-category code per row; rows are checked once, record views built lazily.
 """
 
 from __future__ import annotations
@@ -15,14 +18,18 @@ import csv
 import enum
 import io
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .errors import CategoryNotFoundError, CorpusFormatError, DuplicateRecordError
 
 CSV_COLUMNS = ("journal", "category", "impact_factor", "eigenfactor", "immediacy")
+DEFAULT_MIN_RECORDS = 5
 
 
 class Indicator(enum.Enum):
@@ -75,69 +82,93 @@ class JournalRecord:
     eigenfactor: float | None = None
     immediacy: float | None = None
 
-    def value(self, indicator: Indicator) -> float | None:
-        return getattr(self, indicator.value)
-
 
 class Corpus:
-    """Immutable collection of journal records indexed by category."""
+    """Immutable journal table, stored by column and indexed by category."""
 
     def __init__(self, records: Iterable[JournalRecord]):
-        self._records = tuple(records)
-        index: dict[str, list[JournalRecord]] = {}
-        seen: set[tuple[str, str]] = set()
-        for rec in self._records:
-            _check_record(rec)
-            key = (rec.journal, rec.category)
-            if key in seen:
-                raise DuplicateRecordError(f"duplicate (journal, category) pair: {key!r}")
-            seen.add(key)
-            index.setdefault(rec.category, []).append(rec)
-        self._index: Mapping[str, tuple[JournalRecord, ...]] = MappingProxyType(
-            {cat: tuple(recs) for cat, recs in index.items()}
+        self._index(
+            (None, r.journal, r.category, r.impact_factor, r.eigenfactor, r.immediacy)
+            for r in records
         )
+
+    def _index(self, rows: Iterable[tuple]) -> None:
+        """Check each (line or None, journal, category, *values) row once."""
+        journals, categories = [], []
+        columns = [array("d") for _ in Indicator]
+        seen: set[tuple[str, str]] = set()
+        for line, journal, category, *values in rows:
+            if not journal:
+                raise CorpusFormatError("journal is empty", line=line)
+            if not category:
+                raise CorpusFormatError("category is empty", line=line)
+            key = (journal, category)
+            if key in seen:
+                raise DuplicateRecordError(f"duplicate (journal, category) pair: {key!r}", line=line)
+            seen.add(key)
+            for name, value, column in zip(CSV_COLUMNS[2:], values, columns):
+                if value is not None and not 0 <= value < math.inf:
+                    raise CorpusFormatError(
+                        f"{name} for {key!r} must be finite and >= 0, got {value!r}", line=line
+                    )
+                column.append(math.nan if value is None else value)
+            journals.append(journal)
+            categories.append(category)
+
+        self._journals = tuple(journals)
+        self._names = tuple(sorted(set(categories)))
+        position = {name: i for i, name in enumerate(self._names)}
+        self._codes = np.array([position[c] for c in categories], dtype=np.intp)
+        self._columns = {ind: np.array(col) for ind, col in zip(Indicator, columns)}
+        for column in self._columns.values():
+            column.flags.writeable = False
+        order = np.argsort(self._codes, kind="stable")
+        bounds = np.cumsum(np.bincount(self._codes, minlength=len(self._names)))[:-1]
+        self._rows = dict(zip(self._names, np.split(order, bounds)))
+        self._records = self._categories = None
+
+    def column(self, indicator: Indicator) -> np.ndarray:
+        """Read-only values of one indicator per row, NaN where missing."""
+        return self._columns[indicator]
 
     @property
     def records(self) -> tuple[JournalRecord, ...]:
+        """Every row as a JournalRecord, in input order. Built on first access."""
+        if self._records is None:
+            self._records = tuple(JournalRecord(*row) for row in self._plain_rows())
         return self._records
 
     @property
     def categories(self) -> Mapping[str, tuple[JournalRecord, ...]]:
-        """Category name -> records, in input order."""
-        return self._index
+        """Sorted category name -> records, in input order. Built on first access."""
+        if self._categories is None:
+            records = self.records
+            self._categories = MappingProxyType(
+                {name: tuple(records[i] for i in rows.tolist()) for name, rows in self._rows.items()}
+            )
+        return self._categories
 
     def category_names(self) -> list[str]:
-        return sorted(self._index)
+        return list(self._names)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._journals)
 
     def __contains__(self, category: str) -> bool:
-        return category in self._index
+        return category in self._rows
 
-
-def _check_record(rec: JournalRecord) -> None:
-    if not rec.journal:
-        raise CorpusFormatError("journal id must be a non-empty string")
-    if not rec.category:
-        raise CorpusFormatError("category must be a non-empty string")
-    for ind in Indicator:
-        v = rec.value(ind)
-        if v is None:
-            continue
-        if not math.isfinite(v) or v < 0:
-            raise CorpusFormatError(
-                f"{ind.value} for ({rec.journal!r}, {rec.category!r}) "
-                f"must be finite and >= 0, got {v!r}"
-            )
+    def _plain_rows(self) -> Iterator[tuple]:
+        """(journal, category, *values) per row in input order, None where missing."""
+        cells = [[None if math.isnan(v) else v for v in c.tolist()] for c in self._columns.values()]
+        return zip(self._journals, [self._names[c] for c in self._codes.tolist()], *cells)
 
 
 def parse_corpus(source: IO[str] | str) -> Corpus:
     """Parse a CSV stream (or literal CSV text) into a Corpus.
 
     Raises CorpusFormatError with the offending line number on a wrong
-    column count, a non-numeric or negative indicator cell, or an empty
-    journal/category cell; DuplicateRecordError on a repeated
+    column count, a non-numeric, non-finite or negative indicator cell, or
+    an empty journal/category cell; DuplicateRecordError on a repeated
     (journal, category) pair.
     """
     stream = io.StringIO(source) if isinstance(source, str) else source
@@ -151,48 +182,29 @@ def parse_corpus(source: IO[str] | str) -> Corpus:
             f"expected header {','.join(CSV_COLUMNS)!r}, got {','.join(header)!r}", line=1
         )
 
-    records = []
-    seen: set[tuple[str, str]] = set()
-    for row in reader:
-        line = reader.line_num
-        if not row:
-            continue
-        if len(row) != len(CSV_COLUMNS):
-            raise CorpusFormatError(
-                f"expected {len(CSV_COLUMNS)} columns, got {len(row)}", line=line
-            )
-        journal = row[0].strip()
-        category = row[1].strip()
-        if not journal:
-            raise CorpusFormatError("journal cell is empty", line=line)
-        if not category:
-            raise CorpusFormatError("category cell is empty", line=line)
-        key = (journal, category)
-        if key in seen:
-            raise DuplicateRecordError(f"duplicate (journal, category) pair: {key!r}", line=line)
-        seen.add(key)
-        values = {}
-        for name, cell in zip(CSV_COLUMNS[2:], row[2:]):
-            cell = cell.strip()
-            if not cell:
-                values[name] = None
-                continue
-            try:
-                v = float(cell)
-            except ValueError:
-                raise CorpusFormatError(f"{name} is not a number: {cell!r}", line=line) from None
-            if not math.isfinite(v):
-                raise CorpusFormatError(f"{name} must be finite, got {cell!r}", line=line)
-            if v < 0:
-                raise CorpusFormatError(f"{name} must be >= 0, got {cell!r}", line=line)
-            values[name] = v
-        records.append(JournalRecord(journal, category, **values))
+    def rows() -> Iterator[tuple]:
+        for row in filter(None, reader):  # blank lines come through as []
+            line = reader.line_num
+            if len(row) != len(CSV_COLUMNS):
+                raise CorpusFormatError(
+                    f"expected {len(CSV_COLUMNS)} columns, got {len(row)}", line=line
+                )
+            values = []
+            for name, cell in zip(CSV_COLUMNS[2:], row[2:]):
+                cell = cell.strip()
+                try:
+                    values.append(float(cell) if cell else None)
+                except ValueError:
+                    raise CorpusFormatError(f"{name} is not a number: {cell!r}", line=line) from None
+            yield line, row[0].strip(), row[1].strip(), *values
 
-    return Corpus(records)
+    corpus = Corpus.__new__(Corpus)
+    corpus._index(rows())
+    return corpus
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         return parse_corpus(fh)
 
 
@@ -201,11 +213,10 @@ def serialize_corpus(corpus: Corpus) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for rec in corpus.records:
-        writer.writerow(
-            [rec.journal, rec.category]
-            + [("" if rec.value(ind) is None else repr(rec.value(ind))) for ind in Indicator]
-        )
+    writer.writerows(
+        [journal, category] + ["" if v is None else repr(v) for v in values]
+        for journal, category, *values in corpus._plain_rows()
+    )
     return out.getvalue()
 
 
@@ -219,15 +230,9 @@ def category_values(
     """
     if category not in corpus:
         raise CategoryNotFoundError(category)
-    values = []
-    skipped = 0
-    for rec in corpus.categories[category]:
-        v = rec.value(indicator)
-        if v is None:
-            skipped += 1
-        else:
-            values.append(v)
-    return values, skipped
+    column = corpus.column(indicator)[corpus._rows[category]]
+    present = column[~np.isnan(column)]
+    return present.tolist(), column.size - present.size
 
 
 @dataclass(frozen=True)
@@ -252,17 +257,13 @@ class ValidationReport:
         }
 
 
-def validate_corpus(corpus: Corpus, min_records: int = 5) -> ValidationReport:
+def validate_corpus(corpus: Corpus, min_records: int = DEFAULT_MIN_RECORDS) -> ValidationReport:
     """Report per-category sizes, missing-value counts and small categories.
 
     Report-only: never raises for under-populated categories.
     """
-    per_category = {cat: len(recs) for cat, recs in sorted(corpus.categories.items())}
-    missing = {ind.value: 0 for ind in Indicator}
-    for rec in corpus.records:
-        for ind in Indicator:
-            if rec.value(ind) is None:
-                missing[ind.value] += 1
+    per_category = {name: rows.size for name, rows in corpus._rows.items()}
+    missing = {ind.value: int(np.isnan(corpus.column(ind)).sum()) for ind in Indicator}
     under = tuple(cat for cat, n in per_category.items() if n < min_records)
     return ValidationReport(
         record_count=len(corpus),

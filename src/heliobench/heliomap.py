@@ -52,7 +52,7 @@ def parse_prestige_order(text: str) -> PrestigeOrder:
 
 
 def load_prestige_order(path: str | Path) -> PrestigeOrder:
-    return parse_prestige_order(Path(path).read_text(encoding="utf-8"))
+    return parse_prestige_order(Path(path).read_text(encoding="utf-8-sig"))
 
 
 @dataclass(frozen=True)

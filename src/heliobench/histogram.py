@@ -15,7 +15,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Indicator, category_values
+from .corpus import Corpus, Indicator
 from .errors import EmptyDataError, InvalidInputError
 
 Scale = Literal["linear", "log"]
@@ -82,8 +82,8 @@ class Histogram:
             raise InvalidInputError(
                 f"expected {self.spec.bin_count} probabilities, got shape {probs.shape}"
             )
-        if np.any(probs < 0):
-            raise InvalidInputError("probabilities must be >= 0")
+        if not (np.all(np.isfinite(probs)) and np.all(probs >= 0)):
+            raise InvalidInputError("probabilities must be finite and >= 0")
         if self.alpha > 0 and np.any(probs == 0):
             raise InvalidInputError("alpha > 0 requires strictly positive probabilities")
         if abs(math.fsum(probs.tolist()) - 1.0) > PROBABILITY_SUM_TOL:
@@ -117,6 +117,12 @@ class Histogram:
         }
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise InvalidInputError unless alpha is a finite pseudo-count >= 0."""
+    if not math.isfinite(alpha) or alpha < 0:
+        raise InvalidInputError(f"alpha must be finite and >= 0, got {alpha}")
+
+
 def pooled_bin_spec(
     corpus: Corpus,
     indicator: Indicator,
@@ -129,21 +135,19 @@ def pooled_bin_spec(
     max * (1 + 1e-9)). Raises EmptyDataError when the indicator has no
     usable values at all.
     """
-    values: list[float] = []
-    for cat in corpus.categories:
-        vals, _ = category_values(corpus, cat, indicator)
-        values.extend(vals)
-    if not values:
+    column = corpus.column(indicator)
+    values = column[~np.isnan(column)]
+    if not values.size:
         raise EmptyDataError(f"no {indicator.value} values present in corpus")
 
-    vmax = max(values)
+    vmax = float(values.max())
     if scale == "log":
-        positive = [v for v in values if v > 0]
-        if not positive:
+        positive = values[values > 0]
+        if not positive.size:
             raise EmptyDataError(
                 f"no positive {indicator.value} values; logarithmic binning impossible"
             )
-        lower = min(positive)
+        lower = float(positive.min())
     else:
         lower = 0.0
     # All-zero data has no spread; fall back to a unit range.
@@ -159,22 +163,16 @@ def build_histogram(values: Sequence[float], spec: BinSpec, alpha: float = 0.0) 
     last bin; both are tallied in `clamped`. With alpha = 0 an empty value
     list leaves the distribution undefined and raises EmptyDataError.
     """
-    if alpha < 0:
-        raise InvalidInputError(f"alpha must be >= 0, got {alpha}")
+    check_alpha(alpha)
     values = np.asarray(values, dtype=float)
     if values.size == 0 and alpha == 0:
         raise EmptyDataError("cannot build an unsmoothed histogram from zero values")
 
     edges = spec.edges()
     n = spec.bin_count
-    if values.size:
-        idx = np.searchsorted(edges, values, side="right") - 1
-        clamped = int(np.count_nonzero(idx < 0) + np.count_nonzero(idx >= n))
-        idx = np.clip(idx, 0, n - 1)
-        counts = np.bincount(idx, minlength=n)
-    else:
-        clamped = 0
-        counts = np.zeros(n, dtype=np.int64)
+    idx = np.searchsorted(edges, values, side="right") - 1
+    clamped = int(np.count_nonzero(idx < 0) + np.count_nonzero(idx >= n))
+    counts = np.bincount(np.clip(idx, 0, n - 1), minlength=n)
 
     total = int(values.size)
     probabilities = (counts + alpha) / (total + alpha * n)

@@ -298,3 +298,8 @@ class TestRequestValidation:
     def test_negative_alpha_rejected(self):
         with pytest.raises(InvalidInputError):
             BenchmarkRequest(reference="A", alpha=-0.1)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(InvalidInputError, match="finite"):
+            BenchmarkRequest(reference="A", alpha=alpha)

@@ -79,6 +79,14 @@ class TestValidateCommand:
         assert main(["validate"]) == 2
         assert main(["frobnicate", "--input", valid_csv]) == 2
 
+    def test_byte_order_mark_is_ignored(self, demo_csv_path, tmp_path, capsysbinary):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + demo_csv_path.read_bytes())
+        assert main(["validate", "--input", str(demo_csv_path)]) == 0
+        plain = capsysbinary.readouterr().out
+        assert main(["validate", "--input", str(bom)]) == 0
+        assert capsysbinary.readouterr().out == plain
+
 
 class TestHistCommand:
     def test_hand_counted_probabilities(self, valid_csv, capsys):
@@ -198,6 +206,26 @@ class TestBenchCommand:
         ) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2  # CLI flag beats config
+
+    @pytest.mark.parametrize("entry", ["bins=abc", "indicator=zz", "bogus=1"])
+    def test_bad_config_entry_exits_two(self, valid_csv, tmp_path, capsys, entry):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# settings\n{entry}\n", encoding="utf-8")
+        assert main(
+            ["bench", "--input", valid_csv, "--reference", "A", "--config", str(cfg)]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 2" in captured.err
+        assert entry.partition("=")[0] in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_exits_three(self, valid_csv, capsys, alpha):
+        assert main(
+            ["bench", "--input", valid_csv, "--reference", "A", "--alpha", alpha]
+        ) == 3
+        assert capsys.readouterr().out == ""
 
     def test_resolved_config_printed_to_stderr(self, valid_csv, capsys):
         assert main(

@@ -1,8 +1,12 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heliobench.corpus
 from heliobench import (
+    BenchmarkRequest,
     CategoryNotFoundError,
     Corpus,
     CorpusFormatError,
@@ -12,6 +16,7 @@ from heliobench import (
     category_values,
     load_corpus,
     parse_corpus,
+    run_benchmark,
     serialize_corpus,
     validate_corpus,
 )
@@ -76,6 +81,20 @@ class TestParseCorpus:
         with pytest.raises(DuplicateRecordError):
             Corpus([rec, rec])
 
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            (("A", "Cat", -1.0, 0.1, 0.2), "impact_factor .* finite and >= 0"),
+            (("A", "Cat", 1.0, math.nan, 0.2), "eigenfactor .* finite and >= 0"),
+            (("A", "Cat", 1.0, 0.1, math.inf), "immediacy .* finite and >= 0"),
+            (("", "Cat", 1.0, 0.1, 0.2), "journal is empty"),
+            (("A", "", 1.0, 0.1, 0.2), "category is empty"),
+        ],
+    )
+    def test_direct_construction_checks_rows_like_the_parser(self, fields, match):
+        with pytest.raises(CorpusFormatError, match=match):
+            Corpus([JournalRecord("B", "Cat", 1.0, 0.1, 0.2), JournalRecord(*fields)])
+
 
 class TestCategoryValues:
     def test_missing_values_skipped_and_tallied(self, small_corpus):
@@ -96,6 +115,18 @@ class TestCategoryValues:
     def test_values_in_input_order(self, small_corpus):
         values, _ = category_values(small_corpus, "Physics", Indicator.IMPACT_FACTOR)
         assert values == [8.0, 0.5, 4.0]
+
+    def test_pipeline_builds_no_records(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("JournalRecord built outside the record views")
+
+        monkeypatch.setattr(heliobench.corpus, "JournalRecord", forbidden)
+        corpus = parse_corpus(HEADER + "A,Cat1,1.0,0.1,0.2\nB,Cat1,,0.2,0.3\nC,Cat2,3.0,0.3,0.4\n")
+        run_benchmark(corpus, BenchmarkRequest(reference="Cat1"))
+        validate_corpus(corpus)
+        serialize_corpus(corpus)
+        with pytest.raises(AssertionError):
+            corpus.records
 
 
 class TestValidateCorpus:

@@ -121,6 +121,11 @@ class TestBuildHistogram:
         with pytest.raises(InvalidInputError):
             build_histogram([1.0], BinSpec(0.0, 2.0, 2), alpha=-0.5)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(InvalidInputError, match="finite"):
+            build_histogram([1.0], BinSpec(0.0, 2.0, 2), alpha=alpha)
+
     def test_out_of_range_values_clamp_to_edge_bins(self):
         hist = build_histogram([0.5, 3.5, 1.5], BinSpec(1.0, 3.0, 2), alpha=0.0)
         assert hist.counts.tolist() == [2, 1]
@@ -202,6 +207,11 @@ class TestHistogramType:
     def test_negative_probability_rejected(self):
         with pytest.raises(InvalidInputError):
             Histogram.from_probabilities([1.1, -0.1])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_probability_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match="finite"):
+            Histogram.from_probabilities([bad, 0.5])
 
     def test_alpha_positive_forbids_zero_probability(self):
         with pytest.raises(InvalidInputError):
