@@ -50,7 +50,13 @@ from .heliomap import (
     parse_prestige_order,
     render_svg,
 )
-from .histogram import BinSpec, Histogram, build_histogram, pooled_bin_spec
+from .histogram import (
+    BinSpec,
+    Histogram,
+    build_histogram,
+    category_probabilities,
+    pooled_bin_spec,
+)
 from .infogain import (
     DivergenceConfig,
     GainValue,
@@ -92,6 +98,7 @@ __all__ = [
     "PrestigeOrder",
     "ValidationReport",
     "build_histogram",
+    "category_probabilities",
     "category_values",
     "cross_indicator_summary",
     "expected_unexpectedness",

@@ -1,10 +1,11 @@
 """Full benchmarking runs: one reference category against all others.
 
 For each requested indicator the corpus is binned on a single pooled
-support, every category becomes a smoothed histogram, and candidates are
-ranked ascending by information gain relative to the reference (lower =
-more similar). Rankings are always computed in full; top-k truncation is a
-presentation step.
+support: the reference becomes a smoothed histogram, one pass over the
+indicator column gives every other category's smoothed distribution, and
+one kernel call ranks them ascending by information gain relative to the
+reference (lower = more similar). Rankings are always computed in full;
+top-k truncation is a presentation step.
 """
 
 from __future__ import annotations
@@ -16,7 +17,14 @@ from typing import Mapping, Sequence
 
 from .corpus import Corpus, Indicator, category_values
 from .errors import CategoryNotFoundError, EmptyDataError, InvalidInputError
-from .histogram import BinSpec, Scale, build_histogram, check_alpha, pooled_bin_spec
+from .histogram import (
+    BinSpec,
+    Scale,
+    build_histogram,
+    category_probabilities,
+    check_alpha,
+    pooled_bin_spec,
+)
 from .infogain import DEFAULT_CONFIG, DivergenceConfig, gains_against_reference
 
 DEFAULT_BIN_COUNT = 20
@@ -118,18 +126,9 @@ def run_benchmark(
             )
         spec = pooled_bin_spec(corpus, indicator, request.bin_count, request.scale_for(indicator))
         ref_hist = build_histogram(ref_values, spec, request.alpha)
-
-        candidates = {}
-        for cat in corpus.category_names():
-            if cat == request.reference:
-                continue
-            values, _ = category_values(corpus, cat, indicator)
-            if not values:
-                continue
-            candidates[cat] = build_histogram(values, spec, request.alpha)
-
+        names, probabilities = category_probabilities(corpus, indicator, spec, request.alpha)
         gains = gains_against_reference(
-            ref_hist, candidates, config, reference_name=request.reference
+            ref_hist, dict(zip(names, probabilities)), config, reference_name=request.reference
         )
         ranking = tuple(
             (gv.candidate, gv.value)

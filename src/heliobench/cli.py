@@ -4,9 +4,13 @@ Four commands: validate, hist, bench, map. Option precedence is CLI flag
 over config-file entry over built-in default, and every run prints its
 resolved configuration to stderr so results can be reproduced.
 
-Exit codes are a stable scripting contract: 0 success, 2 input/parse
-problems (bad CSV, unreadable file, bad flags), 3 domain problems (unknown
-category, empty data), 4 internal errors.
+Exit codes are a stable scripting contract: 0 success; 2 input that cannot
+be parsed (bad CSV or config file, unreadable file, unknown flag or a flag
+value of the wrong type); 3 input that is well-formed but outside its domain
+(unknown category, empty data, --k 0, --bins below 2 or above
+histogram.MAX_BIN_COUNT, non-finite or negative alpha, alpha 0 without full
+support); 4 internal errors. With several indicators, one for which the
+reference has no values is skipped with a warning.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import json
 import re
 import sys
 import traceback
+from dataclasses import replace
 from pathlib import Path
 
 from .benchmark import (
@@ -35,7 +40,7 @@ from .corpus import (
     load_corpus,
     validate_corpus,
 )
-from .errors import CorpusFormatError, HeliobenchError
+from .errors import CorpusFormatError, EmptyDataError, HeliobenchError
 from .heliomap import layout_map, load_prestige_order, render_svg
 from .histogram import build_histogram, check_alpha, pooled_bin_spec
 
@@ -189,7 +194,23 @@ def _bench_results(corpus, resolved: dict):
         alpha=resolved["alpha"],
         k=resolved["k"],
     )
-    return [top_k(result, request.k) for result in run_benchmark(corpus, request)]
+    try:
+        results = run_benchmark(corpus, request)
+    except EmptyDataError:
+        if len(request.indicators) == 1:
+            raise
+        # One run serves the common case; only now is each indicator ranked
+        # on its own, so that those without data can be skipped.
+        results = []
+        for indicator in request.indicators:
+            try:
+                results += run_benchmark(corpus, replace(request, indicators=(indicator,)))
+            except EmptyDataError as exc:
+                print(f"warning: skipping indicator {indicator.code}: {exc}", file=sys.stderr)
+                skipped = exc
+        if not results:
+            raise skipped
+    return [top_k(result, request.k) for result in results]
 
 
 def cmd_bench(resolved: dict) -> int:

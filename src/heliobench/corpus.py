@@ -119,6 +119,7 @@ class Corpus:
         self._names = tuple(sorted(set(categories)))
         position = {name: i for i, name in enumerate(self._names)}
         self._codes = np.array([position[c] for c in categories], dtype=np.intp)
+        self._codes.flags.writeable = False
         self._columns = {ind: np.array(col) for ind, col in zip(Indicator, columns)}
         for column in self._columns.values():
             column.flags.writeable = False
@@ -130,6 +131,10 @@ class Corpus:
     def column(self, indicator: Indicator) -> np.ndarray:
         """Read-only values of one indicator per row, NaN where missing."""
         return self._columns[indicator]
+
+    def category_codes(self) -> np.ndarray:
+        """Read-only index into category_names() of each row's category."""
+        return self._codes
 
     @property
     def records(self) -> tuple[JournalRecord, ...]:

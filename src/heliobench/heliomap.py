@@ -10,10 +10,10 @@ SVG document.
 
 from __future__ import annotations
 
+import html
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from .benchmark import BenchmarkResult
 from .errors import InvalidInputError
@@ -156,7 +156,7 @@ def render_svg(layout: HelioLayout, style: MapStyle = DEFAULT_STYLE) -> str:
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_fmt(style.size)}" '
         f'height="{_fmt(style.size)}" viewBox="0 0 {_fmt(style.size)} {_fmt(style.size)}" '
-        f'font-family="{escape(style.font_family)}">',
+        f'font-family="{html.escape(style.font_family, quote=False)}">',
         f'<rect class="background" width="{_fmt(style.size)}" height="{_fmt(style.size)}" '
         f'fill="{style.background}"/>',
     ]
@@ -175,7 +175,7 @@ def render_svg(layout: HelioLayout, style: MapStyle = DEFAULT_STYLE) -> str:
     lines.append(
         f'<text class="center-label" x="{_fmt(cx)}" y="{_fmt(cy + style.dot_radius + 2.0 + style.center_font_size + 4.0)}" '
         f'text-anchor="middle" font-size="{_fmt(style.center_font_size)}" '
-        f'font-weight="bold" fill="{style.text_color}">{escape(layout.center_label)}</text>'
+        f'font-weight="bold" fill="{style.text_color}">{html.escape(layout.center_label, quote=False)}</text>'
     )
 
     for i, dot in enumerate(layout.dots):
@@ -196,7 +196,7 @@ def render_svg(layout: HelioLayout, style: MapStyle = DEFAULT_STYLE) -> str:
         lines.append(
             f'<text class="dot-label" x="{_fmt(lx)}" y="{_fmt(ly)}" text-anchor="middle" '
             f'font-size="{_fmt(style.font_size)}" fill="{style.text_color}">'
-            f"{escape(dot.label)}</text>"
+            f"{html.escape(dot.label, quote=False)}</text>"
         )
 
     lines.append("</svg>")

@@ -29,6 +29,10 @@ LOG_FLOOR = 1e-12
 
 PROBABILITY_SUM_TOL = 1e-12
 
+# Upper limit on bin_count. A batch of C categories holds a C x bin_count
+# count matrix, so an unbounded count turns one typo into gigabytes.
+MAX_BIN_COUNT = 10_000
+
 
 @dataclass(frozen=True)
 class BinSpec:
@@ -41,8 +45,10 @@ class BinSpec:
     scale: Scale = "linear"
 
     def __post_init__(self):
-        if self.bin_count < 2:
-            raise InvalidInputError(f"bin_count must be >= 2, got {self.bin_count}")
+        if not 2 <= self.bin_count <= MAX_BIN_COUNT:
+            raise InvalidInputError(
+                f"bin_count must be in [2, {MAX_BIN_COUNT}], got {self.bin_count}"
+            )
         if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
             raise InvalidInputError("bin bounds must be finite")
         if self.lower < 0:
@@ -155,6 +161,30 @@ def pooled_bin_spec(
     return BinSpec(lower=lower, upper=upper, bin_count=bin_count, scale=scale)
 
 
+def _bin(
+    values: np.ndarray,
+    spec: BinSpec,
+    alpha: float,
+    codes: np.ndarray | None = None,
+    rows: int = 1,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Count values into spec's intervals, one row per code (a single row
+    without codes), and smooth each row with pseudo-count alpha.
+
+    Returns (counts, probabilities, clamped), both arrays rows x bin_count.
+    Every row must hold a value unless alpha > 0.
+    """
+    n = spec.bin_count
+    idx = np.searchsorted(spec.edges(), values, side="right") - 1
+    clamped = int(np.count_nonzero(idx < 0) + np.count_nonzero(idx >= n))
+    np.clip(idx, 0, n - 1, out=idx)
+    if codes is not None:
+        idx += codes * n
+    counts = np.bincount(idx, minlength=rows * n).reshape(rows, n)
+    totals = counts.sum(axis=1, keepdims=True)
+    return counts, (counts + alpha) / (totals + alpha * n), clamped
+
+
 def build_histogram(values: Sequence[float], spec: BinSpec, alpha: float = 0.0) -> Histogram:
     """Count values into spec's intervals and smooth with pseudo-count alpha.
 
@@ -168,19 +198,34 @@ def build_histogram(values: Sequence[float], spec: BinSpec, alpha: float = 0.0) 
     if values.size == 0 and alpha == 0:
         raise EmptyDataError("cannot build an unsmoothed histogram from zero values")
 
-    edges = spec.edges()
-    n = spec.bin_count
-    idx = np.searchsorted(edges, values, side="right") - 1
-    clamped = int(np.count_nonzero(idx < 0) + np.count_nonzero(idx >= n))
-    counts = np.bincount(np.clip(idx, 0, n - 1), minlength=n)
-
-    total = int(values.size)
-    probabilities = (counts + alpha) / (total + alpha * n)
+    counts, probabilities, clamped = _bin(values, spec, alpha)
     return Histogram(
         spec=spec,
-        probabilities=probabilities,
-        counts=counts,
-        sample_count=total,
+        probabilities=probabilities[0],
+        counts=counts[0],
+        sample_count=int(values.size),
         alpha=alpha,
         clamped=clamped,
     )
+
+
+def category_probabilities(
+    corpus: Corpus, indicator: Indicator, spec: BinSpec, alpha: float = 0.0
+) -> tuple[list[str], np.ndarray]:
+    """Every category's smoothed distribution of one indicator, from one pass
+    over the corpus column.
+
+    Returns (names, probabilities): the sorted names of the categories with
+    at least one present value, and one row per name on spec. Each row
+    equals build_histogram(category_values(...)).probabilities bit for bit.
+    """
+    check_alpha(alpha)
+    names = corpus.category_names()
+    column = corpus.column(indicator)
+    present = ~np.isnan(column)
+    codes = corpus.category_codes()[present]
+    # Number the categories that have values 0..k-1, so that no row is empty.
+    has_values = np.bincount(codes, minlength=len(names)) > 0
+    rows = np.cumsum(has_values) - 1
+    _, probabilities, _ = _bin(column[present], spec, alpha, rows[codes], int(has_values.sum()))
+    return [name for name, keep in zip(names, has_values.tolist()) if keep], probabilities

@@ -8,6 +8,11 @@ excess unexpectedness eps(P, Q) = a * (U_P(Q) - U_P(P)), which equals the
 Kullback-Leibler divergence a * sum_i p_i * log(p_i / q_i). Both forms are
 evaluated and cross-checked on every call.
 
+One vectorized kernel scores a reference against a whole matrix of
+candidate distributions at once; information_gain is its one-row case.
+Sums are fixed-order row sums, so equal candidates get equal gains and a
+copy of the reference gets exactly zero.
+
 Lower gain means more similar distributions; eps(P, P) = 0 and
 eps(P, Q) >= 0 whenever Q is positive wherever P is.
 """
@@ -16,7 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Mapping
+from typing import Literal, Mapping, Sequence
+
+import numpy as np
 
 from .errors import AbsoluteContinuityError, IncompatibleSupportError, InvalidInputError
 from .histogram import Histogram
@@ -93,6 +100,48 @@ def expected_unexpectedness(
     return config._convert(math.fsum(terms))
 
 
+def _gains(
+    p: np.ndarray,
+    Q: np.ndarray,
+    config: DivergenceConfig,
+    names: Sequence[str] | None = None,
+) -> list[float]:
+    """eps(P, Q_j) for each row Q_j of Q, in row order, as Python floats.
+
+    Bins with p_i = 0 are left out. Every row is reduced by the same
+    fixed-order row sum, so equal rows get equal gains and a row equal to p
+    gets exactly 0. Errors name the first offending row, by names[row] when
+    names are given: AbsoluteContinuityError for a row that is zero where p
+    is positive, ArithmeticError for a row whose expectation-difference and
+    direct forms disagree by more than IDENTITY_TOL.
+    """
+
+    def fail(exc: Exception, row: int) -> Exception:
+        if names is not None:
+            exc.args = (f"candidate {names[row]!r}: {exc}",)
+        return exc
+
+    support = np.flatnonzero(p)
+    p, Q = p[support], Q[:, support]
+    zero = Q == 0.0
+    if zero.any():
+        row = int(zero.any(axis=1).argmax())
+        raise fail(AbsoluteContinuityError(int(support[zero[row].argmax()])), row)
+
+    # Row 0 is p itself, reduced exactly like the candidates: U_P(P).
+    cross_nats = (p * -np.log(np.vstack((p, Q)))).sum(axis=1)
+    gain_nats = cross_nats[1:] - cross_nats[0]
+    direct_nats = (p * np.log(p / Q)).sum(axis=1)
+    disagree = ~(np.abs(gain_nats - direct_nats) <= IDENTITY_TOL)
+    if disagree.any():
+        row = int(disagree.argmax())
+        raise fail(ArithmeticError(
+            f"expectation-difference and direct summation disagree: "
+            f"{float(gain_nats[row])!r} vs {float(direct_nats[row])!r}"
+        ), row)
+    return config._convert(config.scale_constant * gain_nats).tolist()
+
+
 def information_gain(
     p_hist: Histogram,
     q_hist: Histogram,
@@ -107,57 +156,50 @@ def information_gain(
     numerical defect and raises ArithmeticError.
     """
     _check_compatible(p_hist, q_hist)
-    cross_terms = []  # p * -log(q), summing to U_P(Q)
-    self_terms = []   # p * -log(p), summing to U_P(P)
-    direct_terms = []  # p * log(p / q)
-    for i, (p, q) in enumerate(zip(p_hist.probabilities, q_hist.probabilities)):
-        if p == 0.0:
-            continue
-        if q == 0.0:
-            raise AbsoluteContinuityError(i)
-        cross_terms.append(p * -math.log(q))
-        self_terms.append(p * -math.log(p))
-        direct_terms.append(p * math.log(p / q))
-
-    gain_nats = math.fsum(cross_terms) - math.fsum(self_terms)
-    direct_nats = math.fsum(direct_terms)
-    if abs(gain_nats - direct_nats) > IDENTITY_TOL:
-        raise ArithmeticError(
-            f"expectation-difference and direct summation disagree: "
-            f"{gain_nats!r} vs {direct_nats!r}"
-        )
-
-    value = config._convert(config.scale_constant * gain_nats)
+    (value,) = _gains(p_hist.probabilities, q_hist.probabilities[np.newaxis], config)
     return GainValue(value=value, reference=reference, candidate=candidate)
 
 
 def gains_against_reference(
     reference_hist: Histogram,
-    candidates: Mapping[str, Histogram],
+    candidates: Mapping[str, Histogram | np.ndarray],
     config: DivergenceConfig = DEFAULT_CONFIG,
     reference_name: str = "",
 ) -> list[GainValue]:
     """Gain of every candidate relative to the reference, one GainValue per
     candidate in lexicographic candidate-name order.
 
-    A candidate keyed by reference_name is skipped. Per-pair errors
-    propagate with the candidate name prepended to the message.
+    A candidate is a Histogram on the reference's spec, or a bare vector of
+    bin_count probabilities on that spec, such as a row of
+    histogram.category_probabilities. A candidate keyed by reference_name
+    is skipped. Errors name the first offending candidate in name order.
     """
-    gains = []
-    for name in sorted(candidates):
-        if name == reference_name:
-            continue
-        try:
-            gains.append(
-                information_gain(
-                    reference_hist,
-                    candidates[name],
-                    config,
-                    reference=reference_name,
-                    candidate=name,
+    spec = reference_hist.spec
+    names = [name for name in sorted(candidates) if name != reference_name]
+    rows = []
+    for name in names:
+        candidate = candidates[name]
+        if isinstance(candidate, Histogram):
+            if candidate.spec != spec:
+                raise IncompatibleSupportError(
+                    f"candidate {name!r}: histograms use different bin specs: "
+                    f"{spec} vs {candidate.spec}"
                 )
+            candidate = candidate.probabilities
+        elif np.shape(candidate) != (spec.bin_count,):
+            raise IncompatibleSupportError(
+                f"candidate {name!r}: expected {spec.bin_count} probabilities, "
+                f"got shape {np.shape(candidate)}"
             )
-        except (IncompatibleSupportError, AbsoluteContinuityError, InvalidInputError) as exc:
-            exc.args = (f"candidate {name!r}: {exc}",)
-            raise
-    return gains
+        rows.append(candidate)
+    if not rows:
+        return []
+    Q = np.array(rows, dtype=float)
+    invalid = ~((Q >= 0) & (Q < math.inf)).all(axis=1)
+    if invalid.any():
+        raise InvalidInputError(
+            f"candidate {names[int(invalid.argmax())]!r}: probabilities must be finite and >= 0"
+        )
+    gains = _gains(reference_hist.probabilities, Q, config, names)
+    return [GainValue(value=value, reference=reference_name, candidate=name)
+            for name, value in zip(names, gains)]

@@ -150,6 +150,13 @@ class TestRunBenchmark:
         ]
         assert shuffled == baseline
 
+    def test_gains_are_python_floats_that_round_trip_through_csv(self):
+        corpus = make_synthetic_corpus(n_categories=8, clones=2, seed=5)
+        for result in run_benchmark(corpus, BenchmarkRequest(reference="Category 000")):
+            assert all(type(gain) is float for _, gain in result.ranking)
+            rows = result.to_csv().splitlines()[1:]
+            assert [float(row.rsplit(",", 1)[1]) for row in rows] == [g for _, g in result.ranking]
+
     def test_alpha_zero_can_violate_absolute_continuity(self):
         from heliobench import AbsoluteContinuityError
 

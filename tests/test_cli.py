@@ -227,6 +227,42 @@ class TestBenchCommand:
         ) == 3
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("command", ["bench", "map", "hist"])
+    def test_bins_above_cap_exit_three(self, valid_csv, capsys, command):
+        argv = [command, "--input", valid_csv, "--bins", "100000000"]
+        if command != "hist":
+            argv += ["--reference", "A"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bin_count" in captured.err
+
+    def test_indicator_without_reference_values_is_skipped(self, tmp_path, capsys):
+        path = tmp_path / "partial.csv"
+        path.write_text(
+            "journal,category,impact_factor,eigenfactor,immediacy\n"
+            "j1,A,1.0,,0.5\nj2,B,2.0,0.01,0.7\n",
+            encoding="utf-8",
+        )
+        assert main(["bench", "--input", str(path), "--reference", "A", "--format", "csv"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.count("rank,category,gain\n1,B,") == 2
+        assert "skipping indicator es" in captured.err
+        assert main(
+            ["bench", "--input", str(path), "--reference", "A", "--indicator", "es"]
+        ) == 3
+        assert capsys.readouterr().out == ""
+
+    def test_reference_without_any_values_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "empty_ref.csv"
+        path.write_text(
+            "journal,category,impact_factor,eigenfactor,immediacy\n"
+            "j1,A,,,\nj2,B,2.0,0.01,0.7\n",
+            encoding="utf-8",
+        )
+        assert main(["bench", "--input", str(path), "--reference", "A"]) == 3
+        assert capsys.readouterr().out == ""
+
     def test_resolved_config_printed_to_stderr(self, valid_csv, capsys):
         assert main(
             ["bench", "--input", valid_csv, "--reference", "A", "--indicator", "if"]

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,15 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heliobench import (
+    DEFAULT_SCALES,
     BinSpec,
     EmptyDataError,
     Histogram,
     Indicator,
     InvalidInputError,
     build_histogram,
+    category_probabilities,
+    category_values,
+    load_corpus,
     parse_corpus,
     pooled_bin_spec,
 )
+from heliobench.histogram import MAX_BIN_COUNT
 
 from oracle import brute_force_counts, exact_frequencies
 
@@ -50,6 +56,23 @@ class TestBinSpec:
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(InvalidInputError):
             BinSpec(**kwargs)
+
+
+    def test_bin_count_cap(self):
+        assert BinSpec(0.0, 1.0, MAX_BIN_COUNT).edges().shape == (MAX_BIN_COUNT + 1,)
+        with pytest.raises(InvalidInputError, match="bin_count"):
+            BinSpec(0.0, 1.0, MAX_BIN_COUNT + 1)
+
+    def test_huge_bin_count_rejected_before_allocating(self):
+        corpus = parse_corpus(HEADER + "A,X,10.0,0.1,0.2\nB,Y,1.0,0.1,0.2\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match="bin_count"):
+                pooled_bin_spec(corpus, Indicator.IMPACT_FACTOR, 100_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestPooledBinSpec:
@@ -140,6 +163,35 @@ class TestBuildHistogram:
         hist = build_histogram([2.0], BinSpec(0.0, 4.0, 2), alpha=0.0)
         assert hist.counts.tolist() == [0, 1]
         assert hist.clamped == 0
+
+
+class TestCategoryProbabilities:
+    @pytest.mark.parametrize(
+        "bins, scale, alpha", [(20, None, 0.5), (7, "log", 0.0)]
+    )
+    def test_rows_equal_build_histogram(self, demo_csv_path, bins, scale, alpha):
+        corpus = load_corpus(demo_csv_path)
+        for indicator in Indicator:
+            spec = pooled_bin_spec(corpus, indicator, bins, scale or DEFAULT_SCALES[indicator])
+            names, probabilities = category_probabilities(corpus, indicator, spec, alpha)
+            assert probabilities.shape == (len(names), bins)
+            expected_names = []
+            for cat in corpus.category_names():
+                values, _ = category_values(corpus, cat, indicator)
+                if values:
+                    expected_names.append(cat)
+                    row = probabilities[names.index(cat)]
+                    assert np.array_equal(row, build_histogram(values, spec, alpha).probabilities)
+            assert names == expected_names
+
+    def test_categories_without_values_are_left_out(self):
+        corpus = parse_corpus(
+            HEADER + "a,A,1.0,0.1,0.2\nb,B,,0.1,0.2\nc,C,3.0,0.1,0.2\nd,C,2.0,0.1,0.2\n"
+        )
+        spec = pooled_bin_spec(corpus, Indicator.IMPACT_FACTOR, 2)
+        names, probabilities = category_probabilities(corpus, Indicator.IMPACT_FACTOR, spec)
+        assert names == ["A", "C"]
+        assert probabilities.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 class TestHistogramInvariants:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -210,3 +211,54 @@ class TestGainsAgainstReference:
         ref = hist([0.5, 0.5])
         with pytest.raises(AbsoluteContinuityError, match="bad_candidate"):
             gains_against_reference(ref, {"bad_candidate": hist([1.0, 0.0])})
+
+    def test_probability_vectors_score_like_histograms(self):
+        ref = hist([0.2, 0.5, 0.3])
+        vectors = {"a": np.array([0.1, 0.6, 0.3]), "b": np.array([0.3, 0.3, 0.4])}
+        from_vectors = gains_against_reference(ref, vectors)
+        from_hists = gains_against_reference(ref, {k: hist(v) for k, v in vectors.items()})
+        assert from_vectors == from_hists
+
+    def test_identical_candidates_get_equal_gains_and_a_copy_gets_zero(self):
+        rng = np.random.default_rng(7)
+        for bins in (2, 7, 20, 129):
+            p = rng.dirichlet(np.ones(bins))
+            q = rng.dirichlet(np.ones(bins))
+            gains = gains_against_reference(
+                hist(p), {"copy": p.copy(), "q1": q, "q2": q.copy(), "self": p}, reference_name="self"
+            )
+            values = {g.candidate: g.value for g in gains}
+            assert values["copy"] == 0.0
+            assert values["q1"] == values["q2"] > 0.0
+
+    def test_first_offending_candidate_in_name_order_is_named(self):
+        ref = hist([0.25, 0.25, 0.5])
+        candidates = {"zed": np.array([0.5, 0.5, 0.0]), "bee": np.array([0.0, 0.5, 0.5]),
+                      "ant": np.array([0.2, 0.3, 0.5])}
+        with pytest.raises(AbsoluteContinuityError, match="'bee'") as exc_info:
+            gains_against_reference(ref, candidates)
+        assert exc_info.value.bin_index == 0
+
+    def test_incompatible_histogram_candidate_is_named(self):
+        ref = hist([0.5, 0.5], BinSpec(0.0, 1.0, 2))
+        candidates = {"fine": hist([0.4, 0.6], BinSpec(0.0, 1.0, 2)),
+                      "wide": hist([0.4, 0.6], BinSpec(0.0, 2.0, 2))}
+        with pytest.raises(IncompatibleSupportError, match="'wide'"):
+            gains_against_reference(ref, candidates)
+
+    @pytest.mark.parametrize(
+        "vector, error",
+        [
+            ([0.5, 0.25, 0.25], IncompatibleSupportError),
+            ([1.5, -0.5], InvalidInputError),
+            ([float("nan"), 1.0], InvalidInputError),
+        ],
+    )
+    def test_malformed_probability_vector_is_named(self, vector, error):
+        with pytest.raises(error, match="'bad'"):
+            gains_against_reference(hist([0.5, 0.5]), {"bad": np.array(vector), "ok": [0.5, 0.5]})
+
+    def test_gains_are_python_floats(self):
+        gains = gains_against_reference(hist([0.2, 0.8]), {"a": hist([0.6, 0.4])})
+        assert type(gains[0].value) is float
+        assert type(information_gain(hist([0.2, 0.8]), hist([0.6, 0.4])).value) is float
