@@ -54,7 +54,6 @@ from .histogram import (
     BinSpec,
     Histogram,
     build_histogram,
-    category_probabilities,
     pooled_bin_spec,
 )
 from .infogain import (
@@ -98,7 +97,6 @@ __all__ = [
     "PrestigeOrder",
     "ValidationReport",
     "build_histogram",
-    "category_probabilities",
     "category_values",
     "cross_indicator_summary",
     "expected_unexpectedness",

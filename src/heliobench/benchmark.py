@@ -126,9 +126,12 @@ def run_benchmark(
             )
         spec = pooled_bin_spec(corpus, indicator, request.bin_count, request.scale_for(indicator))
         ref_hist = build_histogram(ref_values, spec, request.alpha)
-        names, probabilities = category_probabilities(corpus, indicator, spec, request.alpha)
+        # Passed inline, so one candidate matrix is alive at a time.
         gains = gains_against_reference(
-            ref_hist, dict(zip(names, probabilities)), config, reference_name=request.reference
+            ref_hist,
+            dict(zip(*category_probabilities(corpus, indicator, spec, request.alpha))),
+            config,
+            reference_name=request.reference,
         )
         ranking = tuple(
             (gv.candidate, gv.value)

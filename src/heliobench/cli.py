@@ -194,22 +194,17 @@ def _bench_results(corpus, resolved: dict):
         alpha=resolved["alpha"],
         k=resolved["k"],
     )
-    try:
-        results = run_benchmark(corpus, request)
-    except EmptyDataError:
-        if len(request.indicators) == 1:
-            raise
-        # One run serves the common case; only now is each indicator ranked
-        # on its own, so that those without data can be skipped.
-        results = []
-        for indicator in request.indicators:
-            try:
-                results += run_benchmark(corpus, replace(request, indicators=(indicator,)))
-            except EmptyDataError as exc:
-                print(f"warning: skipping indicator {indicator.code}: {exc}", file=sys.stderr)
-                skipped = exc
-        if not results:
-            raise skipped
+    results = []
+    for indicator in request.indicators:
+        try:
+            results += run_benchmark(corpus, replace(request, indicators=(indicator,)))
+        except EmptyDataError as exc:
+            if len(request.indicators) == 1:
+                raise
+            print(f"warning: skipping indicator {indicator.code}: {exc}", file=sys.stderr)
+            skipped = exc
+    if not results:
+        raise skipped
     return [top_k(result, request.k) for result in results]
 
 

@@ -181,8 +181,9 @@ def _bin(
     if codes is not None:
         idx += codes * n
     counts = np.bincount(idx, minlength=rows * n).reshape(rows, n)
-    totals = counts.sum(axis=1, keepdims=True)
-    return counts, (counts + alpha) / (totals + alpha * n), clamped
+    probabilities = counts + float(alpha)
+    probabilities /= counts.sum(axis=1, keepdims=True) + alpha * n
+    return counts, probabilities, clamped
 
 
 def build_histogram(values: Sequence[float], spec: BinSpec, alpha: float = 0.0) -> Histogram:

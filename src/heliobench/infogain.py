@@ -8,10 +8,10 @@ excess unexpectedness eps(P, Q) = a * (U_P(Q) - U_P(P)), which equals the
 Kullback-Leibler divergence a * sum_i p_i * log(p_i / q_i). Both forms are
 evaluated and cross-checked on every call.
 
-One vectorized kernel scores a reference against a whole matrix of
-candidate distributions at once; information_gain is its one-row case.
-Sums are fixed-order row sums, so equal candidates get equal gains and a
-copy of the reference gets exactly zero.
+One vectorized kernel scores a reference against many candidate
+distributions, a block of rows at a time; information_gain is its one-row
+case. Sums are fixed-order pairwise row sums, so equal candidates get equal
+gains and a copy of the reference gets exactly zero.
 
 Lower gain means more similar distributions; eps(P, P) = 0 and
 eps(P, Q) >= 0 whenever Q is positive wherever P is.
@@ -33,6 +33,10 @@ LogBase = Literal["natural", "base2"]
 # Agreement required between the expectation-difference form and the direct
 # summation form of the gain.
 IDENTITY_TOL = 1e-12
+
+# Candidate values scored at once by the gain kernel; each temporary of a
+# block is then about 2 MB, whatever the number of candidates.
+BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -102,18 +106,22 @@ def expected_unexpectedness(
 
 def _gains(
     p: np.ndarray,
-    Q: np.ndarray,
+    rows: Sequence[np.ndarray],
     config: DivergenceConfig,
     names: Sequence[str] | None = None,
 ) -> list[float]:
-    """eps(P, Q_j) for each row Q_j of Q, in row order, as Python floats.
+    """eps(P, Q_j) for each probability vector Q_j in rows, in row order, as
+    Python floats.
 
-    Bins with p_i = 0 are left out. Every row is reduced by the same
-    fixed-order row sum, so equal rows get equal gains and a row equal to p
-    gets exactly 0. Errors name the first offending row, by names[row] when
-    names are given: AbsoluteContinuityError for a row that is zero where p
-    is positive, ArithmeticError for a row whose expectation-difference and
-    direct forms disagree by more than IDENTITY_TOL.
+    Bins with p_i = 0 are left out. Rows are scored in blocks of about
+    BLOCK_ELEMENTS values, so memory stays bounded whatever the number of
+    rows. Every row is reduced by the same fixed-order row sum, so equal rows
+    get equal gains and a row equal to p gets exactly 0. The first offending
+    row raises, named by names[row] when names are given: InvalidInputError
+    for a value that is not finite and >= 0, then AbsoluteContinuityError for
+    a zero where p is positive, then ArithmeticError when the
+    expectation-difference and direct forms disagree by more than
+    IDENTITY_TOL.
     """
 
     def fail(exc: Exception, row: int) -> Exception:
@@ -121,25 +129,34 @@ def _gains(
             exc.args = (f"candidate {names[row]!r}: {exc}",)
         return exc
 
+    block = max(1, BLOCK_ELEMENTS // p.size)
     support = np.flatnonzero(p)
-    p, Q = p[support], Q[:, support]
-    zero = Q == 0.0
-    if zero.any():
-        row = int(zero.any(axis=1).argmax())
-        raise fail(AbsoluteContinuityError(int(support[zero[row].argmax()])), row)
-
-    # Row 0 is p itself, reduced exactly like the candidates: U_P(P).
-    cross_nats = (p * -np.log(np.vstack((p, Q)))).sum(axis=1)
-    gain_nats = cross_nats[1:] - cross_nats[0]
-    direct_nats = (p * np.log(p / Q)).sum(axis=1)
-    disagree = ~(np.abs(gain_nats - direct_nats) <= IDENTITY_TOL)
-    if disagree.any():
-        row = int(disagree.argmax())
-        raise fail(ArithmeticError(
-            f"expectation-difference and direct summation disagree: "
-            f"{float(gain_nats[row])!r} vs {float(direct_nats[row])!r}"
-        ), row)
-    return config._convert(config.scale_constant * gain_nats).tolist()
+    p = p[support]
+    self_nats = (p * -np.log(p)).sum()  # U_P(P), reduced like every row
+    gains = []
+    for start in range(0, len(rows), block):
+        Q = np.array(rows[start:start + block], dtype=float)
+        invalid = ~((Q >= 0) & (Q < math.inf)).all(axis=1)
+        # take keeps rows contiguous. Q[:, support] would be column-major,
+        # and its sequential row sums drift past IDENTITY_TOL at 10^4 bins.
+        Q = Q.take(support, axis=1)
+        zero = Q == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain_nats = (p * -np.log(Q)).sum(axis=1) - self_nats
+            direct_nats = (p * np.log(p / Q)).sum(axis=1)
+            bad = invalid | zero.any(axis=1) | ~(np.abs(gain_nats - direct_nats) <= IDENTITY_TOL)
+        if bad.any():
+            row = int(bad.argmax())
+            if invalid[row]:
+                raise fail(InvalidInputError("probabilities must be finite and >= 0"), start + row)
+            if zero[row].any():
+                raise fail(AbsoluteContinuityError(int(support[zero[row].argmax()])), start + row)
+            raise fail(ArithmeticError(
+                f"expectation-difference and direct summation disagree: "
+                f"{float(gain_nats[row])!r} vs {float(direct_nats[row])!r}"
+            ), start + row)
+        gains += config._convert(config.scale_constant * gain_nats).tolist()
+    return gains
 
 
 def information_gain(
@@ -156,7 +173,7 @@ def information_gain(
     numerical defect and raises ArithmeticError.
     """
     _check_compatible(p_hist, q_hist)
-    (value,) = _gains(p_hist.probabilities, q_hist.probabilities[np.newaxis], config)
+    (value,) = _gains(p_hist.probabilities, [q_hist.probabilities], config)
     return GainValue(value=value, reference=reference, candidate=candidate)
 
 
@@ -172,34 +189,33 @@ def gains_against_reference(
     A candidate is a Histogram on the reference's spec, or a bare vector of
     bin_count probabilities on that spec, such as a row of
     histogram.category_probabilities. A candidate keyed by reference_name
-    is skipped. Errors name the first offending candidate in name order.
+    is skipped. Errors name the first offending candidate in name order,
+    whichever check it fails.
     """
     spec = reference_hist.spec
     names = [name for name in sorted(candidates) if name != reference_name]
-    rows = []
+    rows, error = [], None
     for name in names:
         candidate = candidates[name]
         if isinstance(candidate, Histogram):
             if candidate.spec != spec:
-                raise IncompatibleSupportError(
+                error = IncompatibleSupportError(
                     f"candidate {name!r}: histograms use different bin specs: "
                     f"{spec} vs {candidate.spec}"
                 )
+                break
             candidate = candidate.probabilities
         elif np.shape(candidate) != (spec.bin_count,):
-            raise IncompatibleSupportError(
+            error = IncompatibleSupportError(
                 f"candidate {name!r}: expected {spec.bin_count} probabilities, "
                 f"got shape {np.shape(candidate)}"
             )
+            break
         rows.append(candidate)
-    if not rows:
-        return []
-    Q = np.array(rows, dtype=float)
-    invalid = ~((Q >= 0) & (Q < math.inf)).all(axis=1)
-    if invalid.any():
-        raise InvalidInputError(
-            f"candidate {names[int(invalid.argmax())]!r}: probabilities must be finite and >= 0"
-        )
-    gains = _gains(reference_hist.probabilities, Q, config, names)
+    # The candidates before a misfit are scored first, so that their own
+    # errors take precedence.
+    gains = _gains(reference_hist.probabilities, rows, config, names)
+    if error is not None:
+        raise error
     return [GainValue(value=value, reference=reference_name, candidate=name)
             for name, value in zip(names, gains)]

@@ -20,6 +20,8 @@ from heliobench import (
     top_k,
 )
 
+from heliobench.histogram import MAX_BIN_COUNT
+
 from oracle import kl_direct
 
 
@@ -156,6 +158,17 @@ class TestRunBenchmark:
             assert all(type(gain) is float for _, gain in result.ranking)
             rows = result.to_csv().splitlines()[1:]
             assert [float(row.rsplit(",", 1)[1]) for row in rows] == [g for _, g in result.ranking]
+
+    def test_rankings_at_the_bin_cap_match_the_oracle(self):
+        corpus = make_synthetic_corpus(n_categories=20, seed=3)
+        request = BenchmarkRequest(reference="Category 000", bin_count=MAX_BIN_COUNT)
+        for result in run_benchmark(corpus, request):
+            ref_values, _ = category_values(corpus, "Category 000", result.indicator)
+            p = build_histogram(ref_values, result.spec, request.alpha).probabilities
+            for cat, gain in result.ranking[:3]:
+                values, _ = category_values(corpus, cat, result.indicator)
+                q = build_histogram(values, result.spec, request.alpha).probabilities
+                assert gain == pytest.approx(kl_direct(p, q), abs=1e-13)
 
     def test_alpha_zero_can_violate_absolute_continuity(self):
         from heliobench import AbsoluteContinuityError

@@ -14,13 +14,12 @@ from heliobench import (
     Indicator,
     InvalidInputError,
     build_histogram,
-    category_probabilities,
     category_values,
     load_corpus,
     parse_corpus,
     pooled_bin_spec,
 )
-from heliobench.histogram import MAX_BIN_COUNT
+from heliobench.histogram import MAX_BIN_COUNT, category_probabilities
 
 from oracle import brute_force_counts, exact_frequencies
 

@@ -221,7 +221,7 @@ class TestGainsAgainstReference:
 
     def test_identical_candidates_get_equal_gains_and_a_copy_gets_zero(self):
         rng = np.random.default_rng(7)
-        for bins in (2, 7, 20, 129):
+        for bins in (2, 7, 20, 129, 10_000):
             p = rng.dirichlet(np.ones(bins))
             q = rng.dirichlet(np.ones(bins))
             gains = gains_against_reference(
@@ -238,6 +238,41 @@ class TestGainsAgainstReference:
         with pytest.raises(AbsoluteContinuityError, match="'bee'") as exc_info:
             gains_against_reference(ref, candidates)
         assert exc_info.value.bin_index == 0
+
+    @pytest.mark.parametrize(
+        "first, second, error",
+        [
+            ("empty_bin", "wide", AbsoluteContinuityError),
+            ("wide", "empty_bin", IncompatibleSupportError),
+            ("nan", "empty_bin", InvalidInputError),
+            ("empty_bin", "nan", AbsoluteContinuityError),
+            ("short", "nan", IncompatibleSupportError),
+        ],
+    )
+    def test_first_offending_candidate_is_named_whatever_its_check(self, first, second, error):
+        spec = BinSpec(0.0, 1.0, 3)
+        misfits = {
+            "empty_bin": hist([0.5, 0.5, 0.0], spec),
+            "wide": hist([0.2, 0.3, 0.5], BinSpec(0.0, 2.0, 3)),
+            "nan": np.array([float("nan"), 0.5, 0.5]),
+            "short": np.array([0.5, 0.5]),
+        }
+        candidates = {"a": misfits[first], "b": misfits[second], "c": hist([0.2, 0.3, 0.5], spec)}
+        with pytest.raises(error, match="'a'"):
+            gains_against_reference(hist([0.25, 0.25, 0.5], spec), candidates)
+
+    def test_scoring_in_blocks_matches_scoring_one_by_one(self, monkeypatch):
+        import heliobench.infogain
+
+        rng = np.random.default_rng(11)
+        ref = hist(rng.dirichlet(np.ones(16)))
+        candidates = {f"c{i:02d}": rng.dirichlet(np.ones(16)) for i in range(25)}
+        whole = gains_against_reference(ref, candidates)
+        monkeypatch.setattr(heliobench.infogain, "BLOCK_ELEMENTS", 3 * 16)
+        assert gains_against_reference(ref, candidates) == whole
+        assert [g.value for g in whole] == [
+            information_gain(ref, hist(q)).value for _, q in sorted(candidates.items())
+        ]
 
     def test_incompatible_histogram_candidate_is_named(self):
         ref = hist([0.5, 0.5], BinSpec(0.0, 1.0, 2))
