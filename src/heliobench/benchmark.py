@@ -6,6 +6,12 @@ indicator column gives every other category's smoothed distribution, and
 one kernel call ranks them ascending by information gain relative to the
 reference (lower = more similar). Rankings are always computed in full;
 top-k truncation is a presentation step.
+
+The binning of the candidates depends on the corpus, the indicator and the
+bin spec, not on the reference, so it is memoized on the Corpus object:
+ranking several references on one loaded Corpus bins each indicator column
+once, and later rankings only count and smooth. Each CLI process loads a
+fresh corpus and ranks one reference, so it gains nothing from this.
 """
 
 from __future__ import annotations
@@ -133,9 +139,9 @@ def run_benchmark(
             config,
             reference_name=request.reference,
         )
+        # gains come in name order, so the stable sort breaks ties by name.
         ranking = tuple(
-            (gv.candidate, gv.value)
-            for gv in sorted(gains, key=lambda gv: (gv.value, gv.candidate))
+            (gv.candidate, gv.value) for gv in sorted(gains, key=lambda gv: gv.value)
         )
         results.append(
             BenchmarkResult(

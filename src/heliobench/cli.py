@@ -16,12 +16,17 @@ reference has no values is skipped with a warning.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import re
+import shutil
 import sys
+import tempfile
 import traceback
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterable
 
 from .benchmark import (
     DEFAULT_ALPHA,
@@ -48,6 +53,10 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 EXIT_INTERNAL = 4
+
+# Standard output up to this many characters is staged in memory, the rest
+# in a temporary file.
+STAGED_CHARS = 1 << 20
 
 DEFAULTS = {
     "indicator": "all",
@@ -148,40 +157,67 @@ def _json(obj, indent: int | None = None) -> str:
     return json.dumps(obj, indent=indent, sort_keys=True, allow_nan=False)
 
 
-def _emit(text: str, out_dir: str | None, filename: str) -> None:
+def _emit(documents: Iterable[tuple[str, str]], out_dir: str | None) -> None:
+    """Write (text, filename) documents to stdout, or as files to out_dir.
+
+    Documents are staged, in a spooled temporary file or in a temporary
+    directory inside out_dir, and published only once the last one is
+    built: a failure writes nothing, and a large output is never held in
+    memory whole.
+    """
     if out_dir is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        directory = Path(out_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / filename).write_text(text, encoding="utf-8")
+        with tempfile.SpooledTemporaryFile(
+            STAGED_CHARS, mode="w+", encoding="utf-8", newline=""
+        ) as staged:
+            for text, _ in documents:
+                staged.write(text if text.endswith("\n") else text + "\n")
+            staged.seek(0)
+            shutil.copyfileobj(staged, sys.stdout)
+        return
+    directory = Path(out_dir)
+    created = not directory.exists()
+    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        with tempfile.TemporaryDirectory(prefix=".staging-", dir=directory) as staging:
+            for text, filename in documents:
+                (Path(staging) / filename).write_text(text, encoding="utf-8")
+            for path in Path(staging).iterdir():
+                os.replace(path, directory / path.name)
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
 
 
 def cmd_validate(resolved: dict) -> int:
     corpus = load_corpus(resolved["input"])
     report = validate_corpus(corpus, min_records=resolved["min_records"])
-    _emit(_json(report.to_dict(), indent=2), resolved["out"], "validation.json")
+    _emit([(_json(report.to_dict(), indent=2), "validation.json")], resolved["out"])
     return EXIT_OK
 
 
 def cmd_hist(resolved: dict) -> int:
     corpus = load_corpus(resolved["input"])
     categories = resolved["category"] or corpus.category_names()
-    for indicator in _indicators(resolved):
-        scale = resolved["scale"] or DEFAULT_SCALES[indicator]
-        spec = pooled_bin_spec(corpus, indicator, resolved["bins"], scale)
-        for cat in categories:
-            values, skipped = category_values(corpus, cat, indicator)
-            hist = build_histogram(values, spec, resolved["alpha"])
-            doc = {"category": cat, "indicator": indicator.code, "skipped": skipped}
-            doc.update(hist.to_dict())
-            _emit(
-                _json(doc),
-                resolved["out"],
-                f"hist_{_slug(cat)}_{indicator.code}.json",
-            )
+
+    def documents():
+        for indicator in _indicators(resolved):
+            scale = resolved["scale"] or DEFAULT_SCALES[indicator]
+            spec = pooled_bin_spec(corpus, indicator, resolved["bins"], scale)
+            for cat in categories:
+                values, skipped = category_values(corpus, cat, indicator)
+                try:
+                    hist = build_histogram(values, spec, resolved["alpha"])
+                except EmptyDataError as exc:
+                    raise EmptyDataError(
+                        f"category {cat!r} has no {indicator.value} values: {exc}"
+                    ) from None
+                doc = {"category": cat, "indicator": indicator.code, "skipped": skipped}
+                doc.update(hist.to_dict())
+                yield _json(doc), f"hist_{_slug(cat)}_{indicator.code}.json"
+
+    _emit(documents(), resolved["out"])
     return EXIT_OK
 
 
@@ -213,21 +249,17 @@ def cmd_bench(resolved: dict) -> int:
     results = _bench_results(corpus, resolved)
     fmt = resolved["format"]
     ref_slug = _slug(resolved["reference"])
-    for result in results:
-        text = (
-            result.to_csv()
-            if fmt == "csv"
-            else _json(result.to_dict(), indent=2)
-        )
-        _emit(text, resolved["out"], f"bench_{ref_slug}_{result.indicator.code}.{fmt}")
+    tables = [(result, result.indicator.code) for result in results]
     if resolved["summary"]:
-        summary = cross_indicator_summary(results)
-        text = (
-            summary.to_csv()
-            if fmt == "csv"
-            else _json(summary.to_dict(), indent=2)
-        )
-        _emit(text, resolved["out"], f"bench_{ref_slug}_summary.{fmt}")
+        tables.append((cross_indicator_summary(results), "summary"))
+    _emit(
+        [
+            (table.to_csv() if fmt == "csv" else _json(table.to_dict(), indent=2),
+             f"bench_{ref_slug}_{suffix}.{fmt}")
+            for table, suffix in tables
+        ],
+        resolved["out"],
+    )
     return EXIT_OK
 
 
@@ -236,9 +268,14 @@ def cmd_map(resolved: dict) -> int:
     results = _bench_results(corpus, resolved)
     order = load_prestige_order(resolved["prestige"]) if resolved["prestige"] else None
     ref_slug = _slug(resolved["reference"])
-    for result in results:
-        svg = render_svg(layout_map(result, order))
-        _emit(svg, resolved["out"], f"map_{ref_slug}_{result.indicator.code}.svg")
+    _emit(
+        [
+            (render_svg(layout_map(result, order)),
+             f"map_{ref_slug}_{result.indicator.code}.svg")
+            for result in results
+        ],
+        resolved["out"],
+    )
     return EXIT_OK
 
 

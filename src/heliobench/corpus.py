@@ -92,6 +92,13 @@ class Corpus:
             for r in records
         )
 
+    @classmethod
+    def _from_rows(cls, rows: Iterable[tuple]) -> "Corpus":
+        """A Corpus of (line or None, journal, category, *values) rows."""
+        corpus = cls.__new__(cls)
+        corpus._index(rows)
+        return corpus
+
     def _index(self, rows: Iterable[tuple]) -> None:
         """Check each (line or None, journal, category, *values) row once."""
         journals, categories = [], []
@@ -127,6 +134,8 @@ class Corpus:
         bounds = np.cumsum(np.bincount(self._codes, minlength=len(self._names)))[:-1]
         self._rows = dict(zip(self._names, np.split(order, bounds)))
         self._records = self._categories = None
+        # Indicator -> its pooled binning, kept by the histogram module.
+        self._binned: dict = {}
 
     def column(self, indicator: Indicator) -> np.ndarray:
         """Read-only values of one indicator per row, NaN where missing."""
@@ -203,9 +212,7 @@ def parse_corpus(source: IO[str] | str) -> Corpus:
                     raise CorpusFormatError(f"{name} is not a number: {cell!r}", line=line) from None
             yield line, row[0].strip(), row[1].strip(), *values
 
-    corpus = Corpus.__new__(Corpus)
-    corpus._index(rows())
-    return corpus
+    return Corpus._from_rows(rows())
 
 
 def load_corpus(path: str | Path) -> Corpus:

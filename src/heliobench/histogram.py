@@ -5,13 +5,18 @@ so all resulting distributions live on identical support and can be
 compared bin by bin. Additive pseudo-count smoothing (alpha) keeps every
 probability strictly positive, which downstream divergence computations
 require of the input distribution.
+
+A Corpus memoizes, per indicator, the pooled spec of the latest
+(bin_count, scale) and the bin of every present value on it, so repeated
+rankings on one Corpus object bin each column once. A CLI process loads a
+fresh corpus every time and gains nothing from the memo.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,10 +66,16 @@ class BinSpec:
             )
 
     def edges(self) -> np.ndarray:
-        """The bin_count + 1 interval edges."""
-        if self.scale == "linear":
-            return np.linspace(self.lower, self.upper, self.bin_count + 1)
-        return np.geomspace(max(self.lower, LOG_FLOOR), self.upper, self.bin_count + 1)
+        """The bin_count + 1 interval edges, read-only, computed once per spec."""
+        edges = self.__dict__.get("_edges")
+        if edges is None:
+            if self.scale == "linear":
+                edges = np.linspace(self.lower, self.upper, self.bin_count + 1)
+            else:
+                edges = np.geomspace(max(self.lower, LOG_FLOOR), self.upper, self.bin_count + 1)
+            edges.flags.writeable = False
+            object.__setattr__(self, "_edges", edges)
+        return edges
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,6 +140,19 @@ def check_alpha(alpha: float) -> None:
         raise InvalidInputError(f"alpha must be finite and >= 0, got {alpha}")
 
 
+class _Binned(NamedTuple):
+    """An indicator's pooled spec as memoized on a Corpus, plus, once a
+    ranking has asked for it, the flat bin index of the column's present
+    values (row of the value's category among names, times bin_count, plus
+    its bin) and the sorted names of the categories that have values.
+    Entries are replaced whole, never changed, so a reader always sees a
+    consistent one."""
+
+    spec: BinSpec
+    index: np.ndarray | None = None
+    names: tuple[str, ...] = ()
+
+
 def pooled_bin_spec(
     corpus: Corpus,
     indicator: Indicator,
@@ -139,8 +163,13 @@ def pooled_bin_spec(
 
     Linear: [0, max * (1 + 1e-9)). Log: [smallest positive value,
     max * (1 + 1e-9)). Raises EmptyDataError when the indicator has no
-    usable values at all.
+    usable values at all. The spec is memoized on the corpus per indicator,
+    for the latest (bin_count, scale) only, together with the column's
+    binning on it once category_probabilities has made that.
     """
+    binned = corpus._binned.get(indicator)
+    if binned is not None and (binned.spec.bin_count, binned.spec.scale) == (bin_count, scale):
+        return binned.spec
     column = corpus.column(indicator)
     values = column[~np.isnan(column)]
     if not values.size:
@@ -158,32 +187,34 @@ def pooled_bin_spec(
         lower = 0.0
     # All-zero data has no spread; fall back to a unit range.
     upper = vmax * (1.0 + RELATIVE_MARGIN) if vmax > 0 else 1.0
-    return BinSpec(lower=lower, upper=upper, bin_count=bin_count, scale=scale)
+    spec = BinSpec(lower=lower, upper=upper, bin_count=bin_count, scale=scale)
+    corpus._binned[indicator] = _Binned(spec)
+    return spec
 
 
-def _bin(
-    values: np.ndarray,
-    spec: BinSpec,
-    alpha: float,
-    codes: np.ndarray | None = None,
-    rows: int = 1,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Count values into spec's intervals, one row per code (a single row
-    without codes), and smooth each row with pseudo-count alpha.
-
-    Returns (counts, probabilities, clamped), both arrays rows x bin_count.
-    Every row must hold a value unless alpha > 0.
-    """
+def _bin_index(values: np.ndarray, spec: BinSpec) -> tuple[np.ndarray, int]:
+    """Each value's interval of spec, values outside it clamped into the
+    first or last bin. Returns (bins, clamped)."""
     n = spec.bin_count
-    idx = np.searchsorted(spec.edges(), values, side="right") - 1
-    clamped = int(np.count_nonzero(idx < 0) + np.count_nonzero(idx >= n))
-    np.clip(idx, 0, n - 1, out=idx)
-    if codes is not None:
-        idx += codes * n
-    counts = np.bincount(idx, minlength=rows * n).reshape(rows, n)
+    bins = np.searchsorted(spec.edges(), values, side="right") - 1
+    clamped = int(np.count_nonzero(bins < 0) + np.count_nonzero(bins >= n))
+    np.clip(bins, 0, n - 1, out=bins)
+    return bins, clamped
+
+
+def _smooth(
+    index: np.ndarray, bin_count: int, alpha: float, rows: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Count a flat index (row * bin_count + bin) into rows x bin_count
+    counts and smooth each row with pseudo-count alpha.
+
+    Returns (counts, probabilities). Every row must hold a value unless
+    alpha > 0.
+    """
+    counts = np.bincount(index, minlength=rows * bin_count).reshape(rows, bin_count)
     probabilities = counts + float(alpha)
-    probabilities /= counts.sum(axis=1, keepdims=True) + alpha * n
-    return counts, probabilities, clamped
+    probabilities /= counts.sum(axis=1, keepdims=True) + alpha * bin_count
+    return counts, probabilities
 
 
 def build_histogram(values: Sequence[float], spec: BinSpec, alpha: float = 0.0) -> Histogram:
@@ -199,7 +230,8 @@ def build_histogram(values: Sequence[float], spec: BinSpec, alpha: float = 0.0) 
     if values.size == 0 and alpha == 0:
         raise EmptyDataError("cannot build an unsmoothed histogram from zero values")
 
-    counts, probabilities, clamped = _bin(values, spec, alpha)
+    bins, clamped = _bin_index(values, spec)
+    counts, probabilities = _smooth(bins, spec.bin_count, alpha)
     return Histogram(
         spec=spec,
         probabilities=probabilities[0],
@@ -208,6 +240,25 @@ def build_histogram(values: Sequence[float], spec: BinSpec, alpha: float = 0.0) 
         alpha=alpha,
         clamped=clamped,
     )
+
+
+def _bin_column(corpus: Corpus, indicator: Indicator, spec: BinSpec) -> _Binned:
+    """Bin every present value of an indicator column on spec."""
+    names = corpus.category_names()
+    column = corpus.column(indicator)
+    present = ~np.isnan(column)
+    codes = corpus.category_codes()[present]
+    # Number the categories that have values 0..k-1, so that no row is empty.
+    has_values = np.bincount(codes, minlength=len(names)) > 0
+    rows = np.cumsum(has_values) - 1
+    bins, _ = _bin_index(column[present], spec)
+    # int32 halves what the memo keeps whenever the largest index fits.
+    n = spec.bin_count
+    dtype = np.int32 if int(has_values.sum()) * n <= np.iinfo(np.int32).max else np.intp
+    index = (rows[codes] * n + bins).astype(dtype)
+    index.flags.writeable = False
+    kept = tuple(name for name, keep in zip(names, has_values.tolist()) if keep)
+    return _Binned(spec, index, kept)
 
 
 def category_probabilities(
@@ -219,14 +270,15 @@ def category_probabilities(
     Returns (names, probabilities): the sorted names of the categories with
     at least one present value, and one row per name on spec. Each row
     equals build_histogram(category_values(...)).probabilities bit for bit.
+    When spec is the indicator's pooled spec memoized on the corpus, the
+    column is binned on the first call only and later calls just count and
+    smooth; any other spec is binned afresh and not kept.
     """
     check_alpha(alpha)
-    names = corpus.category_names()
-    column = corpus.column(indicator)
-    present = ~np.isnan(column)
-    codes = corpus.category_codes()[present]
-    # Number the categories that have values 0..k-1, so that no row is empty.
-    has_values = np.bincount(codes, minlength=len(names)) > 0
-    rows = np.cumsum(has_values) - 1
-    _, probabilities, _ = _bin(column[present], spec, alpha, rows[codes], int(has_values.sum()))
-    return [name for name, keep in zip(names, has_values.tolist()) if keep], probabilities
+    binned = corpus._binned.get(indicator)
+    if binned is None or binned.spec != spec:
+        binned = _bin_column(corpus, indicator, spec)
+    elif binned.index is None:
+        binned = corpus._binned[indicator] = _bin_column(corpus, indicator, binned.spec)
+    _, probabilities = _smooth(binned.index, spec.bin_count, alpha, len(binned.names))
+    return list(binned.names), probabilities

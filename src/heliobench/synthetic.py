@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, JournalRecord, serialize_corpus
+from .corpus import Corpus, serialize_corpus
 from .errors import InvalidInputError
 
 DEMO_SEED = 2010
@@ -66,7 +66,8 @@ def make_synthetic_corpus(
     n_shifted = n_categories - clones - 1
     shifts[clones + 1:] = np.linspace(min_shift, max_shift, n_shifted)
 
-    records: list[JournalRecord] = []
+    # (line, journal, category, impact_factor, eigenfactor, immediacy) rows.
+    rows: list[tuple] = []
     journal_counter = 0
     for c in range(n_categories):
         cat = category_name(c)
@@ -74,25 +75,20 @@ def make_synthetic_corpus(
         for j in range(n_journals):
             journal_counter += 1
             journal = f"jnl-{journal_counter:05d}"
-            values: dict[str, float | None] = {}
-            for field in _BASE_LOG_MEAN:
-                v = rng.lognormal(
-                    mean=_BASE_LOG_MEAN[field] + shifts[c],
-                    sigma=sigma * _SIGMA_FACTOR[field],
-                )
-                values[field] = round(float(v), _DECIMALS[field])
-            for field in list(values):
-                if rng.random() < missing_rate:
-                    values[field] = None
-            records.append(JournalRecord(journal, cat, **values))
+            values = [
+                round(float(rng.lognormal(mean=_BASE_LOG_MEAN[field] + shifts[c],
+                                          sigma=sigma * _SIGMA_FACTOR[field])),
+                      _DECIMALS[field])
+                for field in _BASE_LOG_MEAN
+            ]
+            values = [None if rng.random() < missing_rate else v for v in values]
+            rows.append((None, journal, cat, *values))
             # Cross-list an occasional journal in the next category with
             # identical values, as citation indexes do.
             if cross_list_every and j % cross_list_every == cross_list_every - 1:
-                records.append(
-                    JournalRecord(journal, category_name((c + 1) % n_categories), **values)
-                )
+                rows.append((None, journal, category_name((c + 1) % n_categories), *values))
 
-    return Corpus(records)
+    return Corpus._from_rows(rows)
 
 
 def make_demo_corpus() -> Corpus:

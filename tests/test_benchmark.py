@@ -1,10 +1,14 @@
+import gc
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from heliobench import (
     BenchmarkRequest,
+    BinSpec,
     CategoryNotFoundError,
     Corpus,
     EmptyDataError,
@@ -15,12 +19,14 @@ from heliobench import (
     category_values,
     cross_indicator_summary,
     make_synthetic_corpus,
+    parse_corpus,
     pooled_bin_spec,
     run_benchmark,
+    serialize_corpus,
     top_k,
 )
 
-from heliobench.histogram import MAX_BIN_COUNT
+from heliobench.histogram import MAX_BIN_COUNT, category_probabilities
 
 from oracle import kl_direct
 
@@ -181,6 +187,103 @@ class TestRunBenchmark:
                     reference="A", indicators=(Indicator.IMPACT_FACTOR,), alpha=0.0
                 ),
             )
+
+
+def loguniform_corpus(n_categories=6, journals=400, seed=11):
+    """Log-uniform values on [0.1, 5], so that 7 linear or log bins all fill
+    and alpha = 0 ranks every candidate."""
+    rng = np.random.default_rng(seed)
+    values = np.exp(rng.uniform(np.log(0.1), np.log(5.0), size=(n_categories * journals, 3)))
+    values[rng.random(values.shape) < 0.02] = np.nan
+    return Corpus(
+        JournalRecord(f"j{i}", f"C{i % n_categories}", *(None if v != v else v for v in row))
+        for i, row in enumerate(values.tolist())
+    )
+
+
+class TestBinningMemo:
+    """Rankings on one Corpus object reuse its per-indicator binning."""
+
+    SETTINGS = [(20, "linear", 0.5), (7, "log", 0.0), (20, "linear", 0.5), (7, "linear", 0.0),
+                (7, "log", 0.5), (20, "log", 0.0)]
+
+    def test_alternating_settings_match_a_fresh_corpus(self):
+        warm = loguniform_corpus()
+        for bins, scale, alpha in self.SETTINGS:
+            for reference in ("C0", "C3"):
+                request = BenchmarkRequest(
+                    reference=reference, bin_count=bins, alpha=alpha,
+                    scales={indicator: scale for indicator in Indicator},
+                )
+                expected = run_benchmark(loguniform_corpus(), request)
+                assert run_benchmark(warm, request) == expected
+
+    @pytest.mark.parametrize("build", ["records", "parse"])
+    def test_warm_corpus_bins_only_the_reference(self, monkeypatch, build):
+        import heliobench.histogram as histogram
+
+        corpus = make_synthetic_corpus(n_categories=10, clones=2, seed=4)
+        if build == "records":
+            corpus = Corpus(corpus.records)
+        else:
+            corpus = parse_corpus(serialize_corpus(corpus))
+        request = BenchmarkRequest(reference="Category 000")
+        run_benchmark(corpus, request)
+        binned = []
+        original = histogram._bin_index
+        monkeypatch.setattr(
+            histogram, "_bin_index",
+            lambda values, spec: binned.append(len(values)) or original(values, spec),
+        )
+        request = replace(request, reference="Category 007")
+        warm = run_benchmark(corpus, request)
+        reference_sizes = [
+            len(category_values(corpus, "Category 007", indicator)[0]) for indicator in Indicator
+        ]
+        assert binned == reference_sizes
+        monkeypatch.undo()
+        assert warm == run_benchmark(Corpus(corpus.records), request)
+
+    def test_reference_without_values_still_raises_on_a_warm_corpus(self):
+        corpus = Corpus(
+            [
+                JournalRecord("a1", "A", None, 0.01, 0.2),
+                JournalRecord("b1", "B", 1.0, 0.02, 0.4),
+                JournalRecord("c1", "C", 2.0, 0.03, 0.6),
+            ]
+        )
+        run_benchmark(corpus, BenchmarkRequest(reference="B"))
+        with pytest.raises(EmptyDataError, match="impact_factor"):
+            run_benchmark(corpus, BenchmarkRequest(reference="A"))
+
+    def test_other_bin_specs_are_binned_afresh(self):
+        corpus = loguniform_corpus()
+        run_benchmark(corpus, BenchmarkRequest(reference="C0"))
+        spec = BinSpec(0.5, 3.0, 20)
+        names, probabilities = category_probabilities(corpus, Indicator.IMPACT_FACTOR, spec, 0.5)
+        for name, row in zip(names, probabilities):
+            values, _ = category_values(corpus, name, Indicator.IMPACT_FACTOR)
+            assert np.array_equal(row, build_histogram(values, spec, 0.5).probabilities)
+        assert run_benchmark(corpus, BenchmarkRequest(reference="C1")) == run_benchmark(
+            loguniform_corpus(), BenchmarkRequest(reference="C1")
+        )
+
+    def test_retained_memory_is_one_small_int_per_present_value(self):
+        corpus = loguniform_corpus(n_categories=60, journals=1700, seed=3)
+        present = sum(int(np.count_nonzero(~np.isnan(corpus.column(i)))) for i in Indicator)
+        request = BenchmarkRequest(reference="C0", bin_count=MAX_BIN_COUNT)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            results = run_benchmark(corpus, request)
+            del results
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One candidate matrix of one indicator would be 60 x 10^4 floats.
+        assert after - before < present * np.dtype(np.intp).itemsize
 
 
 class TestTopK:

@@ -122,6 +122,25 @@ class TestHistCommand:
             (cat, ind) for cat in "AB" for ind in ("if", "es", "ii")
         }
 
+    def test_failure_writes_nothing_and_names_category_and_indicator(self, tmp_path, capsys):
+        path = tmp_path / "partial.csv"
+        path.write_text(
+            "journal,category,impact_factor,eigenfactor,immediacy\n"
+            "j1,A,1.0,,0.5\nj2,B,2.0,0.01,0.7\n",
+            encoding="utf-8",
+        )
+        out, kept = tmp_path / "out", tmp_path / "kept"
+        kept.mkdir()
+        (kept / "hist_a_if.json").write_text("earlier run", encoding="utf-8")
+        for extra in ([], ["--out", str(out)], ["--out", str(kept)]):
+            assert main(["hist", "--input", str(path), "--alpha", "0", *extra]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "'A'" in captured.err and "eigenfactor" in captured.err
+        assert not out.exists()
+        assert [p.name for p in kept.iterdir()] == ["hist_a_if.json"]
+        assert (kept / "hist_a_if.json").read_text(encoding="utf-8") == "earlier run"
+
     def test_writes_files_to_out_dir(self, valid_csv, tmp_path):
         out = tmp_path / "hists"
         assert main(

@@ -19,7 +19,7 @@ from heliobench import (
     parse_corpus,
     pooled_bin_spec,
 )
-from heliobench.histogram import MAX_BIN_COUNT, category_probabilities
+from heliobench.histogram import LOG_FLOOR, MAX_BIN_COUNT, category_probabilities
 
 from oracle import brute_force_counts, exact_frequencies
 
@@ -61,6 +61,18 @@ class TestBinSpec:
         assert BinSpec(0.0, 1.0, MAX_BIN_COUNT).edges().shape == (MAX_BIN_COUNT + 1,)
         with pytest.raises(InvalidInputError, match="bin_count"):
             BinSpec(0.0, 1.0, MAX_BIN_COUNT + 1)
+
+    @pytest.mark.parametrize("scale", ["linear", "log"])
+    def test_edges_are_computed_once_and_read_only(self, scale):
+        spec = BinSpec(0.0, 10.0, 50, scale=scale)
+        edges = spec.edges()
+        expected = (np.linspace(0.0, 10.0, 51) if scale == "linear"
+                    else np.geomspace(LOG_FLOOR, 10.0, 51))
+        assert np.array_equal(edges, expected)
+        assert spec.edges() is edges
+        with pytest.raises(ValueError):
+            edges[0] = 1.0
+        assert spec == BinSpec(0.0, 10.0, 50, scale=scale)
 
     def test_huge_bin_count_rejected_before_allocating(self):
         corpus = parse_corpus(HEADER + "A,X,10.0,0.1,0.2\nB,Y,1.0,0.1,0.2\n")
