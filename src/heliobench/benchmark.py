@@ -1,11 +1,13 @@
 """Full benchmarking runs: one reference category against all others.
 
 For each requested indicator the corpus is binned on a single pooled
-support: the reference becomes a smoothed histogram, one pass over the
-indicator column gives every other category's smoothed distribution, and
-one kernel call ranks them ascending by information gain relative to the
-reference (lower = more similar). Rankings are always computed in full;
-top-k truncation is a presentation step.
+support: the reference becomes a smoothed histogram, and one pass over the
+indicator column gives every category's smoothed distribution as one
+category-by-bin matrix. That whole matrix is scored in one kernel call,
+the reference's own row is dropped, and one stable sort ranks the others
+ascending by information gain relative to the reference (lower = more
+similar). Rankings are always computed in full; top-k truncation is a
+presentation step.
 
 The binning of the candidates depends on the corpus, the indicator and the
 bin spec, not on the reference, so it is memoized on the Corpus object:
@@ -19,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .corpus import Corpus, Indicator, category_values
@@ -31,7 +34,7 @@ from .histogram import (
     check_alpha,
     pooled_bin_spec,
 )
-from .infogain import DEFAULT_CONFIG, DivergenceConfig, gains_against_reference
+from .infogain import DEFAULT_CONFIG, DivergenceConfig, _Rows, gains_against_reference
 
 DEFAULT_BIN_COUNT = 20
 DEFAULT_ALPHA = 0.5
@@ -132,17 +135,20 @@ def run_benchmark(
             )
         spec = pooled_bin_spec(corpus, indicator, request.bin_count, request.scale_for(indicator))
         ref_hist = build_histogram(ref_values, spec, request.alpha)
-        # Passed inline, so one candidate matrix is alive at a time.
+        # The matrix is passed inline, so one candidate matrix is alive at a
+        # time. It goes through gains_against_reference, not the kernel
+        # directly, because bench/tracing.py times the gain layer by that
+        # name, and bench/run.py reports infogain.pairs_per_s only when that
+        # span has run.
         gains = gains_against_reference(
             ref_hist,
-            dict(zip(*category_probabilities(corpus, indicator, spec, request.alpha))),
+            _Rows(*category_probabilities(corpus, indicator, spec, request.alpha)),
             config,
-            reference_name=request.reference,
+            request.reference,
         )
         # gains come in name order, so the stable sort breaks ties by name.
-        ranking = tuple(
-            (gv.candidate, gv.value) for gv in sorted(gains, key=lambda gv: gv.value)
-        )
+        by_gain = sorted(gains, key=attrgetter("value"))
+        ranking = tuple(map(attrgetter("candidate", "value"), by_gain))
         results.append(
             BenchmarkResult(
                 reference=request.reference,

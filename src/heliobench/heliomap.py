@@ -30,14 +30,14 @@ class PrestigeOrder:
     names: tuple[str, ...]
 
     def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
+        positions = {name: i for i, name in enumerate(self.names)}
+        if len(positions) != len(self.names):
             raise InvalidInputError("prestige order contains duplicate names")
+        # layout_map asks for a rank several times per dot.
+        object.__setattr__(self, "_positions", positions)
 
     def rank(self, name: str) -> int | None:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            return None
+        return self._positions.get(name)
 
 
 def parse_prestige_order(text: str) -> PrestigeOrder:

@@ -9,9 +9,14 @@ Kullback-Leibler divergence a * sum_i p_i * log(p_i / q_i). Both forms are
 evaluated and cross-checked on every call.
 
 One vectorized kernel scores a reference against many candidate
-distributions, a block of rows at a time; information_gain is its one-row
-case. Sums are fixed-order pairwise row sums, so equal candidates get equal
-gains and a copy of the reference gets exactly zero.
+distributions, a block of rows at a time. information_gain is its one-row
+case, and gains_against_reference its Mapping-in, GainValue-out wrapper
+for callers with their own histograms or probability vectors. A ranking
+hands that wrapper the whole category-by-bin matrix as one _Rows mapping:
+the matrix is scored in one kernel call, without a per-candidate check or
+copy, and the reference's own row is dropped. Sums are fixed-order
+pairwise row sums, so equal candidates get equal gains and a copy of the
+reference gets exactly zero.
 
 Lower gain means more similar distributions; eps(P, P) = 0 and
 eps(P, Q) >= 0 whenever Q is positive wherever P is.
@@ -19,8 +24,10 @@ eps(P, Q) >= 0 whenever Q is positive wherever P is.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Literal, Mapping, Sequence
 
 import numpy as np
@@ -62,13 +69,18 @@ class DivergenceConfig:
 DEFAULT_CONFIG = DivergenceConfig()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GainValue:
     """Information gain of a candidate distribution relative to a reference."""
 
     value: float
     reference: str = ""
     candidate: str = ""
+
+    def __init__(self, value: float, reference: str = "", candidate: str = ""):
+        # One dict update instead of the generated frozen __init__'s three
+        # object.__setattr__ calls: a ranking builds one per candidate.
+        self.__dict__.update(value=value, reference=reference, candidate=candidate)
 
 
 def unexpectedness(p: float, config: DivergenceConfig = DEFAULT_CONFIG) -> float:
@@ -177,6 +189,29 @@ def information_gain(
     return GainValue(value=value, reference=reference, candidate=candidate)
 
 
+class _Rows(Mapping):
+    """Candidate probability vectors held as the rows of one matrix, keyed
+    by sorted, distinct names: the (names, probabilities) pair that
+    histogram.category_probabilities returns. The row keyed by the
+    reference's name, if there is one, must be the reference's own
+    distribution."""
+
+    def __init__(self, names: list[str], matrix: np.ndarray):
+        self.names, self.matrix = names, matrix
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        row = bisect.bisect_left(self.names, name)
+        if self.names[row:row + 1] != [name]:
+            raise KeyError(name)
+        return self.matrix[row]
+
+    def __iter__(self):
+        return iter(self.names)
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+
 def gains_against_reference(
     reference_hist: Histogram,
     candidates: Mapping[str, Histogram | np.ndarray],
@@ -184,14 +219,26 @@ def gains_against_reference(
     reference_name: str = "",
 ) -> list[GainValue]:
     """Gain of every candidate relative to the reference, one GainValue per
-    candidate in lexicographic candidate-name order.
+    candidate in lexicographic candidate-name order: the Mapping-in,
+    GainValue-out public wrapper over the gain kernel.
 
     A candidate is a Histogram on the reference's spec, or a bare vector of
     bin_count probabilities on that spec, such as a row of
     histogram.category_probabilities. A candidate keyed by reference_name
     is skipped. Errors name the first offending candidate in name order,
-    whichever check it fails.
+    whichever check it fails. A _Rows mapping, as run_benchmark passes, is
+    scored in one kernel call with no per-candidate check.
     """
+    if isinstance(candidates, _Rows):
+        # The whole matrix in one kernel call. The reference's own row
+        # scores exactly 0 and passes every check, so it is dropped after.
+        names = candidates.names
+        gains = _gains(reference_hist.probabilities, candidates.matrix, config, names)
+        own = bisect.bisect_left(names, reference_name)
+        if names[own:own + 1] == [reference_name]:
+            names = names[:own] + names[own + 1:]
+            del gains[own]
+        return list(map(GainValue, gains, repeat(reference_name), names))
     spec = reference_hist.spec
     names = [name for name in sorted(candidates) if name != reference_name]
     rows, error = [], None
@@ -217,5 +264,4 @@ def gains_against_reference(
     gains = _gains(reference_hist.probabilities, rows, config, names)
     if error is not None:
         raise error
-    return [GainValue(value=value, reference=reference_name, candidate=name)
-            for name, value in zip(names, gains)]
+    return list(map(GainValue, gains, repeat(reference_name), names))

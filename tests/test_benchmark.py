@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from heliobench import (
+    AbsoluteContinuityError,
     BenchmarkRequest,
     BinSpec,
     CategoryNotFoundError,
@@ -18,6 +19,7 @@ from heliobench import (
     build_histogram,
     category_values,
     cross_indicator_summary,
+    gains_against_reference,
     make_synthetic_corpus,
     parse_corpus,
     pooled_bin_spec,
@@ -284,6 +286,67 @@ class TestBinningMemo:
             tracemalloc.stop()
         # One candidate matrix of one indicator would be 60 x 10^4 floats.
         assert after - before < present * np.dtype(np.intp).itemsize
+
+
+def public_ranking(corpus, reference, indicator, spec, alpha):
+    """A ranking from one Histogram per category through the public
+    gains_against_reference, sorted by gain."""
+    histograms = {}
+    for name in corpus.category_names():
+        values, _ = category_values(corpus, name, indicator)
+        if values:
+            histograms[name] = build_histogram(values, spec, alpha)
+    gains = gains_against_reference(histograms[reference], histograms, reference_name=reference)
+    return tuple((g.candidate, g.value) for g in sorted(gains, key=lambda g: g.value))
+
+
+class TestRankingMatchesThePublicWrapper:
+    """run_benchmark scores the category-by-bin matrix in one kernel call;
+    its rankings equal, float for float, those built from histograms."""
+
+    @pytest.mark.parametrize("bin_count", [20, MAX_BIN_COUNT])
+    def test_synthetic_corpus(self, bin_count):
+        corpus = make_synthetic_corpus(n_categories=40)
+        for reference in ("Category 000", "Category 013", "Category 039"):
+            request = BenchmarkRequest(reference=reference, bin_count=bin_count, alpha=0.5)
+            for result in run_benchmark(corpus, request):
+                spec = pooled_bin_spec(
+                    corpus, result.indicator, bin_count, request.scale_for(result.indicator)
+                )
+                assert result.spec == spec
+                assert result.ranking == public_ranking(
+                    corpus, reference, result.indicator, spec, 0.5
+                )
+
+    def test_unsmoothed(self):
+        corpus = loguniform_corpus()
+        request = BenchmarkRequest(reference="C2", bin_count=7, alpha=0.0)
+        for result in run_benchmark(corpus, request):
+            assert result.ranking == public_ranking(corpus, "C2", result.indicator, result.spec, 0.0)
+
+    def test_continuity_error_names_the_first_offending_candidate(self):
+        # On 4 bins of [0, 3.6], A fills every bin, Top only the last and
+        # Bottom only the first; Wide fills them all.
+        groups = {"A": [0.5, 1.5, 2.5, 3.5], "Top": [3.1, 3.6], "Bottom": [0.2, 0.4],
+                  "Wide": [0.6, 1.6, 2.6, 3.4]}
+        corpus = Corpus(
+            JournalRecord(f"{name}{i}", name, value, 0.01, 0.5)
+            for name, values in groups.items()
+            for i, value in enumerate(values)
+        )
+        request = BenchmarkRequest(
+            reference="A", indicators=(Indicator.IMPACT_FACTOR,), bin_count=4, alpha=0.0
+        )
+        with pytest.raises(AbsoluteContinuityError) as ranked:
+            run_benchmark(corpus, request)
+
+        spec = pooled_bin_spec(corpus, Indicator.IMPACT_FACTOR, 4, "linear")
+        histograms = {name: build_histogram(values, spec) for name, values in groups.items()}
+        with pytest.raises(AbsoluteContinuityError) as public:
+            gains_against_reference(histograms["A"], histograms, reference_name="A")
+        assert str(ranked.value) == str(public.value)
+        assert str(ranked.value).startswith("candidate 'Bottom': ")
+        assert ranked.value.bin_index == public.value.bin_index == 1
 
 
 class TestTopK:

@@ -74,6 +74,17 @@ class TestLayoutMap:
         )
         assert [d.label for d in layout.dots] == ["mid", "extra", "near", "far"]
 
+    def test_prestige_names_absent_from_the_ranking_are_skipped(self):
+        order = PrestigeOrder(("ghost", "far", "phantom", "near"))
+        layout = layout_map(
+            make_result([("near", 0.1), ("mid", 0.2), ("far", 0.3)]), order=order
+        )
+        assert [d.label for d in layout.dots] == ["far", "near", "mid"]
+        assert [d.angle_degrees for d in layout.dots] == [90.0, -30.0, -150.0]
+        assert [order.rank(name) for name in ("ghost", "far", "phantom", "near", "mid")] == [
+            0, 1, 2, 3, None,
+        ]
+
     def test_radius_encodes_gain_not_position(self):
         order = PrestigeOrder(("far", "near"))
         layout = layout_map(make_result([("near", 0.0), ("far", 1.0)]), order=order)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from heliobench import (
     AbsoluteContinuityError,
     BinSpec,
     DivergenceConfig,
+    GainValue,
     Histogram,
     IncompatibleSupportError,
     InvalidInputError,
@@ -173,6 +175,17 @@ def test_cross_entropy_dominates_entropy_property(pair):
     assert expected_unexpectedness(hp, hq) >= expected_unexpectedness(hp, hp) - 1e-12
 
 
+class TestGainValue:
+    def test_is_a_frozen_value_object(self):
+        gv = GainValue(0.25, candidate="b")
+        assert gv == GainValue(value=0.25, reference="", candidate="b")
+        assert hash(gv) == hash(GainValue(0.25, "", "b"))
+        assert repr(gv) == "GainValue(value=0.25, reference='', candidate='b')"
+        assert dataclasses.replace(gv, reference="a") == GainValue(0.25, "a", "b")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gv.value = 1.0
+
+
 class TestGainsAgainstReference:
     def test_reference_copy_scores_zero(self):
         ref = hist([0.4, 0.6])
@@ -292,6 +305,18 @@ class TestGainsAgainstReference:
     def test_malformed_probability_vector_is_named(self, vector, error):
         with pytest.raises(error, match="'bad'"):
             gains_against_reference(hist([0.5, 0.5]), {"bad": np.array(vector), "ok": [0.5, 0.5]})
+
+    def test_matrix_rows_score_like_a_dict_of_their_rows(self):
+        from heliobench.infogain import _Rows
+
+        matrix = np.random.default_rng(5).dirichlet(np.ones(6), size=5)
+        rows = _Rows(["a", "b", "ref", "x", "y"], matrix)
+        assert len(rows) == 5 and "ref" in rows and "c" not in rows
+        ref = hist(matrix[2])
+        for reference_name in ("ref", "", "c"):
+            assert gains_against_reference(ref, rows, reference_name=reference_name) == (
+                gains_against_reference(ref, dict(rows), reference_name=reference_name)
+            )
 
     def test_gains_are_python_floats(self):
         gains = gains_against_reference(hist([0.2, 0.8]), {"a": hist([0.6, 0.4])})
