@@ -27,6 +27,7 @@ from typing import Mapping, Sequence
 from .corpus import Corpus, Indicator, category_values
 from .errors import CategoryNotFoundError, EmptyDataError, InvalidInputError
 from .histogram import (
+    DEFAULT_BIN_COUNT,
     BinSpec,
     Scale,
     build_histogram,
@@ -36,7 +37,6 @@ from .histogram import (
 )
 from .infogain import DEFAULT_CONFIG, DivergenceConfig, _Rows, gains_against_reference
 
-DEFAULT_BIN_COUNT = 20
 DEFAULT_ALPHA = 0.5
 DEFAULT_TOP_K = 30
 

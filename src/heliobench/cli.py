@@ -5,12 +5,13 @@ over config-file entry over built-in default, and every run prints its
 resolved configuration to stderr so results can be reproduced.
 
 Exit codes are a stable scripting contract: 0 success; 2 input that cannot
-be parsed (bad CSV or config file, unreadable file, unknown flag or a flag
-value of the wrong type); 3 input that is well-formed but outside its domain
-(unknown category, empty data, --k 0, --bins below 2 or above
-histogram.MAX_BIN_COUNT, non-finite or negative alpha, alpha 0 without full
-support); 4 internal errors. With several indicators, one for which the
-reference has no values is skipped with a warning.
+be parsed (bad CSV or config file, unreadable file, a file that is not
+valid UTF-8, unknown flag or a flag value of the wrong type); 3 input that
+is well-formed but outside its domain (unknown category, empty data, --k 0,
+--bins below 2 or above histogram.MAX_BIN_COUNT, non-finite or negative
+alpha, alpha 0 without full support, hist categories whose names give one
+output filename); 4 internal errors. With several indicators, one for
+which the reference has no values is skipped with a warning.
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ import tempfile
 import traceback
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterable
+from typing import Iterator
 
 from .benchmark import (
     DEFAULT_ALPHA,
-    DEFAULT_BIN_COUNT,
     DEFAULT_SCALES,
     DEFAULT_TOP_K,
     BenchmarkRequest,
@@ -45,9 +45,15 @@ from .corpus import (
     load_corpus,
     validate_corpus,
 )
-from .errors import CorpusFormatError, EmptyDataError, HeliobenchError
+from .errors import CorpusFormatError, EmptyDataError, HeliobenchError, InvalidInputError
 from .heliomap import layout_map, load_prestige_order, render_svg
-from .histogram import build_histogram, check_alpha, pooled_bin_spec
+from .histogram import (
+    DEFAULT_BIN_COUNT,
+    MAX_BIN_COUNT,
+    build_histogram,
+    check_alpha,
+    pooled_bin_spec,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -58,36 +64,46 @@ EXIT_INTERNAL = 4
 # in a temporary file.
 STAGED_CHARS = 1 << 20
 
-DEFAULTS = {
-    "indicator": "all",
-    "bins": DEFAULT_BIN_COUNT,
-    "scale": None,  # None = per-indicator DEFAULT_SCALES
-    "alpha": DEFAULT_ALPHA,
-    "k": DEFAULT_TOP_K,
-    "format": "json",
-    "min_records": DEFAULT_MIN_RECORDS,
-    "category": None,
-    "reference": None,
-    "prestige": None,
-    "out": None,
-    "summary": False,
+# What each command generates: (text, filename) pairs.
+Documents = Iterator[tuple[str, str]]
+
+_BINNING = ("hist", "bench", "map")
+_REFERENCED = ("bench", "map")
+
+# Option -> (commands that take it as a flag, default, argparse keywords).
+# The parser and the config-file reader both read these keywords, and a
+# config file may set any option whatever the command.
+_OPTIONS = {
+    "indicator": (_BINNING, "all", {
+        "choices": ("if", "es", "ii", "all"), "help": "indicator code, or all"}),
+    "bins": (_BINNING, DEFAULT_BIN_COUNT, {
+        "type": int, "help": f"bin count, 2 to {MAX_BIN_COUNT}"}),
+    "scale": (_BINNING, None, {  # None = per-indicator DEFAULT_SCALES
+        "choices": ("linear", "log"), "help": "override binning scale for all indicators"}),
+    "alpha": (_BINNING, DEFAULT_ALPHA, {"type": float, "help": "smoothing pseudo-count"}),
+    "out": (("validate", *_BINNING), None, {"help": "output directory (default: stdout)"}),
+    "reference": (_REFERENCED, None, {"required": True, "help": "reference category name"}),
+    "k": (_REFERENCED, DEFAULT_TOP_K, {"type": int, "help": "top-k size"}),
+    "prestige": (("map",), None, {
+        "help": "prestige-order file (one category per line, best first)"}),
+    "format": (("bench",), "json", {"choices": ("json", "csv"), "help": "output format"}),
+    "summary": (("bench",), False, {
+        "action": "store_true", "help": "also write the cross-indicator summary table"}),
+    "min_records": (("validate",), DEFAULT_MIN_RECORDS, {
+        "type": int, "help": "flag categories smaller than this"}),
+    "category": (("hist",), None, {
+        "action": "append", "help": "category to export (repeatable; default: all)"}),
 }
 
-_COERCE = {
-    "bins": int,
-    "k": int,
-    "min_records": int,
-    "alpha": float,
-    "summary": lambda s: str(s).strip().lower() in ("1", "true", "yes", "on"),
-    "category": lambda s: [s],
-}
 
-# Shared by the argument parser and the config-file reader.
-_CHOICES = {
-    "indicator": ("if", "es", "ii", "all"),
-    "scale": ("linear", "log"),
-    "format": ("json", "csv"),
-}
+def _coerce(key: str, value: str):
+    """A config-file value converted as its flag's argparse keywords say."""
+    flag = _OPTIONS[key][2]
+    if flag.get("action") == "store_true":
+        return value.lower() in ("1", "true", "yes", "on")
+    if flag.get("action") == "append":
+        return [value]
+    return flag.get("type", str)(value)
 
 
 def _read_config_file(path: str) -> dict:
@@ -103,30 +119,26 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise CorpusFormatError(f"config entry is not key=value: {raw!r}", line=n)
         key, _, value = (part.strip() for part in line.partition("="))
-        if key not in DEFAULTS:
+        if key not in _OPTIONS:
             raise CorpusFormatError(f"unknown config key {key!r}", line=n)
         try:
-            entries[key] = _COERCE.get(key, str)(value)
+            entries[key] = _coerce(key, value)
         except ValueError:
             raise CorpusFormatError(f"config {key}: invalid value {value!r}", line=n) from None
-        if key in _CHOICES and value not in _CHOICES[key]:
+        choices = _OPTIONS[key][2].get("choices")
+        if choices and value not in choices:
             raise CorpusFormatError(
-                f"config {key}: {value!r} is not one of {', '.join(_CHOICES[key])}", line=n
+                f"config {key}: {value!r} is not one of {', '.join(choices)}", line=n
             )
     return entries
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    file_cfg = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    file_cfg = _read_config_file(args.config) if args.config else {}
     resolved = {}
-    for key, default in DEFAULTS.items():
+    for key, (_, default, _) in _OPTIONS.items():
         cli_value = getattr(args, key, None)
-        if cli_value is not None and cli_value is not False:
-            resolved[key] = cli_value
-        elif key in file_cfg:
-            resolved[key] = file_cfg[key]
-        else:
-            resolved[key] = default
+        resolved[key] = cli_value if cli_value is not None else file_cfg.get(key, default)
     # Checked before any command runs, because the resolved config is
     # printed as JSON first and a non-finite alpha has no JSON form.
     check_alpha(resolved["alpha"])
@@ -157,13 +169,13 @@ def _json(obj, indent: int | None = None) -> str:
     return json.dumps(obj, indent=indent, sort_keys=True, allow_nan=False)
 
 
-def _emit(documents: Iterable[tuple[str, str]], out_dir: str | None) -> None:
+def _emit(documents: Documents, out_dir: str | None) -> None:
     """Write (text, filename) documents to stdout, or as files to out_dir.
 
     Documents are staged, in a spooled temporary file or in a temporary
     directory inside out_dir, and published only once the last one is
     built: a failure writes nothing, and a large output is never held in
-    memory whole.
+    memory whole. Two documents with one filename are an InvalidInputError.
     """
     if out_dir is None:
         with tempfile.SpooledTemporaryFile(
@@ -175,50 +187,46 @@ def _emit(documents: Iterable[tuple[str, str]], out_dir: str | None) -> None:
             shutil.copyfileobj(staged, sys.stdout)
         return
     directory = Path(out_dir)
-    created = not directory.exists()
+    # Innermost first, so that each is empty when it is removed after a failure.
+    created = [path for path in (directory, *directory.parents) if not path.exists()]
     directory.mkdir(parents=True, exist_ok=True)
+    written = set()
     try:
         with tempfile.TemporaryDirectory(prefix=".staging-", dir=directory) as staging:
             for text, filename in documents:
+                if filename in written:
+                    raise InvalidInputError(f"two documents would both be written to {filename}")
+                written.add(filename)
                 (Path(staging) / filename).write_text(text, encoding="utf-8")
-            for path in Path(staging).iterdir():
-                os.replace(path, directory / path.name)
+            for filename in written:
+                os.replace(Path(staging) / filename, directory / filename)
     except BaseException:
-        if created:
+        for path in created:
             with contextlib.suppress(OSError):
-                directory.rmdir()
+                path.rmdir()
         raise
 
 
-def cmd_validate(resolved: dict) -> int:
-    corpus = load_corpus(resolved["input"])
+def cmd_validate(corpus, resolved: dict) -> Documents:
     report = validate_corpus(corpus, min_records=resolved["min_records"])
-    _emit([(_json(report.to_dict(), indent=2), "validation.json")], resolved["out"])
-    return EXIT_OK
+    yield _json(report.to_dict(), indent=2), "validation.json"
 
 
-def cmd_hist(resolved: dict) -> int:
-    corpus = load_corpus(resolved["input"])
-    categories = resolved["category"] or corpus.category_names()
-
-    def documents():
-        for indicator in _indicators(resolved):
-            scale = resolved["scale"] or DEFAULT_SCALES[indicator]
-            spec = pooled_bin_spec(corpus, indicator, resolved["bins"], scale)
-            for cat in categories:
-                values, skipped = category_values(corpus, cat, indicator)
-                try:
-                    hist = build_histogram(values, spec, resolved["alpha"])
-                except EmptyDataError as exc:
-                    raise EmptyDataError(
-                        f"category {cat!r} has no {indicator.value} values: {exc}"
-                    ) from None
-                doc = {"category": cat, "indicator": indicator.code, "skipped": skipped}
-                doc.update(hist.to_dict())
-                yield _json(doc), f"hist_{_slug(cat)}_{indicator.code}.json"
-
-    _emit(documents(), resolved["out"])
-    return EXIT_OK
+def cmd_hist(corpus, resolved: dict) -> Documents:
+    for indicator in _indicators(resolved):
+        scale = resolved["scale"] or DEFAULT_SCALES[indicator]
+        spec = pooled_bin_spec(corpus, indicator, resolved["bins"], scale)
+        for cat in resolved["category"] or corpus.category_names():
+            values, skipped = category_values(corpus, cat, indicator)
+            try:
+                hist = build_histogram(values, spec, resolved["alpha"])
+            except EmptyDataError as exc:
+                raise EmptyDataError(
+                    f"category {cat!r} has no {indicator.value} values: {exc}"
+                ) from None
+            doc = {"category": cat, "indicator": indicator.code, "skipped": skipped}
+            doc.update(hist.to_dict())
+            yield _json(doc), f"hist_{_slug(cat)}_{indicator.code}.json"
 
 
 def _bench_results(corpus, resolved: dict):
@@ -244,39 +252,33 @@ def _bench_results(corpus, resolved: dict):
     return [top_k(result, request.k) for result in results]
 
 
-def cmd_bench(resolved: dict) -> int:
-    corpus = load_corpus(resolved["input"])
+def cmd_bench(corpus, resolved: dict) -> Documents:
     results = _bench_results(corpus, resolved)
     fmt = resolved["format"]
     ref_slug = _slug(resolved["reference"])
     tables = [(result, result.indicator.code) for result in results]
     if resolved["summary"]:
         tables.append((cross_indicator_summary(results), "summary"))
-    _emit(
-        [
-            (table.to_csv() if fmt == "csv" else _json(table.to_dict(), indent=2),
-             f"bench_{ref_slug}_{suffix}.{fmt}")
-            for table, suffix in tables
-        ],
-        resolved["out"],
-    )
-    return EXIT_OK
+    for table, suffix in tables:
+        yield (table.to_csv() if fmt == "csv" else _json(table.to_dict(), indent=2),
+               f"bench_{ref_slug}_{suffix}.{fmt}")
 
 
-def cmd_map(resolved: dict) -> int:
-    corpus = load_corpus(resolved["input"])
+def cmd_map(corpus, resolved: dict) -> Documents:
     results = _bench_results(corpus, resolved)
     order = load_prestige_order(resolved["prestige"]) if resolved["prestige"] else None
     ref_slug = _slug(resolved["reference"])
-    _emit(
-        [
-            (render_svg(layout_map(result, order)),
-             f"map_{ref_slug}_{result.indicator.code}.svg")
-            for result in results
-        ],
-        resolved["out"],
-    )
-    return EXIT_OK
+    for result in results:
+        yield render_svg(layout_map(result, order)), f"map_{ref_slug}_{result.indicator.code}.svg"
+
+
+# Command -> (help, generator of its documents).
+_COMMANDS = {
+    "validate": ("parse a corpus and report its shape", cmd_validate),
+    "hist": ("export per-category histograms as JSON", cmd_hist),
+    "bench": ("rank categories by information gain", cmd_bench),
+    "map": ("render heliocentric clockwise maps as SVG", cmd_map),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -286,63 +288,33 @@ def _build_parser() -> argparse.ArgumentParser:
         "and Kullback-Leibler information gain.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, reference: bool = False) -> None:
+    for command, (summary, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--input", required=True, help="corpus CSV file")
         p.add_argument("--config", help="optional key=value config file")
-        p.add_argument("--indicator", choices=_CHOICES["indicator"], default=None)
-        p.add_argument("--bins", type=int, default=None, help="bin count (default 20)")
-        p.add_argument("--scale", choices=_CHOICES["scale"], default=None,
-                       help="override binning scale for all indicators")
-        p.add_argument("--alpha", type=float, default=None,
-                       help="smoothing pseudo-count (default 0.5)")
-        p.add_argument("--out", default=None, help="output directory (default: stdout)")
-        if reference:
-            p.add_argument("--reference", required=True, help="reference category name")
-            p.add_argument("--k", type=int, default=None, help="top-k size (default 30)")
-            p.add_argument("--prestige", default=None,
-                           help="prestige-order file (one category per line, best first)")
-
-    p_validate = sub.add_parser("validate", help="parse a corpus and report its shape")
-    p_validate.add_argument("--input", required=True)
-    p_validate.add_argument("--config", help="optional key=value config file")
-    p_validate.add_argument("--out", default=None)
-    p_validate.add_argument("--min-records", dest="min_records", type=int, default=None,
-                            help="flag categories smaller than this (default 5)")
-    p_validate.set_defaults(func=cmd_validate)
-
-    p_hist = sub.add_parser("hist", help="export per-category histograms as JSON")
-    common(p_hist)
-    p_hist.add_argument("--category", action="append", default=None,
-                        help="category to export (repeatable; default: all)")
-    p_hist.set_defaults(func=cmd_hist)
-
-    p_bench = sub.add_parser("bench", help="rank categories by information gain")
-    common(p_bench, reference=True)
-    p_bench.add_argument("--format", choices=_CHOICES["format"], default=None)
-    p_bench.add_argument("--summary", action="store_true", default=False,
-                         help="also write the cross-indicator summary table")
-    p_bench.set_defaults(func=cmd_bench)
-
-    p_map = sub.add_parser("map", help="render heliocentric clockwise maps as SVG")
-    common(p_map, reference=True)
-    p_map.set_defaults(func=cmd_map)
-
+        # Every default is None, so that _resolve can tell a flag that was
+        # not given from one that was.
+        for key, (commands, default, flag) in _OPTIONS.items():
+            if command in commands:
+                shown = "" if default in (None, False) else f" (default {default})"
+                p.add_argument("--" + key.replace("_", "-"),
+                               **{**flag, "default": None, "help": flag["help"] + shown})
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
 
     try:
         resolved = _resolve(args)
         print(f"resolved-config: {_json(resolved)}", file=sys.stderr)
-        return args.func(resolved)
-    except (CorpusFormatError, OSError) as exc:
+        corpus = load_corpus(resolved["input"])
+        _emit(_COMMANDS[args.command][1](corpus, resolved), resolved["out"])
+        return EXIT_OK
+    except (CorpusFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except HeliobenchError as exc:

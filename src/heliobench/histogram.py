@@ -38,6 +38,8 @@ PROBABILITY_SUM_TOL = 1e-12
 # count matrix, so an unbounded count turns one typo into gigabytes.
 MAX_BIN_COUNT = 10_000
 
+DEFAULT_BIN_COUNT = 20
+
 
 @dataclass(frozen=True)
 class BinSpec:
@@ -156,7 +158,7 @@ class _Binned(NamedTuple):
 def pooled_bin_spec(
     corpus: Corpus,
     indicator: Indicator,
-    bin_count: int = 20,
+    bin_count: int = DEFAULT_BIN_COUNT,
     scale: Scale = "linear",
 ) -> BinSpec:
     """One BinSpec covering every present value of an indicator corpus-wide.

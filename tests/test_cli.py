@@ -339,3 +339,88 @@ class TestMapCommand:
 
     def test_upstream_domain_errors_exit_three(self, valid_csv):
         assert main(["map", "--input", valid_csv, "--reference", "Missing"]) == 3
+
+
+OPTION_KEYS = {"indicator", "bins", "scale", "alpha", "k", "format", "min_records",
+               "category", "reference", "prestige", "out", "summary"}
+
+
+def _resolved_config(err: str) -> dict:
+    return json.loads(err.splitlines()[0].removeprefix("resolved-config: "))
+
+
+class TestOptionTable:
+    def test_bench_has_no_prestige_flag(self, valid_csv, tmp_path, capsys):
+        prestige = tmp_path / "prestige.txt"
+        prestige.write_text("B\nA\n", encoding="utf-8")
+        assert main(
+            ["bench", "--input", valid_csv, "--reference", "A", "--prestige", str(prestige)]
+        ) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["validate", "hist", "bench", "map"])
+    def test_config_setting_every_key_is_accepted(self, valid_csv, tmp_path, capsys, command):
+        prestige = tmp_path / "prestige.txt"
+        prestige.write_text("B\nA\n", encoding="utf-8")
+        out = tmp_path / "out"
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text(
+            "indicator=if\nbins=4\nscale=log\nalpha=0.25\nk=1\nformat=csv\nmin_records=2\n"
+            f"category=B\nreference=A\nprestige={prestige}\nout={out}\nsummary=yes\n",
+            encoding="utf-8",
+        )
+        argv = [command, "--input", valid_csv, "--config", str(cfg)]
+        if command in ("bench", "map"):
+            argv += ["--reference", "A"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _resolved_config(captured.err) == {
+            "indicator": "if", "bins": 4, "scale": "log", "alpha": 0.25, "k": 1,
+            "format": "csv", "min_records": 2, "category": ["B"], "reference": "A",
+            "prestige": str(prestige), "out": str(out), "summary": True,
+            "input": valid_csv, "command": command,
+        }
+        assert len(list(out.iterdir())) >= 1
+
+    @pytest.mark.parametrize("command", ["validate", "hist", "bench", "map"])
+    def test_resolved_config_has_every_option_key(self, valid_csv, capsys, command):
+        argv = [command, "--input", valid_csv]
+        if command in ("bench", "map"):
+            argv += ["--reference", "A"]
+        assert main(argv) == 0
+        resolved = _resolved_config(capsys.readouterr().err)
+        assert set(resolved) == OPTION_KEYS | {"input", "command"}
+
+
+@pytest.mark.parametrize("kind", ["input", "config", "prestige"])
+def test_file_that_is_not_utf8_exits_two(valid_csv, tmp_path, capsys, kind):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(
+        b"journal,category,impact_factor,eigenfactor,immediacy\ncaf\xe9,A,1.0,0.01,0.2\n"
+    )
+    argv = {
+        "input": ["validate", "--input", str(latin1)],
+        "config": ["bench", "--input", valid_csv, "--reference", "A", "--config", str(latin1)],
+        "prestige": ["map", "--input", valid_csv, "--reference", "A", "--prestige", str(latin1)],
+    }[kind]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1].startswith("error: ")
+
+
+def test_hist_filename_collision_exits_three_and_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "collide.csv"
+    path.write_text(
+        "journal,category,impact_factor,eigenfactor,immediacy\n"
+        "j1,A B,1.0,0.01,0.2\nj2,A-B,2.0,0.02,0.4\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "new" / "out"
+    assert main(["hist", "--input", str(path), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "hist_a-b_if.json" in captured.err
+    assert not (tmp_path / "new").exists()
