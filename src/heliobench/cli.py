@@ -109,9 +109,13 @@ def _coerce(key: str, value: str):
 def _read_config_file(path: str) -> dict:
     """key=value lines, coerced like the matching flags; blank lines and #
     comments ignored. Unknown keys and malformed values raise
-    CorpusFormatError naming the line."""
+    CorpusFormatError naming the line, a file that is not UTF-8 one naming
+    the file."""
     entries = {}
-    text = Path(path).read_text(encoding="utf-8-sig")
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(f"{exc}: {path!r}") from None
     for n, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -314,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
         corpus = load_corpus(resolved["input"])
         _emit(_COMMANDS[args.command][1](corpus, resolved), resolved["out"])
         return EXIT_OK
-    except (CorpusFormatError, OSError, UnicodeDecodeError) as exc:
+    except (CorpusFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except HeliobenchError as exc:

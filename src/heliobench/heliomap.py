@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .benchmark import BenchmarkResult
-from .errors import InvalidInputError
+from .errors import CorpusFormatError, InvalidInputError
 
 DEFAULT_R_MIN = 0.15
 DEFAULT_R_MAX = 1.0
@@ -52,7 +52,11 @@ def parse_prestige_order(text: str) -> PrestigeOrder:
 
 
 def load_prestige_order(path: str | Path) -> PrestigeOrder:
-    return parse_prestige_order(Path(path).read_text(encoding="utf-8-sig"))
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(f"{exc}: {str(path)!r}") from None
+    return parse_prestige_order(text)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -424,3 +425,72 @@ def test_hist_filename_collision_exits_three_and_writes_nothing(tmp_path, capsys
     assert captured.out == ""
     assert "hist_a-b_if.json" in captured.err
     assert not (tmp_path / "new").exists()
+
+
+def test_field_over_the_csv_size_limit_exits_two_naming_its_line(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text(
+        "journal,category,impact_factor,eigenfactor,immediacy\n"
+        "j1,A,1.0,0.01,0.2\n"
+        f'"{"x" * 200_000}",A,1.0,0.01,0.2\n',
+        encoding="utf-8",
+    )
+    assert main(["validate", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1].startswith("error: line 3: field larger than field limit")
+
+
+@pytest.mark.parametrize("kind", ["input", "config", "prestige"])
+def test_file_that_is_not_utf8_is_named_in_the_error(valid_csv, tmp_path, capsys, kind):
+    latin1 = tmp_path / f"latin1-{kind}.txt"
+    latin1.write_bytes(
+        b"journal,category,impact_factor,eigenfactor,immediacy\ncaf\xe9,A,1.0,0.01,0.2\n"
+    )
+    argv = {
+        "input": ["validate", "--input", str(latin1)],
+        "config": ["bench", "--input", valid_csv, "--reference", "A", "--config", str(latin1)],
+        "prestige": ["map", "--input", valid_csv, "--reference", "A", "--prestige", str(latin1)],
+    }[kind]
+    assert main(argv) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("error: 'utf-8' codec can't decode byte 0xe9")
+    assert last.endswith(repr(str(latin1)))
+
+
+def test_map_svgs_of_names_with_markup_are_well_formed_xml(tmp_path, capsys):
+    from xml.dom import minidom
+
+    names = ["A & <B>", '"Q", \'R\'', "tab\there", "\U0001d538 outside the BMP"]
+    path = tmp_path / "markup.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["journal", "category", "impact_factor", "eigenfactor", "immediacy"])
+        writer.writerows(
+            [f"j{i}{n}", name, 1 + i + n, 0.01 * (1 + i), 0.2 + n]
+            for i, name in enumerate(names) for n in range(3)
+        )
+    out = tmp_path / "maps"
+    assert main(["map", "--input", str(path), "--reference", names[0], "--out", str(out)]) == 0
+    svgs = sorted(out.iterdir())
+    assert len(svgs) == 3
+    for svg in svgs:
+        document = minidom.parse(str(svg))
+        labels = {t.firstChild.data for t in document.getElementsByTagName("text")}
+        assert labels == set(names)
+
+
+def test_category_that_xml_forbids_exits_two_naming_its_line(tmp_path, capsys):
+    path = tmp_path / "control.csv"
+    path.write_text(
+        "journal,category,impact_factor,eigenfactor,immediacy\n"
+        "j1,B,1.0,0.01,0.2\nj2,B,2.0,0.02,0.4\nj3,A\x01b,1.0,0.01,0.2\nj4,A\x01b,3.0,0.03,0.6\n",
+        encoding="utf-8",
+    )
+    assert main(["map", "--input", str(path), "--reference", "B", "--indicator", "if"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "error: line 4: category 'A\\x01b' contains '\\x01', which XML 1.0 forbids"
+    )
