@@ -6,7 +6,8 @@ resolved configuration to stderr so results can be reproduced.
 
 Exit codes are a stable scripting contract: 0 success; 2 input that cannot
 be parsed (bad CSV or config file, unreadable file, a file that is not
-valid UTF-8, unknown flag or a flag value of the wrong type); 3 input that
+valid UTF-8, unknown flag or a flag value of the wrong type, bench or map
+without a reference from the flag or the config file); 3 input that
 is well-formed but outside its domain (unknown category, empty data, --k 0,
 --bins below 2 or above histogram.MAX_BIN_COUNT, non-finite or negative
 alpha, alpha 0 without full support, hist categories whose names give one
@@ -82,7 +83,8 @@ _OPTIONS = {
         "choices": ("linear", "log"), "help": "override binning scale for all indicators"}),
     "alpha": (_BINNING, DEFAULT_ALPHA, {"type": float, "help": "smoothing pseudo-count"}),
     "out": (("validate", *_BINNING), None, {"help": "output directory (default: stdout)"}),
-    "reference": (_REFERENCED, None, {"required": True, "help": "reference category name"}),
+    "reference": (_REFERENCED, None, {
+        "help": "reference category name (required here or in the config file)"}),
     "k": (_REFERENCED, DEFAULT_TOP_K, {"type": int, "help": "top-k size"}),
     "prestige": (("map",), None, {
         "help": "prestige-order file (one category per line, best first)"}),
@@ -143,6 +145,10 @@ def _resolve(args: argparse.Namespace) -> dict:
     for key, (_, default, _) in _OPTIONS.items():
         cli_value = getattr(args, key, None)
         resolved[key] = cli_value if cli_value is not None else file_cfg.get(key, default)
+    if args.command in _REFERENCED and resolved["reference"] is None:
+        raise CorpusFormatError(
+            f"{args.command} needs a reference: give --reference or a reference= config entry"
+        )
     # Checked before any command runs, because the resolved config is
     # printed as JSON first and a non-finite alpha has no JSON form.
     check_alpha(resolved["alpha"])

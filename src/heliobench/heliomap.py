@@ -92,13 +92,14 @@ def layout_map(
     if not 0 <= r_min <= r_max:
         raise InvalidInputError(f"need 0 <= r_min <= r_max, got {r_min}, {r_max}")
 
-    entries = list(result.ranking)
+    entries = result.ranking
     if order is not None:
-        ranked = [e for e in entries if order.rank(e[0]) is not None]
-        ranked.sort(key=lambda e: order.rank(e[0]))
-        unranked = [e for e in entries if order.rank(e[0]) is None]
-        unranked.sort(key=lambda e: (e[1], e[0]))
-        entries = ranked + unranked
+        # Ranked names first, best first; then the rest by ascending gain.
+        def slot(entry):
+            rank = order.rank(entry[0])
+            return (1, entry[1], entry[0]) if rank is None else (0, rank)
+
+        entries = sorted(entries, key=slot)
 
     gains = [g for _, g in entries]
     g_min, g_max = min(gains), max(gains)
@@ -153,55 +154,44 @@ def _fmt(x: float) -> str:
 def render_svg(layout: HelioLayout, style: MapStyle = DEFAULT_STYLE) -> str:
     """Render a layout to SVG text. A pure function: identical inputs give
     byte-identical output."""
-    cx = cy = style.size / 2.0
-    plot_radius = style.size / 2.0 - style.outer_pad
+    mid = style.size / 2.0  # the centre's x and y
+    plot_radius = mid - style.outer_pad
+    size, centre = _fmt(style.size), _fmt(mid)
+    dot_r, font_size = _fmt(style.dot_radius), _fmt(style.font_size)
+    reach = style.dot_radius + style.label_offset
+    lift = style.font_size / 3.0
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_fmt(style.size)}" '
-        f'height="{_fmt(style.size)}" viewBox="0 0 {_fmt(style.size)} {_fmt(style.size)}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{size}" '
+        f'height="{size}" viewBox="0 0 {size} {size}" '
         f'font-family="{html.escape(style.font_family, quote=False)}">',
-        f'<rect class="background" width="{_fmt(style.size)}" height="{_fmt(style.size)}" '
-        f'fill="{style.background}"/>',
-    ]
-
-    for frac in style.ring_fractions:
-        lines.append(
-            f'<circle class="ring" cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-            f'r="{_fmt(plot_radius * frac)}" fill="none" stroke="{style.ring_color}" '
-            f'stroke-width="1"/>'
-        )
-
-    lines.append(
-        f'<circle class="center" cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-        f'r="{_fmt(style.dot_radius + 2.0)}" fill="{style.text_color}"/>'
-    )
-    lines.append(
-        f'<text class="center-label" x="{_fmt(cx)}" y="{_fmt(cy + style.dot_radius + 2.0 + style.center_font_size + 4.0)}" '
+        f'<rect class="background" width="{size}" height="{size}" fill="{style.background}"/>',
+        *(f'<circle class="ring" cx="{centre}" cy="{centre}" r="{_fmt(plot_radius * frac)}" '
+          f'fill="none" stroke="{style.ring_color}" stroke-width="1"/>'
+          for frac in style.ring_fractions),
+        f'<circle class="center" cx="{centre}" cy="{centre}" '
+        f'r="{_fmt(style.dot_radius + 2.0)}" fill="{style.text_color}"/>',
+        f'<text class="center-label" x="{centre}" '
+        f'y="{_fmt(mid + style.dot_radius + 2.0 + style.center_font_size + 4.0)}" '
         f'text-anchor="middle" font-size="{_fmt(style.center_font_size)}" '
-        f'font-weight="bold" fill="{style.text_color}">{html.escape(layout.center_label, quote=False)}</text>'
-    )
-
+        f'font-weight="bold" fill="{style.text_color}">'
+        f"{html.escape(layout.center_label, quote=False)}</text>",
+    ]
     for i, dot in enumerate(layout.dots):
         theta = math.radians(dot.angle_degrees)
+        cos, sin = math.cos(theta), math.sin(theta)
         r_px = plot_radius * dot.radius_fraction
-        x = cx + r_px * math.cos(theta)
-        y = cy - r_px * math.sin(theta)
-        lines.append(
-            f'<circle class="dot" cx="{_fmt(x)}" cy="{_fmt(y)}" '
-            f'r="{_fmt(style.dot_radius)}" fill="{style.dot_color}"/>'
-        )
         # Labels alternate outward/inward of the dot by index parity to
         # reduce collisions between angular neighbours.
-        side = 1.0 if i % 2 == 0 else -1.0
-        label_r = r_px + side * (style.dot_radius + style.label_offset)
-        lx = cx + label_r * math.cos(theta)
-        ly = cy - label_r * math.sin(theta) + style.font_size / 3.0
+        label_r = r_px + reach if i % 2 == 0 else r_px - reach
         lines.append(
-            f'<text class="dot-label" x="{_fmt(lx)}" y="{_fmt(ly)}" text-anchor="middle" '
-            f'font-size="{_fmt(style.font_size)}" fill="{style.text_color}">'
+            f'<circle class="dot" cx="{_fmt(mid + r_px * cos)}" cy="{_fmt(mid - r_px * sin)}" '
+            f'r="{dot_r}" fill="{style.dot_color}"/>\n'
+            f'<text class="dot-label" x="{_fmt(mid + label_r * cos)}" '
+            f'y="{_fmt(mid - label_r * sin + lift)}" text-anchor="middle" '
+            f'font-size="{font_size}" fill="{style.text_color}">'
             f"{html.escape(dot.label, quote=False)}</text>"
         )
-
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -494,3 +494,39 @@ def test_category_that_xml_forbids_exits_two_naming_its_line(tmp_path, capsys):
     assert captured.err.splitlines()[-1] == (
         "error: line 4: category 'A\\x01b' contains '\\x01', which XML 1.0 forbids"
     )
+
+
+class TestReferenceFromConfig:
+    @pytest.mark.parametrize("command", ["bench", "map"])
+    def test_config_only_reference_is_ranked(self, valid_csv, tmp_path, capsys, command):
+        cfg = tmp_path / "ref.cfg"
+        cfg.write_text("reference=B\n", encoding="utf-8")
+        assert main([command, "--input", valid_csv, "--indicator", "if", "--config", str(cfg)]) == 0
+        from_config = capsys.readouterr()
+        assert _resolved_config(from_config.err)["reference"] == "B"
+        assert main([command, "--input", valid_csv, "--indicator", "if", "--reference", "B"]) == 0
+        assert from_config.out == capsys.readouterr().out
+
+    def test_flag_beats_config_reference(self, valid_csv, tmp_path, capsys):
+        cfg = tmp_path / "ref.cfg"
+        cfg.write_text("reference=B\n", encoding="utf-8")
+        assert main(["bench", "--input", valid_csv, "--reference", "A", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert main(["bench", "--input", valid_csv, "--reference", "A"]) == 0
+        assert out == capsys.readouterr().out
+        assert '"reference": "A"' in out
+
+    @pytest.mark.parametrize("command", ["bench", "map"])
+    @pytest.mark.parametrize("config", [None, "k=2\n"])
+    def test_no_reference_exits_two(self, valid_csv, tmp_path, capsys, command, config):
+        argv = [command, "--input", valid_csv]
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config, encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {command} needs a reference: give --reference or a reference= config entry"
+        ]

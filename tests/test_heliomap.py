@@ -1,19 +1,25 @@
+import math
 import xml.etree.ElementTree as ET
+from xml.dom import minidom
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heliobench import (
+    BenchmarkRequest,
     BinSpec,
     Indicator,
     InvalidInputError,
     MapStyle,
     PrestigeOrder,
     layout_map,
+    load_corpus,
     load_prestige_order,
     parse_prestige_order,
     render_svg,
+    run_benchmark,
+    top_k,
 )
 from heliobench.benchmark import BenchmarkResult
 
@@ -220,3 +226,46 @@ class TestRenderSvg:
         top = dots[0]
         assert float(top.get("cx")) == pytest.approx(400.0, abs=1e-9)
         assert float(top.get("cy")) < 400.0
+
+    def test_negative_zero_coordinate_prints_as_zero(self):
+        # With size 0 the centre is 0 and the plot radius -110, so the top
+        # dot's cx is -110 * 0.15 * cos(pi/2), about -1e-15.
+        layout = layout_map(make_result([("top", 0.1), ("east", 0.2)]))
+        raw = -110.0 * layout.dots[0].radius_fraction * math.cos(math.radians(90.0))
+        assert f"{raw:.3f}" == "-0.000"
+        svg = render_svg(layout, MapStyle(size=0.0))
+        root = ET.fromstring(svg)
+        dots = [el for el in root.iter(f"{SVG_NS}circle") if el.get("class") == "dot"]
+        assert dots[0].get("cx") == "0.000"
+        assert "-0.000" not in svg
+
+
+def _text_labels(svg: str) -> list[str]:
+    """The text of every <text> element, centre label first, parsed with minidom."""
+    document = minidom.parseString(svg.encode("utf-8"))
+    return [el.firstChild.data for el in document.getElementsByTagName("text")]
+
+
+class TestWellFormedMaps:
+    def test_every_demo_top_30_map_parses(self, demo_csv_path):
+        corpus = load_corpus(demo_csv_path)
+        names = corpus.category_names()
+        # Ranks every third category, so maps hold ranked and unranked dots.
+        order = PrestigeOrder(tuple(reversed(names[::3])))
+        maps = 0
+        for reference in names:
+            for result in run_benchmark(corpus, BenchmarkRequest(reference=reference)):
+                top = top_k(result, 30)
+                for prestige in (None, order):
+                    labels = _text_labels(render_svg(layout_map(top, prestige)))
+                    assert labels[0] == reference
+                    assert sorted(labels[1:]) == sorted(name for name, _ in top.ranking)
+                    maps += 1
+        assert maps == 2 * 3 * 174
+
+    def test_names_with_markup_come_back_verbatim(self):
+        names = ["A < B", "R & D", 'say "hi"', "it's", "<&\"'>"]
+        layout = layout_map(
+            make_result([(n, 0.1 * i) for i, n in enumerate(names)], reference="<Ref & 'co'>")
+        )
+        assert _text_labels(render_svg(layout)) == ["<Ref & 'co'>", *names]
