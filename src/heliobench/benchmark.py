@@ -134,18 +134,17 @@ def run_benchmark(
                 f"{indicator.value} values"
             )
         spec = pooled_bin_spec(corpus, indicator, request.bin_count, request.scale_for(indicator))
-        ref_hist = build_histogram(ref_values, spec, request.alpha)
-        # The matrix is passed inline, so one candidate matrix is alive at a
+        # The candidate matrix is smoothed before the reference histogram, so
+        # that a pseudo-count the indicator cannot take is reported by name.
+        # It is deleted once scored, so one candidate matrix is alive at a
         # time. It goes through gains_against_reference, not the kernel
         # directly, because bench/tracing.py times the gain layer by that
         # name, and bench/run.py reports infogain.pairs_per_s only when that
         # span has run.
-        gains = gains_against_reference(
-            ref_hist,
-            _Rows(*category_probabilities(corpus, indicator, spec, request.alpha)),
-            config,
-            request.reference,
-        )
+        candidates = _Rows(*category_probabilities(corpus, indicator, spec, request.alpha))
+        ref_hist = build_histogram(ref_values, spec, request.alpha)
+        gains = gains_against_reference(ref_hist, candidates, config, request.reference)
+        del candidates
         # gains come in name order, so the stable sort breaks ties by name.
         by_gain = sorted(gains, key=attrgetter("value"))
         ranking = tuple(map(attrgetter("candidate", "value"), by_gain))

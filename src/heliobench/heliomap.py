@@ -71,8 +71,6 @@ class HelioDot:
 class HelioLayout:
     center_label: str
     dots: tuple[HelioDot, ...]
-    r_min: float = DEFAULT_R_MIN
-    r_max: float = DEFAULT_R_MAX
 
 
 def layout_map(
@@ -120,27 +118,16 @@ def layout_map(
                 gain=gain,
             )
         )
-    return HelioLayout(
-        center_label=result.reference, dots=tuple(dots), r_min=r_min, r_max=r_max
-    )
+    return HelioLayout(center_label=result.reference, dots=tuple(dots))
 
 
 @dataclass(frozen=True)
 class MapStyle:
-    """Rendering options; defaults give an 800 x 800 unit canvas."""
+    """Canvas size and ring radii; the rest of the look is fixed. The
+    defaults give an 800 x 800 unit canvas."""
 
     size: float = 800.0
-    outer_pad: float = 110.0  # canvas space kept free for labels
     ring_fractions: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0)
-    dot_radius: float = 5.0
-    font_family: str = "Helvetica, Arial, sans-serif"
-    font_size: float = 11.0
-    center_font_size: float = 13.0
-    label_offset: float = 12.0
-    background: str = "#ffffff"
-    dot_color: str = "#1f5fa8"
-    ring_color: str = "#cccccc"
-    text_color: str = "#222222"
 
 
 DEFAULT_STYLE = MapStyle()
@@ -155,27 +142,23 @@ def render_svg(layout: HelioLayout, style: MapStyle = DEFAULT_STYLE) -> str:
     """Render a layout to SVG text. A pure function: identical inputs give
     byte-identical output."""
     mid = style.size / 2.0  # the centre's x and y
-    plot_radius = mid - style.outer_pad
+    plot_radius = mid - 110.0  # 110 units of canvas kept free for labels
     size, centre = _fmt(style.size), _fmt(mid)
-    dot_r, font_size = _fmt(style.dot_radius), _fmt(style.font_size)
-    reach = style.dot_radius + style.label_offset
-    lift = style.font_size / 3.0
+    reach = 5.0 + 12.0  # dot radius plus label offset
+    lift = 11.0 / 3.0  # a third of the label font size
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{size}" '
         f'height="{size}" viewBox="0 0 {size} {size}" '
-        f'font-family="{html.escape(style.font_family, quote=False)}">',
-        f'<rect class="background" width="{size}" height="{size}" fill="{style.background}"/>',
+        'font-family="Helvetica, Arial, sans-serif">',
+        f'<rect class="background" width="{size}" height="{size}" fill="#ffffff"/>',
         *(f'<circle class="ring" cx="{centre}" cy="{centre}" r="{_fmt(plot_radius * frac)}" '
-          f'fill="none" stroke="{style.ring_color}" stroke-width="1"/>'
+          'fill="none" stroke="#cccccc" stroke-width="1"/>'
           for frac in style.ring_fractions),
-        f'<circle class="center" cx="{centre}" cy="{centre}" '
-        f'r="{_fmt(style.dot_radius + 2.0)}" fill="{style.text_color}"/>',
-        f'<text class="center-label" x="{centre}" '
-        f'y="{_fmt(mid + style.dot_radius + 2.0 + style.center_font_size + 4.0)}" '
-        f'text-anchor="middle" font-size="{_fmt(style.center_font_size)}" '
-        f'font-weight="bold" fill="{style.text_color}">'
+        f'<circle class="center" cx="{centre}" cy="{centre}" r="7.000" fill="#222222"/>',
+        f'<text class="center-label" x="{centre}" y="{_fmt(mid + 5.0 + 2.0 + 13.0 + 4.0)}" '
+        'text-anchor="middle" font-size="13.000" font-weight="bold" fill="#222222">'
         f"{html.escape(layout.center_label, quote=False)}</text>",
     ]
     for i, dot in enumerate(layout.dots):
@@ -187,10 +170,10 @@ def render_svg(layout: HelioLayout, style: MapStyle = DEFAULT_STYLE) -> str:
         label_r = r_px + reach if i % 2 == 0 else r_px - reach
         lines.append(
             f'<circle class="dot" cx="{_fmt(mid + r_px * cos)}" cy="{_fmt(mid - r_px * sin)}" '
-            f'r="{dot_r}" fill="{style.dot_color}"/>\n'
+            'r="5.000" fill="#1f5fa8"/>\n'
             f'<text class="dot-label" x="{_fmt(mid + label_r * cos)}" '
             f'y="{_fmt(mid - label_r * sin + lift)}" text-anchor="middle" '
-            f'font-size="{font_size}" fill="{style.text_color}">'
+            'font-size="11.000" fill="#222222">'
             f"{html.escape(dot.label, quote=False)}</text>"
         )
     lines.append("</svg>")

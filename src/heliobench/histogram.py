@@ -15,6 +15,7 @@ fresh corpus every time and gains nothing from the memo.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Literal, NamedTuple, Sequence
 
@@ -189,6 +190,16 @@ def pooled_bin_spec(
         lower = 0.0
     # All-zero data has no spread; fall back to a unit range.
     upper = vmax * (1.0 + RELATIVE_MARGIN) if vmax > 0 else 1.0
+    if math.isinf(upper):
+        raise InvalidInputError(
+            f"{indicator.value} value {vmax!r} is too large: the bins end at the largest "
+            f"value times (1 + {RELATIVE_MARGIN}), which must not exceed {sys.float_info.max!r}"
+        )
+    if scale == "log" and upper <= LOG_FLOOR:
+        raise InvalidInputError(
+            f"every positive {indicator.value} value lies below the logarithmic floor "
+            f"{LOG_FLOOR}: the largest is {vmax!r}"
+        )
     spec = BinSpec(lower=lower, upper=upper, bin_count=bin_count, scale=scale)
     corpus._binned[indicator] = _Binned(spec)
     return spec
@@ -274,7 +285,9 @@ def category_probabilities(
     equals build_histogram(category_values(...)).probabilities bit for bit.
     When spec is the indicator's pooled spec memoized on the corpus, the
     column is binned on the first call only and later calls just count and
-    smooth; any other spec is binned afresh and not kept.
+    smooth; any other spec is binned afresh and not kept. Raises
+    InvalidInputError when alpha > 0 leaves a probability at 0, because
+    alpha times bin_count overflows or an empty bin's share underflows.
     """
     check_alpha(alpha)
     binned = corpus._binned.get(indicator)
@@ -282,5 +295,16 @@ def category_probabilities(
         binned = _bin_column(corpus, indicator, spec)
     elif binned.index is None:
         binned = corpus._binned[indicator] = _bin_column(corpus, indicator, binned.spec)
-    _, probabilities = _smooth(binned.index, spec.bin_count, alpha, len(binned.names))
+    n = spec.bin_count
+    _, probabilities = _smooth(binned.index, n, alpha, len(binned.names))
+    if alpha > 0 and (probabilities == 0).any():
+        if math.isinf(alpha * n):
+            raise InvalidInputError(
+                f"alpha {alpha!r} is too large for {indicator.value}: alpha times {n} bins "
+                f"exceeds {sys.float_info.max!r}"
+            )
+        raise InvalidInputError(
+            f"alpha {alpha!r} is too small for {indicator.value} on {n} bins: an empty "
+            f"bin's probability falls below {math.ulp(0.0)!r}"
+        )
     return list(binned.names), probabilities

@@ -8,8 +8,10 @@ shares the generating distribution of the first category (useful as a
 known-answer reference group); every other category's distribution is
 shifted progressively further away.
 
-Values are lognormal per indicator. Shifts are applied to the log-mean, so
-they act multiplicatively, which matches how impact indicators spread.
+Values are lognormal per indicator, with a fixed log-space spread: 0.4,
+and 0.8 for the eigenfactor. Shifts, from 0.5 to 1.8, are applied to the
+log-mean, so they act multiplicatively, which matches how impact
+indicators spread.
 """
 
 from __future__ import annotations
@@ -26,12 +28,12 @@ DEMO_SEED = 2010
 DEMO_CATEGORIES = 174
 DEMO_CLONES = 5
 
-# Base log-space location and spread for each indicator, scaled off one
-# sigma parameter. Eigenfactor-like values are orders of magnitude smaller
-# and wider-spread than the citation-rate indicators.
+# Base log-space location and spread for each indicator. Eigenfactor-like
+# values are orders of magnitude smaller and wider-spread than the
+# citation-rate indicators.
 _BASE_LOG_MEAN = {"impact_factor": math.log(2.2), "eigenfactor": math.log(0.004),
                   "immediacy": math.log(0.45)}
-_SIGMA_FACTOR = {"impact_factor": 1.0, "eigenfactor": 2.0, "immediacy": 1.0}
+_SIGMA = {"impact_factor": 0.4, "eigenfactor": 0.8, "immediacy": 0.4}
 _DECIMALS = {"impact_factor": 3, "eigenfactor": 5, "immediacy": 3}
 
 
@@ -45,9 +47,6 @@ def make_synthetic_corpus(
     seed: int = DEMO_SEED,
     journals_low: int = 80,
     journals_high: int = 120,
-    sigma: float = 0.4,
-    min_shift: float = 0.5,
-    max_shift: float = 1.8,
     missing_rate: float = 0.02,
     cross_list_every: int = 25,
 ) -> Corpus:
@@ -55,8 +54,7 @@ def make_synthetic_corpus(
 
     Categories 1..clones are drawn from the same distribution as category 0
     (the natural reference for demos and recovery tests); categories
-    clones+1 .. n-1 get log-mean shifts spaced evenly over
-    [min_shift, max_shift].
+    clones+1 .. n-1 get log-mean shifts spaced evenly over [0.5, 1.8].
     """
     if n_categories < clones + 2:
         raise InvalidInputError("need at least clones + 2 categories")
@@ -64,7 +62,7 @@ def make_synthetic_corpus(
 
     shifts = np.zeros(n_categories)
     n_shifted = n_categories - clones - 1
-    shifts[clones + 1:] = np.linspace(min_shift, max_shift, n_shifted)
+    shifts[clones + 1:] = np.linspace(0.5, 1.8, n_shifted)
 
     # (line, journal, category, impact_factor, eigenfactor, immediacy) rows.
     rows: list[tuple] = []
@@ -77,7 +75,7 @@ def make_synthetic_corpus(
             journal = f"jnl-{journal_counter:05d}"
             values = [
                 round(float(rng.lognormal(mean=_BASE_LOG_MEAN[field] + shifts[c],
-                                          sigma=sigma * _SIGMA_FACTOR[field])),
+                                          sigma=_SIGMA[field])),
                       _DECIMALS[field])
                 for field in _BASE_LOG_MEAN
             ]

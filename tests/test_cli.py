@@ -530,3 +530,32 @@ class TestReferenceFromConfig:
         assert captured.err.splitlines() == [
             f"error: {command} needs a reference: give --reference or a reference= config entry"
         ]
+
+
+CSV_HEADER = "journal,category,impact_factor,eigenfactor,immediacy\n"
+
+
+@pytest.mark.parametrize("rows, flags, expected", [
+    pytest.param("a1,A,1.0,0.01,0.2\nb1,B,2.0,0.1,1.0\n", ["--alpha", "1e308"],
+                 ["impact_factor", "1e+308", "1.7976931348623157e+308"], id="alpha-overflow"),
+    pytest.param("a1,A,1.0,0.01,0.2\na2,A,1.5,0.02,0.3\na3,A,3.0,0.03,0.6\nb1,B,2.0,0.1,1.0\n",
+                 ["--alpha", "5e-324", "--bins", "10000"],
+                 ["impact_factor", "5e-324", "10000 bins"], id="alpha-underflow"),
+    pytest.param("a1,A,1.0,1e-310,0.2\nb1,B,2.0,1e-300,1.0\n", ["--indicator", "es"],
+                 ["eigenfactor", "1e-300", "1e-12"], id="below-log-floor"),
+    pytest.param("a1,A,1.7976931348623157e308,0.01,0.2\nb1,B,2.0,0.1,1.0\n",
+                 ["--indicator", "if"],
+                 ["impact_factor", "1.7976931348623157e+308", "(1 + 1e-09)"], id="value-overflow"),
+])
+def test_value_beyond_float_range_exits_three_naming_indicator_and_limit(
+    tmp_path, capsys, rows, flags, expected
+):
+    path = tmp_path / "corpus.csv"
+    path.write_text(CSV_HEADER + rows, encoding="utf-8")
+    assert main(["bench", "--input", str(path), "--reference", "A", *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = captured.err.splitlines()[-1]
+    assert message.startswith("error: ")
+    for part in expected:
+        assert part in message

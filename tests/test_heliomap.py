@@ -1,3 +1,4 @@
+import hashlib
 import math
 import xml.etree.ElementTree as ET
 from xml.dom import minidom
@@ -244,6 +245,33 @@ def _text_labels(svg: str) -> list[str]:
     """The text of every <text> element, centre label first, parsed with minidom."""
     document = minidom.parseString(svg.encode("utf-8"))
     return [el.firstChild.data for el in document.getElementsByTagName("text")]
+
+
+class TestGoldenMaps:
+    # sha256 of Category 000's top-30 demo maps, by indicator: plain, in a
+    # prestige order, and in that order on a small canvas without rings.
+    DIGESTS = {
+        "if": ("f9582c8c2daf01ca6cf2195d1b49b3c1e355507a2461b3ffc29a2ea41c9a6f9f",
+               "f3f76068f80183d9ed5937351bddceb396a77fcf6b9c66dd5a9bcd7ac31e106e",
+               "7083948b89600ebe0c05d66674594c45a536035f58c770e5f9f8b95ac105b2f4"),
+        "es": ("a4fe23a84dd1aa7364cbc0f0667f9daf229e527793784b40540dbcbedd076521",
+               "fd70d9bf234208a9ec5da3f1a7a97d2beb34b5b6af136dae927d45573fa09309",
+               "500c6951373478bed0dbf56395fbd1659791c09560242f697c24c07e857dade6"),
+        "ii": ("7a3efaa4b410284f5a83bf3d48b3363fd3e0fc9a369ef0f55da9938884969db3",
+               "868c4d42b93174e15ef207975e6d48241c2ff36f0cb2537a400ce87b0fa406a0",
+               "d6438c0591e6fe601397c3a8a889b6ebd4bbb1440e2aaa36edd24790f80e24b5"),
+    }
+
+    def test_category_000_maps_keep_their_bytes(self, demo_csv_path):
+        corpus = load_corpus(demo_csv_path)
+        order = PrestigeOrder(tuple(reversed(corpus.category_names()[::3])))
+        small = MapStyle(size=400.0, ring_fractions=())
+        for result in run_benchmark(corpus, BenchmarkRequest(reference="Category 000")):
+            top = top_k(result, 30)
+            svgs = (render_svg(layout_map(top)), render_svg(layout_map(top, order)),
+                    render_svg(layout_map(top, order), small))
+            digests = tuple(hashlib.sha256(svg.encode("utf-8")).hexdigest() for svg in svgs)
+            assert digests == self.DIGESTS[result.indicator.code]
 
 
 class TestWellFormedMaps:
