@@ -234,6 +234,8 @@ def cmd_hist(corpus, resolved: dict) -> Documents:
                 raise EmptyDataError(
                     f"category {cat!r} has no {indicator.value} values: {exc}"
                 ) from None
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"category {cat!r}, {indicator.value}: {exc}") from None
             doc = {"category": cat, "indicator": indicator.code, "skipped": skipped}
             doc.update(hist.to_dict())
             yield _json(doc), f"hist_{_slug(cat)}_{indicator.code}.json"

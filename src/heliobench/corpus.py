@@ -12,9 +12,11 @@ A Corpus stores one float64 column per indicator (NaN = missing) and one
 sorted-category code per row; rows are checked once, record views built lazily.
 
 parse_corpus reads the CSV in blocks of rows and checks each block column by
-column. A block that fails any check is parsed again row by row by the same
-checker that Corpus(records) uses, so every error message and line number is
-the one the first offending row gives on its own.
+column; whether a (journal, category) pair repeats is checked once per
+category after the last block. A block that fails any check is parsed again
+row by row by the same checker that Corpus(records) uses, after the pairs of
+the rows before it, so every error message and line number is the one the
+first offending row gives on its own.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import math
 import re
 from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Mapping
@@ -180,6 +183,10 @@ _BLOCK_ROWS = 1024
 _XML_FORBIDDEN = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
+def _duplicate(key: tuple[str, str], line: int | None) -> DuplicateRecordError:
+    return DuplicateRecordError(f"duplicate (journal, category) pair: {key!r}", line=line)
+
+
 def _checked(rows: Iterable[tuple], seen: set) -> tuple[list, list, list]:
     """Check (line or None, journal, category, *values) rows one at a time.
 
@@ -202,7 +209,7 @@ def _checked(rows: Iterable[tuple], seen: set) -> tuple[list, list, list]:
             )
         key = (journal, category)
         if key in seen:
-            raise DuplicateRecordError(f"duplicate (journal, category) pair: {key!r}", line=line)
+            raise _duplicate(key, line)
         seen.add(key)
         for name, value, column in zip(CSV_COLUMNS[2:], values, columns):
             if value is not None and not 0 <= value < math.inf:
@@ -232,42 +239,72 @@ def _parsed(rows: Iterable[list], lines: Iterable[int]) -> Iterator[tuple]:
         yield line, row[0].strip(), row[1].strip(), *values
 
 
-def _block(rows: list[list], lines: list[int], seen: set) -> tuple[list, list, list]:
-    """_checked(_parsed(rows, lines), seen), computed column by column.
+def _block(rows: list[list]) -> tuple[list, list, list] | None:
+    """_checked(_parsed(rows, lines), set()) but for its key check, computed
+    column by column, or None when the block fails a check or holds a cell
+    that float() rejects.
 
-    A block that fails any check here, or holds a cell that float() rejects,
-    goes through the per-row path, which raises the first row's error or,
-    as for a whitespace-only cell, returns the values that row gives.
+    parse_corpus checks keys once per category after the last block, and
+    checks a block that gives None row by row, which raises the first row's
+    error or, as for a whitespace-only cell, returns the values that row
+    gives.
     """
-    if set(map(len, rows)) == {len(CSV_COLUMNS)}:
-        journals, categories, *cells = zip(*rows)
-        journals = list(map(str.strip, journals))
-        categories = list(map(str.strip, categories))
-        keys = set(zip(journals, categories))
-        try:
-            columns = [
-                np.fromiter(map(float, [x or "nan" for x in column]), np.float64, len(rows))
-                for column in cells
-            ]
-        except ValueError:
-            columns = None
-        # Only empty cells may be NaN: a column passes when every cell that
-        # is not empty holds a value in [0, inf), so "nan" and "inf" fail.
-        if (
-            columns is not None
-            and all(
-                np.count_nonzero((column >= 0) & (column < math.inf)) == len(rows) - texts.count("")
-                for column, texts in zip(columns, cells)
-            )
-            and all(journals)
-            and all(categories)
-            and not _XML_FORBIDDEN.search("".join(set(categories)))
-            and len(keys) == len(rows)
-            and keys.isdisjoint(seen)
-        ):
-            seen |= keys
-            return journals, categories, columns
-    return _checked(_parsed(rows, lines), seen)
+    if set(map(len, rows)) != {len(CSV_COLUMNS)}:
+        return None
+    journals, categories, *cells = zip(*rows)
+    journals = list(map(str.strip, journals))
+    categories = list(map(str.strip, categories))
+    try:
+        columns = [
+            np.fromiter(map(float, [x or "nan" for x in column]), np.float64, len(rows))
+            for column in cells
+        ]
+    except ValueError:
+        return None
+    # Only empty cells may be NaN: a column passes when every cell that is
+    # not empty holds a value in [0, inf), so "nan" and "inf" fail.
+    if (
+        all(
+            np.count_nonzero((column >= 0) & (column < math.inf)) == len(rows) - texts.count("")
+            for column, texts in zip(columns, cells)
+        )
+        and all(journals)
+        and all(categories)
+        and not _XML_FORBIDDEN.search("".join(set(categories)))
+    ):
+        return journals, categories, columns
+    return None
+
+
+def _add_pairs(seen: set, journals: list, categories: list, lines: array) -> None:
+    """Add to seen, which holds the keys of the first len(seen) rows, the
+    keys of the rows after them; raise at the first repeat in file order."""
+    start = len(seen)
+    for key, line in zip(zip(journals[start:], categories[start:]), lines[start:]):
+        if key in seen:
+            raise _duplicate(key, line)
+        seen.add(key)
+
+
+def _check_pairs(corpus: Corpus, lines: array) -> None:
+    """Raise at the first row, in file order, whose (journal, category) key an
+    earlier row has, looking at one category's row group at a time."""
+    journals = corpus._journals
+    first = len(journals)
+    for rows in corpus._rows.values():
+        if rows.size < 2:
+            continue
+        rows = rows.tolist()
+        group = itemgetter(*rows)(journals)
+        if len(set(group)) < len(group):
+            seen = set()
+            for row, journal in zip(rows, group):
+                if journal in seen:
+                    first = min(first, row)
+                    break
+                seen.add(journal)
+    if first < len(journals):
+        raise _duplicate((journals[first], corpus._names[corpus._codes[first]]), lines[first])
 
 
 def parse_corpus(source: IO[str] | str) -> Corpus:
@@ -278,7 +315,8 @@ def parse_corpus(source: IO[str] | str) -> Corpus:
     empty journal/category cell, a category name with a character that
     XML 1.0 forbids, or a row the csv module cannot read (such as a field
     over csv.field_size_limit()); DuplicateRecordError on a repeated
-    (journal, category) pair.
+    (journal, category) pair. The error is the one of the first offending
+    row in file order.
     """
     stream = io.StringIO(source) if isinstance(source, str) else source
     reader = csv.reader(stream)
@@ -291,31 +329,43 @@ def parse_corpus(source: IO[str] | str) -> Corpus:
             f"expected header {','.join(CSV_COLUMNS)!r}, got {','.join(header)!r}", line=1
         )
 
-    seen: set[tuple[str, str]] = set()
     journals, categories, columns = [], [], [[] for _ in Indicator]
+    lines = array("q")  # of every row read, for an error found after the last block
+    canonical: dict[str, str] = {}  # one string object per category name
+    seen: set[tuple[str, str]] = set()  # keys of the rows before a block checked row by row
 
-    def add_block(rows: list[list], lines: list[int]) -> None:
-        block_journals, block_categories, block_columns = _block(rows, lines, seen)
+    def add_block(rows: list[list]) -> None:
+        block = _block(rows)
+        if block is None:
+            # Repeats among the rows before the block come first.
+            _add_pairs(seen, journals, categories, lines)
+            block = _checked(_parsed(rows, lines[len(journals):]), seen)
+        block_journals, block_categories, block_columns = block
         journals.extend(block_journals)
-        categories.extend(block_categories)
+        categories.extend(map(canonical.setdefault, block_categories, block_categories))
         for parts, column in zip(columns, block_columns):
             parts.append(column)
 
-    rows, lines = [], []
+    rows = []
     try:
         for row in reader:
             if row:  # blank lines come through as []
                 rows.append(row)
                 lines.append(reader.line_num)
                 if len(rows) == _BLOCK_ROWS:
-                    add_block(rows, lines)
-                    rows, lines = [], []
+                    add_block(rows)
+                    rows = []
     except csv.Error as exc:
         # The rows read before it come first, so their errors win.
-        add_block(rows, lines)
+        add_block(rows)
+        _add_pairs(seen, journals, categories, lines)
         raise CorpusFormatError(str(exc), line=reader.line_num) from None
-    add_block(rows, lines)
-    return Corpus._from_columns(journals, categories, [np.concatenate(parts) for parts in columns])
+    add_block(rows)
+    corpus = Corpus._from_columns(
+        journals, categories, [np.concatenate(parts) for parts in columns]
+    )
+    _check_pairs(corpus, lines)
+    return corpus
 
 
 def load_corpus(path: str | Path) -> Corpus:

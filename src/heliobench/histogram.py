@@ -230,13 +230,38 @@ def _smooth(
     return counts, probabilities
 
 
+def _check_smoothed(
+    probabilities: np.ndarray,
+    alpha: float,
+    bin_count: int,
+    limit: float,
+    indicator: Indicator | None = None,
+) -> None:
+    """Raise InvalidInputError, naming alpha, the indicator when given and the
+    limit, when alpha > 0 leaves a probability below limit: alpha times
+    bin_count overflows, or an empty bin's share underflows."""
+    if alpha > 0 and (probabilities < limit).any():
+        where = "" if indicator is None else f" for {indicator.value}"
+        if math.isinf(alpha * bin_count):
+            raise InvalidInputError(
+                f"alpha {alpha!r} is too large{where}: alpha times {bin_count} bins "
+                f"exceeds {sys.float_info.max!r}"
+            )
+        raise InvalidInputError(
+            f"alpha {alpha!r} is too small{where} on {bin_count} bins: an empty "
+            f"bin's probability falls below {limit!r}"
+        )
+
+
 def build_histogram(values: Sequence[float], spec: BinSpec, alpha: float = 0.0) -> Histogram:
     """Count values into spec's intervals and smooth with pseudo-count alpha.
 
     p_i = (c_i + alpha) / (N + alpha * bin_count). Values below the first
     edge land in the first bin, values at or above the last edge in the
     last bin; both are tallied in `clamped`. With alpha = 0 an empty value
-    list leaves the distribution undefined and raises EmptyDataError.
+    list leaves the distribution undefined and raises EmptyDataError. Raises
+    InvalidInputError, naming alpha and the limit, when alpha > 0 leaves a
+    probability at 0.
     """
     check_alpha(alpha)
     values = np.asarray(values, dtype=float)
@@ -245,6 +270,7 @@ def build_histogram(values: Sequence[float], spec: BinSpec, alpha: float = 0.0) 
 
     bins, clamped = _bin_index(values, spec)
     counts, probabilities = _smooth(bins, spec.bin_count, alpha)
+    _check_smoothed(probabilities, alpha, spec.bin_count, math.ulp(0.0))
     return Histogram(
         spec=spec,
         probabilities=probabilities[0],
@@ -286,7 +312,8 @@ def category_probabilities(
     When spec is the indicator's pooled spec memoized on the corpus, the
     column is binned on the first call only and later calls just count and
     smooth; any other spec is binned afresh and not kept. Raises
-    InvalidInputError when alpha > 0 leaves a probability at 0, because
+    InvalidInputError, naming the indicator, alpha and the limit, when
+    alpha > 0 leaves a probability below the smallest normal float, because
     alpha times bin_count overflows or an empty bin's share underflows.
     """
     check_alpha(alpha)
@@ -295,16 +322,7 @@ def category_probabilities(
         binned = _bin_column(corpus, indicator, spec)
     elif binned.index is None:
         binned = corpus._binned[indicator] = _bin_column(corpus, indicator, binned.spec)
-    n = spec.bin_count
-    _, probabilities = _smooth(binned.index, n, alpha, len(binned.names))
-    if alpha > 0 and (probabilities == 0).any():
-        if math.isinf(alpha * n):
-            raise InvalidInputError(
-                f"alpha {alpha!r} is too large for {indicator.value}: alpha times {n} bins "
-                f"exceeds {sys.float_info.max!r}"
-            )
-        raise InvalidInputError(
-            f"alpha {alpha!r} is too small for {indicator.value} on {n} bins: an empty "
-            f"bin's probability falls below {math.ulp(0.0)!r}"
-        )
+    _, probabilities = _smooth(binned.index, spec.bin_count, alpha, len(binned.names))
+    # The gain kernel divides by these: a subnormal one can overflow p / q.
+    _check_smoothed(probabilities, alpha, spec.bin_count, sys.float_info.min, indicator)
     return list(binned.names), probabilities

@@ -133,7 +133,8 @@ def _gains(
     for a value that is not finite and >= 0, then AbsoluteContinuityError for
     a zero where p is positive, then ArithmeticError when the
     expectation-difference and direct forms disagree by more than
-    IDENTITY_TOL.
+    IDENTITY_TOL. The checks run once per block; only a block that fails
+    one is reduced row by row, to find its first offending row.
     """
 
     def fail(exc: Exception, row: int) -> Exception:
@@ -148,17 +149,22 @@ def _gains(
     gains = []
     for start in range(0, len(rows), block):
         Q = np.array(rows[start:start + block], dtype=float)
-        invalid = ~((Q >= 0) & (Q < math.inf)).all(axis=1)
+        valid = ((Q >= 0) & (Q < math.inf)).all()
         # take keeps rows contiguous. Q[:, support] would be column-major,
         # and its sequential row sums drift past IDENTITY_TOL at 10^4 bins.
         Q = Q.take(support, axis=1)
-        zero = Q == 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             gain_nats = (p * -np.log(Q)).sum(axis=1) - self_nats
             direct_nats = (p * np.log(p / Q)).sum(axis=1)
-            bad = invalid | zero.any(axis=1) | ~(np.abs(gain_nats - direct_nats) <= IDENTITY_TOL)
-        if bad.any():
-            row = int(bad.argmax())
+            agree = np.abs(gain_nats - direct_nats) <= IDENTITY_TOL
+        # A zero where p is positive makes both forms infinite and their
+        # difference NaN, so a valid block whose rows all agree has no
+        # offender.
+        if not (valid and agree.all()):
+            Q = np.array(rows[start:start + block], dtype=float)
+            invalid = ~((Q >= 0) & (Q < math.inf)).all(axis=1)
+            zero = Q.take(support, axis=1) == 0.0
+            row = int((invalid | zero.any(axis=1) | ~agree).argmax())
             if invalid[row]:
                 raise fail(InvalidInputError("probabilities must be finite and >= 0"), start + row)
             if zero[row].any():

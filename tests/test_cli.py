@@ -559,3 +559,42 @@ def test_value_beyond_float_range_exits_three_naming_indicator_and_limit(
     assert message.startswith("error: ")
     for part in expected:
         assert part in message
+
+
+@pytest.mark.parametrize("command", ["bench", "map"])
+@pytest.mark.parametrize("alpha", ["1e-320", "1e-310"])
+def test_alpha_leaving_a_subnormal_probability_exits_three(command, alpha, demo_csv_path, capsys):
+    argv = [command, "--input", str(demo_csv_path), "--reference", "Category 000",
+            "--alpha", alpha, "--bins", "10"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"error: alpha {float(alpha)!r} is too small for impact_factor on 10 bins: an empty "
+        "bin's probability falls below 2.2250738585072014e-308"
+    )
+
+
+@pytest.mark.parametrize("flags, expected", [
+    pytest.param(["--alpha", "1e308"],
+                 "alpha 1e+308 is too large: alpha times 20 bins exceeds 1.7976931348623157e+308",
+                 id="alpha-overflow"),
+    pytest.param(["--alpha", "5e-324", "--bins", "10000"],
+                 "alpha 5e-324 is too small on 10000 bins: an empty bin's probability falls "
+                 "below 5e-324",
+                 id="alpha-underflow"),
+])
+def test_hist_alpha_beyond_float_range_names_category_indicator_and_limit(
+    valid_csv, capsys, flags, expected
+):
+    assert main(["hist", "--input", valid_csv, "--indicator", "es", *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"error: category 'A', eigenfactor: {expected}"
+
+
+def test_hist_keeps_a_subnormal_probability(valid_csv, capsys):
+    assert main(["hist", "--input", valid_csv, "--alpha", "1e-320", "--bins", "10"]) == 0
+    docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    smallest = min(p for doc in docs for p in doc["probabilities"])
+    assert 0.0 < smallest < 2.2250738585072014e-308

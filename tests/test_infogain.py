@@ -322,3 +322,23 @@ class TestGainsAgainstReference:
         gains = gains_against_reference(hist([0.2, 0.8]), {"a": hist([0.6, 0.4])})
         assert type(gains[0].value) is float
         assert type(information_gain(hist([0.2, 0.8]), hist([0.6, 0.4])).value) is float
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        ([0.6, 0.6, -0.2], InvalidInputError),  # invalid only where p = 0
+        ([0.5, 0.5, float("nan")], InvalidInputError),
+        ([1.0, 0.0, 0.0], AbsoluteContinuityError),
+        ([0.5, 1e-320, 0.5], ArithmeticError),  # p / q overflows
+    ],
+)
+def test_first_offender_in_a_later_block_is_named(monkeypatch, bad, error):
+    import heliobench.infogain
+
+    monkeypatch.setattr(heliobench.infogain, "BLOCK_ELEMENTS", 2 * 3)  # two rows per block
+    candidates = {f"c{i}": np.array([0.3, 0.3, 0.4]) for i in range(6)}
+    candidates["c3"] = np.array(bad)
+    candidates["c5"] = np.array([0.0, 1.0, 0.0])
+    with pytest.raises(error, match="^candidate 'c3': "):
+        gains_against_reference(hist([0.5, 0.5, 0.0]), candidates)

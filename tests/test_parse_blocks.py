@@ -3,7 +3,9 @@ a block that fails a check is parsed again one row at a time. These tests
 hold the block path to the row-at-a-time path on random CSV text."""
 
 import csv
+import gc
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +19,10 @@ from heliobench import (
     Indicator,
     JournalRecord,
     load_corpus,
+    make_synthetic_corpus,
     parse_corpus,
     serialize_corpus,
+    write_corpus_csv,
 )
 from heliobench.corpus import CSV_COLUMNS
 
@@ -183,3 +187,57 @@ def test_category_with_characters_xml_allows_is_kept():
     names = ["tab\there", "line\nbreak", "del\x7f", "\ud7ff\ufffd", "\U0010ffff"]
     corpus = Corpus(JournalRecord(f"j{i}", name, 1.0) for i, name in enumerate(names))
     assert corpus.category_names() == sorted(names)
+
+
+def numbered_rows(count: int, start: int = 0) -> str:
+    """count valid CSV rows with distinct keys, journals j<start>..."""
+    return "".join(
+        f"j{i},C{i % 50},{i % 11}.5,0.{i % 7},{i % 3}\n" for i in range(start, start + count)
+    )
+
+
+HEADER = ",".join(CSV_COLUMNS) + "\n"
+REPEAT = "j3,C3,1.0,0.1,0.2\n"  # the key of line 5
+DUPLICATE = "duplicate (journal, category) pair: ('j3', 'C3')"
+BAD_CELL = "x,C1,abc,0.1,0.2\n"
+LONG_FIELD = f'"{"x" * 200_000}",C1,1,1,1\n'
+
+
+@pytest.mark.parametrize("text, line, message", [
+    pytest.param(HEADER + numbered_rows(5000) + REPEAT + numbered_rows(100, 6000),
+                 5002, DUPLICATE, id="alone"),
+    pytest.param(HEADER + numbered_rows(5000) + REPEAT + numbered_rows(100, 6000) + "j1,C1,1,1,1\n",
+                 5002, DUPLICATE, id="before-a-repeat-in-an-earlier-named-category"),
+    pytest.param(HEADER + numbered_rows(3000) + BAD_CELL + numbered_rows(2000, 3000) + REPEAT,
+                 3002, "impact_factor is not a number: 'abc'", id="bad-cell-before"),
+    pytest.param(HEADER + numbered_rows(5000) + REPEAT + numbered_rows(100, 6000) + BAD_CELL,
+                 5002, DUPLICATE, id="bad-cell-after"),
+    pytest.param(HEADER + numbered_rows(5000) + REPEAT + BAD_CELL,
+                 5002, DUPLICATE, id="bad-cell-after-in-its-block"),
+    pytest.param(HEADER + numbered_rows(5000) + REPEAT + numbered_rows(100, 6000) + LONG_FIELD,
+                 5002, DUPLICATE, id="csv-error-after"),
+    pytest.param(HEADER + numbered_rows(3000) + REPEAT + numbered_rows(2000, 3000) + LONG_FIELD,
+                 3002, DUPLICATE, id="csv-error-blocks-after"),
+])
+def test_repeat_of_a_row_thousands_of_rows_earlier_is_named(text, line, message):
+    with pytest.raises(CorpusFormatError) as exc_info:
+        parse_corpus(text)
+    assert (exc_info.value.line, str(exc_info.value)) == (line, f"line {line}: {message}")
+    assert outcome(parse_corpus, text) == outcome(parse_row_by_row, text)
+
+
+def test_parse_holds_less_in_flight_than_the_corpus_it_returns(tmp_path):
+    # A key set of every row, or one category string per row, would hold
+    # about twice what the returned corpus keeps.
+    path = tmp_path / "corpus.csv"
+    write_corpus_csv(make_synthetic_corpus(n_categories=200, seed=3), path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        corpus = load_corpus(path)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(corpus) >= 20_000
+    assert peak - after < after - before
