@@ -11,12 +11,15 @@ categories contributes one row per category. Empty indicator cells mean
 A Corpus stores one float64 column per indicator (NaN = missing) and one
 sorted-category code per row; rows are checked once, record views built lazily.
 
-parse_corpus reads the CSV in blocks of rows and checks each block column by
-column; whether a (journal, category) pair repeats is checked once per
-category after the last block. A block that fails any check is parsed again
-row by row by the same checker that Corpus(records) uses, after the pairs of
-the rows before it, so every error message and line number is the one the
-first offending row gives on its own.
+parse_corpus reads the CSV body in blocks of lines. While each line of a
+block is plain, with five fields and no quote, carriage return or NUL, the
+block is split with str.split; from the first block that is not, csv.reader
+reads the rest. Either way each block is checked column by column; whether a
+(journal, category) pair repeats is checked once per category after the
+last block. A block that fails any check is parsed again row by row by the
+same checker that Corpus(records) uses, after the pairs of the rows before
+it, so every error message and line number is the one the first offending
+row gives on its own.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import math
 import re
 from array import array
 from dataclasses import dataclass
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
@@ -239,41 +243,75 @@ def _parsed(rows: Iterable[list], lines: Iterable[int]) -> Iterator[tuple]:
         yield line, row[0].strip(), row[1].strip(), *values
 
 
-def _block(rows: list[list]) -> tuple[list, list, list] | None:
+def _floats(texts: list | tuple) -> tuple[np.ndarray, int]:
+    """float64 of indicator cells, NaN where a cell is empty or only
+    whitespace, and the count of such cells; raises ValueError on a cell
+    that float() rejects."""
+    try:
+        values = np.fromiter(map(float, [x or "nan" for x in texts]), np.float64, len(texts))
+    except ValueError:  # float() strips, but rejects a cell that is only whitespace
+        texts = [x.strip() for x in texts]
+        values = np.fromiter(map(float, [x or "nan" for x in texts]), np.float64, len(texts))
+    return values, texts.count("")
+
+
+def _block(cells: list) -> tuple[list, list, list] | None:
     """_checked(_parsed(rows, lines), set()) but for its key check, computed
-    column by column, or None when the block fails a check or holds a cell
-    that float() rejects.
+    column by column from the five columns of a non-empty block of rows, or
+    None when the block fails a check or holds a cell that float() rejects.
 
     parse_corpus checks keys once per category after the last block, and
     checks a block that gives None row by row, which raises the first row's
-    error or, as for a whitespace-only cell, returns the values that row
-    gives.
+    error.
     """
-    if set(map(len, rows)) != {len(CSV_COLUMNS)}:
-        return None
-    journals, categories, *cells = zip(*rows)
+    journals, categories, *texts = cells
     journals = list(map(str.strip, journals))
     categories = list(map(str.strip, categories))
     try:
-        columns = [
-            np.fromiter(map(float, [x or "nan" for x in column]), np.float64, len(rows))
-            for column in cells
-        ]
+        columns = [_floats(column) for column in texts]
     except ValueError:
         return None
-    # Only empty cells may be NaN: a column passes when every cell that is
-    # not empty holds a value in [0, inf), so "nan" and "inf" fail.
+    # Only blank cells may be NaN: a column passes when every other cell
+    # holds a value in [0, inf), so "nan" and "inf" fail.
     if (
         all(
-            np.count_nonzero((column >= 0) & (column < math.inf)) == len(rows) - texts.count("")
-            for column, texts in zip(columns, cells)
+            np.count_nonzero((column >= 0) & (column < math.inf)) == len(journals) - blank
+            for column, blank in columns
         )
         and all(journals)
         and all(categories)
         and not _XML_FORBIDDEN.search("".join(set(categories)))
     ):
-        return journals, categories, columns
+        return journals, categories, [column for column, _ in columns]
     return None
+
+
+def _plain(block: list[str]) -> list[list] | None:
+    """The five columns of CSV lines that csv.reader splits exactly as
+    str.split(","), or None when a line may be read otherwise.
+
+    Such lines hold no quote, carriage return or NUL, have five fields, and
+    are no longer than csv.field_size_limit(), so no field can be longer.
+    """
+    text = "".join(block)
+    limit = csv.field_size_limit()
+    if (
+        '"' in text
+        or "\r" in text
+        or "\0" in text
+        or len(text) > limit and max(map(len, block)) > limit
+    ):
+        return None
+    if not text.endswith("\n"):  # the last line of a file may have no line end
+        text += "\n"
+    # Each line end becomes a cell of its own. There are as many of those as
+    # lines, so each line has five fields when every sixth cell is one.
+    width = len(CSV_COLUMNS) + 1
+    cells = text.replace("\n", ",\n,").split(",")
+    cells.pop()  # the empty one after the last line end
+    if cells[width - 1::width].count("\n") != len(block):
+        return None
+    return [cells[k::width] for k in range(len(CSV_COLUMNS))]
 
 
 def _add_pairs(seen: set, journals: list, categories: list, lines: array) -> None:
@@ -329,13 +367,15 @@ def parse_corpus(source: IO[str] | str) -> Corpus:
             f"expected header {','.join(CSV_COLUMNS)!r}, got {','.join(header)!r}", line=1
         )
 
-    journals, categories, columns = [], [], [[] for _ in Indicator]
+    journals, categories = [], []
+    columns = [[np.empty(0)] for _ in Indicator]  # so that a header-only file concatenates
     lines = array("q")  # of every row read, for an error found after the last block
     canonical: dict[str, str] = {}  # one string object per category name
     seen: set[tuple[str, str]] = set()  # keys of the rows before a block checked row by row
 
-    def add_block(rows: list[list]) -> None:
-        block = _block(rows)
+    def add_block(block: tuple | None, rows: Iterable) -> None:
+        """Append a block that _block checked or, when it gave None, its
+        rows checked one at a time; lines already holds their numbers."""
         if block is None:
             # Repeats among the rows before the block come first.
             _add_pairs(seen, journals, categories, lines)
@@ -346,21 +386,37 @@ def parse_corpus(source: IO[str] | str) -> Corpus:
         for parts, column in zip(columns, block_columns):
             parts.append(column)
 
-    rows = []
-    try:
-        for row in reader:
-            if row:  # blank lines come through as []
-                rows.append(row)
-                lines.append(reader.line_num)
-                if len(rows) == _BLOCK_ROWS:
-                    add_block(rows)
-                    rows = []
-    except csv.Error as exc:
-        # The rows read before it come first, so their errors win.
-        add_block(rows)
-        _add_pairs(seen, journals, categories, lines)
-        raise CorpusFormatError(str(exc), line=reader.line_num) from None
-    add_block(rows)
+    def add_rows(rows: list[list]) -> None:
+        fit = set(map(len, rows)) == {len(CSV_COLUMNS)}
+        add_block(_block(list(zip(*rows))) if fit else None, rows)
+
+    offset = reader.line_num  # lines read so far
+    while block := list(islice(stream, _BLOCK_ROWS)):
+        cells = _plain(block)
+        if cells is None:
+            break
+        lines.extend(range(offset + 1, offset + len(block) + 1))
+        offset += len(block)
+        add_block(_block(cells), zip(*cells))
+
+    if block:  # from the first block that is not plain on, csv.reader reads
+        reader = csv.reader(chain(block, stream))
+        rows = []
+        try:
+            for row in reader:
+                if row:  # blank lines come through as []
+                    rows.append(row)
+                    lines.append(offset + reader.line_num)
+                    if len(rows) == _BLOCK_ROWS:
+                        add_rows(rows)
+                        rows = []
+        except csv.Error as exc:
+            # The rows read before it come first, so their errors win.
+            add_rows(rows)
+            _add_pairs(seen, journals, categories, lines)
+            raise CorpusFormatError(str(exc), line=offset + reader.line_num) from None
+        if rows:
+            add_rows(rows)
     corpus = Corpus._from_columns(
         journals, categories, [np.concatenate(parts) for parts in columns]
     )

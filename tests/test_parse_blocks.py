@@ -241,3 +241,120 @@ def test_parse_holds_less_in_flight_than_the_corpus_it_returns(tmp_path):
         tracemalloc.stop()
     assert len(corpus) >= 20_000
     assert peak - after < after - before
+
+
+def parse_both(text: str, block_rows: int, field_limit: int):
+    """outcome of parse_corpus, in blocks of block_rows lines, and of
+    parse_row_by_row, both under field_limit."""
+    old_limit = csv.field_size_limit(field_limit)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus_module, "_BLOCK_ROWS", block_rows)
+            got = outcome(parse_corpus, text)
+        return got, outcome(parse_row_by_row, text)
+    finally:
+        csv.field_size_limit(old_limit)
+
+
+def assert_same_outcome(got, want) -> None:
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert not isinstance(got, tuple), got
+        assert_same_corpus(got, want)
+
+
+@given(tables(), st.integers(min_value=1, max_value=3), st.sampled_from([FIELD_LIMIT, 10**6]))
+@settings(max_examples=200, deadline=None)
+def test_block_parse_of_lf_lines_matches_the_row_by_row_parse(table, block_rows, field_limit):
+    # Line feeds alone, so that blocks without a quoted field are split by
+    # str.split, and the first block with one goes to csv.reader.
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(table)
+    assert_same_outcome(*parse_both(out.getvalue(), block_rows, field_limit))
+
+
+DEFAULT_FIELD_LIMIT = csv.field_size_limit()
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+@pytest.mark.parametrize("tail", ["", REPEAT.replace("j3,C3", "j1,C1")], ids=["valid", "repeat"])
+@pytest.mark.parametrize("odd", [
+    pytest.param('q,"two\nlines",1,2,3\n', id="quoted-line-break"),
+    pytest.param("r,C1,1,2,3\r\n", id="crlf"),
+    pytest.param("r\rx,C1,1,2,3\n", id="carriage-return"),
+    pytest.param("\n", id="blank"),
+    pytest.param("n\0ul,C1,1,2,3\n", id="nul"),
+    pytest.param(f"{'x' * (DEFAULT_FIELD_LIMIT + 1)},C1,1,2,3\n", id="field-over-limit"),
+    pytest.param(f"{'x' * (DEFAULT_FIELD_LIMIT - 9)},{'y' * 20},1,2,3\n", id="line-over-limit"),
+    pytest.param("a,C1,1\n", id="three-fields"),
+    pytest.param("a,C1,1,2,3,4\n", id="six-fields"),
+])
+def test_first_block_that_is_not_plain_goes_to_csv_reader(odd, tail, block_rows):
+    text = HEADER + numbered_rows(4) + "k,C2,1,1,1\n" + odd + numbered_rows(3, 100) + tail
+    assert_same_outcome(*parse_both(text, block_rows, DEFAULT_FIELD_LIMIT))
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(HEADER + numbered_rows(7), id="plain"),
+    pytest.param(HEADER + numbered_rows(7).rstrip("\n"), id="no-final-line-end"),
+    pytest.param((HEADER + numbered_rows(7)).replace("\n", "\r\n"), id="crlf"),
+    pytest.param(HEADER + numbered_rows(4) + '"q",C1,1,2,3\n' + numbered_rows(3, 100),
+                 id="quoted"),
+    pytest.param(HEADER + numbered_rows(5) + "\n" + REPEAT, id="blank-then-repeat"),
+    pytest.param('"journal\n"' + HEADER[7:] + numbered_rows(5) + REPEAT,
+                 id="header-over-two-lines"),
+])
+def test_load_corpus_reads_a_file_as_parse_corpus_reads_its_text(monkeypatch, tmp_path, text):
+    # csv.reader reads the header from the open file, then its lines are
+    # read from the same stream.
+    monkeypatch.setattr(corpus_module, "_BLOCK_ROWS", 2)
+    path = tmp_path / "corpus.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert_same_outcome(outcome(load_corpus, path), outcome(parse_corpus, text))
+    assert_same_outcome(outcome(load_corpus, path), outcome(parse_row_by_row, text))
+
+
+@pytest.mark.parametrize("rows", [0, 2, 4])
+def test_no_empty_final_block_is_checked(monkeypatch, rows):
+    # A file whose rows fill whole blocks ends in no empty block, which
+    # would be checked row by row after a key set of every row.
+    monkeypatch.setattr(corpus_module, "_BLOCK_ROWS", 2)
+    calls = []
+    add_pairs = corpus_module._add_pairs
+    monkeypatch.setattr(
+        corpus_module, "_add_pairs", lambda *args: calls.append(args) or add_pairs(*args)
+    )
+    text = HEADER + numbered_rows(rows)
+    for text in [text, text.replace("\n", "\r\n")]:
+        corpus = parse_corpus(text)
+        assert len(corpus) == rows
+        assert all(corpus.column(indicator).dtype == np.float64 for indicator in Indicator)
+    assert calls == []
+
+
+def test_whitespace_only_cells_are_missing_and_checked_by_column(monkeypatch):
+    text = HEADER + numbered_rows(3000) + "".join(f"m{i},C{i},,1,\n" for i in range(100))
+    blank = text.replace(",,", ", ,").replace(",\n", ",\t \n")
+    assert blank.count(", ,") == 100 and blank.count(",\t \n") == 100
+    calls = []
+    monkeypatch.setattr(corpus_module, "_checked", lambda *args: calls.append(args))
+    want = parse_corpus(text)
+    assert_same_corpus(parse_corpus(blank), want)
+    assert_same_corpus(parse_corpus(blank.replace("\n", "\r\n")), want)
+    assert calls == []
+    assert np.isnan(want.column(Indicator.IMPACT_FACTOR)[-100:]).all()
+
+
+@pytest.mark.parametrize("end", ["\n", ""], ids=["line-end", "no-final-line-end"])
+def test_plain_lines_after_the_header_are_not_read_by_csv_reader(monkeypatch, end):
+    monkeypatch.setattr(corpus_module, "_BLOCK_ROWS", 2)
+    read = []
+    reader = csv.reader
+    monkeypatch.setattr(
+        csv, "reader", lambda lines: reader(map(lambda x: read.append(x) or x, lines))
+    )
+    assert len(parse_corpus(HEADER + numbered_rows(5).rstrip("\n") + end)) == 5
+    assert read == [HEADER]
