@@ -12,14 +12,14 @@ A Corpus stores one float64 column per indicator (NaN = missing) and one
 sorted-category code per row; rows are checked once, record views built lazily.
 
 parse_corpus reads the CSV body in blocks of lines. While each line of a
-block is plain, with five fields and no quote, carriage return or NUL, the
-block is split with str.split; from the first block that is not, csv.reader
-reads the rest. Either way each block is checked column by column; whether a
-(journal, category) pair repeats is checked once per category after the
-last block. A block that fails any check is parsed again row by row by the
-same checker that Corpus(records) uses, after the pairs of the rows before
-it, so every error message and line number is the one the first offending
-row gives on its own.
+block is plain, with five fields, no quote or NUL, and no carriage return
+but one before its line feed, the block is split with str.split; from the
+first block that is not, csv.reader reads the rest. Either way each block
+is checked column by column; whether a (journal, category) pair repeats is
+checked once per category after the last block. A block that fails any
+check is parsed again row by row by the same checker that Corpus(records)
+uses, after the pairs of the rows before it, so every error message and
+line number is the one the first offending row gives on its own.
 """
 
 from __future__ import annotations
@@ -290,10 +290,14 @@ def _plain(block: list[str]) -> list[list] | None:
     """The five columns of CSV lines that csv.reader splits exactly as
     str.split(","), or None when a line may be read otherwise.
 
-    Such lines hold no quote, carriage return or NUL, have five fields, and
-    are no longer than csv.field_size_limit(), so no field can be longer.
+    Such lines hold no quote or NUL, have five fields, end in a line feed or
+    a carriage return and line feed (csv.reader ends a row at either) with
+    no other carriage return, and are no longer than csv.field_size_limit(),
+    so no field can be longer.
     """
     text = "".join(block)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
     limit = csv.field_size_limit()
     if (
         '"' in text
@@ -304,12 +308,14 @@ def _plain(block: list[str]) -> list[list] | None:
         return None
     if not text.endswith("\n"):  # the last line of a file may have no line end
         text += "\n"
-    # Each line end becomes a cell of its own. There are as many of those as
-    # lines, so each line has five fields when every sixth cell is one.
+    if text.count("\n") != len(block):  # a line feed inside a line
+        return None
+    # Each line end becomes a cell of its own, so each line has five fields
+    # when there are six cells a line and every sixth cell is a line end.
     width = len(CSV_COLUMNS) + 1
     cells = text.replace("\n", ",\n,").split(",")
     cells.pop()  # the empty one after the last line end
-    if cells[width - 1::width].count("\n") != len(block):
+    if len(cells) != width * len(block) or cells[width - 1::width].count("\n") != len(block):
         return None
     return [cells[k::width] for k in range(len(CSV_COLUMNS))]
 

@@ -283,7 +283,7 @@ DEFAULT_FIELD_LIMIT = csv.field_size_limit()
 @pytest.mark.parametrize("tail", ["", REPEAT.replace("j3,C3", "j1,C1")], ids=["valid", "repeat"])
 @pytest.mark.parametrize("odd", [
     pytest.param('q,"two\nlines",1,2,3\n', id="quoted-line-break"),
-    pytest.param("r,C1,1,2,3\r\n", id="crlf"),
+    pytest.param("\r\n", id="blank-crlf"),
     pytest.param("r\rx,C1,1,2,3\n", id="carriage-return"),
     pytest.param("\n", id="blank"),
     pytest.param("n\0ul,C1,1,2,3\n", id="nul"),
@@ -358,3 +358,44 @@ def test_plain_lines_after_the_header_are_not_read_by_csv_reader(monkeypatch, en
     )
     assert len(parse_corpus(HEADER + numbered_rows(5).rstrip("\n") + end)) == 5
     assert read == [HEADER]
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+@pytest.mark.parametrize("odd", [
+    pytest.param("a,C1,1,2,3,x,b,C2,4,5,6\n", id="eleven-fields"),
+    pytest.param(",".join(f"f{i}" for i in range(17)) + "\n", id="seventeen-fields"),
+])
+def test_line_whose_sixth_field_sits_where_a_line_end_would_is_not_split(odd, block_rows):
+    # Eleven fields split as two five-field rows around the sixth, were the
+    # cells after each line end not counted.
+    text = HEADER + numbered_rows(4) + odd + numbered_rows(3, 100)
+    got, want = parse_both(text, block_rows, DEFAULT_FIELD_LIMIT)
+    assert want[:2] == (CorpusFormatError, f"line 6: expected 5 columns, got {odd.count(',') + 1}")
+    assert got == want
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param((HEADER + numbered_rows(5)).replace("\n", "\r\n"), id="crlf"),
+    pytest.param(HEADER + numbered_rows(5).replace("\n", "\r\n", 2), id="crlf-and-lf"),
+    pytest.param(HEADER + (numbered_rows(5) + REPEAT).replace("\n", "\r\n"), id="repeat"),
+])
+def test_lines_ending_in_crlf_are_split_as_plain_lines(monkeypatch, text):
+    want = outcome(parse_row_by_row, text)
+    monkeypatch.setattr(corpus_module, "_BLOCK_ROWS", 2)
+    read = []
+    reader = csv.reader
+    monkeypatch.setattr(
+        csv, "reader", lambda lines: reader(map(lambda x: read.append(x) or x, lines))
+    )
+    assert_same_outcome(outcome(parse_corpus, text), want)
+    assert read == [text.splitlines(keepends=True)[0]]
+
+
+@pytest.mark.parametrize("block", [
+    pytest.param(["a,b\nc,d"], id="line-feed-inside-a-line"),
+    pytest.param(["a,C1,1,2,3\r"], id="carriage-return-line-end"),
+    pytest.param(["a,C1,1,2,3\r\r\n"], id="carriage-return-before-crlf"),
+    pytest.param(["a,C1,1,2,3,x,b,C2,4,5,6\n"], id="eleven-fields"),
+])
+def test_lines_that_csv_reader_may_read_otherwise_are_not_plain(block):
+    assert corpus_module._plain(block) is None
