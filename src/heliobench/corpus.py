@@ -16,10 +16,10 @@ block is plain, with five fields, no quote or NUL, and no carriage return
 but one before its line feed, the block is split with str.split; from the
 first block that is not, csv.reader reads the rest. Either way each block
 is checked column by column; whether a (journal, category) pair repeats is
-checked once per category after the last block. A block that fails any
-check is parsed again row by row by the same checker that Corpus(records)
-uses, after the pairs of the rows before it, so every error message and
-line number is the one the first offending row gives on its own.
+checked once per category after the last block. These checks only decide
+pass or fail. Every error comes from the per-row checker that
+Corpus(records) uses, run over every row read so far, so its message and
+line are those the first offending row in the file gives on its own.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import math
 import re
 from array import array
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
@@ -101,15 +101,14 @@ class Corpus:
 
     def __init__(self, records: Iterable[JournalRecord]):
         self._finish(*_checked(
-            ((None, r.journal, r.category, r.impact_factor, r.eigenfactor, r.immediacy)
-             for r in records),
-            set(),
+            (None, r.journal, r.category, r.impact_factor, r.eigenfactor, r.immediacy)
+            for r in records
         ))
 
     @classmethod
     def _from_rows(cls, rows: Iterable[tuple]) -> "Corpus":
         """A Corpus of (line or None, journal, category, *values) rows."""
-        return cls._from_columns(*_checked(rows, set()))
+        return cls._from_columns(*_checked(rows))
 
     @classmethod
     def _from_columns(cls, journals: list, categories: list, columns: list) -> "Corpus":
@@ -187,24 +186,27 @@ _BLOCK_ROWS = 1024
 _XML_FORBIDDEN = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
-def _duplicate(key: tuple[str, str], line: int | None) -> DuplicateRecordError:
-    return DuplicateRecordError(f"duplicate (journal, category) pair: {key!r}", line=line)
-
-
-def _checked(rows: Iterable[tuple], seen: set) -> tuple[list, list, list]:
+def _checked(rows: Iterable[tuple]) -> tuple[list, list, list]:
     """Check (line or None, journal, category, *values) rows one at a time.
 
-    Values are floats or None. Raises on the first bad row, with its line,
-    and adds each row's (journal, category) key to seen. Returns journals,
-    categories and one float64 column per indicator (NaN = missing).
+    Values are floats or None. Raises on the first bad row, with its line.
+    A name with whitespace that str.strip() removes is bad, since the CSV
+    parser would strip it. Returns journals, categories and one float64
+    column per indicator (NaN = missing).
     """
     journals, categories = [], []
     columns = [array("d") for _ in Indicator]
+    seen = set()
     for line, journal, category, *values in rows:
         if not journal:
             raise CorpusFormatError("journal is empty", line=line)
         if not category:
             raise CorpusFormatError("category is empty", line=line)
+        if journal.strip() != journal or category.strip() != category:
+            raise CorpusFormatError(
+                f"journal {journal!r} or category {category!r} starts or ends with whitespace",
+                line=line,
+            )
         forbidden = _XML_FORBIDDEN.search(category)
         if forbidden:
             raise CorpusFormatError(
@@ -213,7 +215,7 @@ def _checked(rows: Iterable[tuple], seen: set) -> tuple[list, list, list]:
             )
         key = (journal, category)
         if key in seen:
-            raise _duplicate(key, line)
+            raise DuplicateRecordError(f"duplicate (journal, category) pair: {key!r}", line=line)
         seen.add(key)
         for name, value, column in zip(CSV_COLUMNS[2:], values, columns):
             if value is not None and not 0 <= value < math.inf:
@@ -256,13 +258,11 @@ def _floats(texts: list | tuple) -> tuple[np.ndarray, int]:
 
 
 def _block(cells: list) -> tuple[list, list, list] | None:
-    """_checked(_parsed(rows, lines), set()) but for its key check, computed
-    column by column from the five columns of a non-empty block of rows, or
-    None when the block fails a check or holds a cell that float() rejects.
-
-    parse_corpus checks keys once per category after the last block, and
-    checks a block that gives None row by row, which raises the first row's
-    error.
+    """_checked(_parsed(rows, lines)) but for its key check, computed column
+    by column from the five columns of a non-empty block of rows, or None
+    when the block fails a check or holds a cell that float() rejects, that
+    is, exactly when _checked(_parsed(rows, lines)) would raise for rows
+    with distinct keys.
     """
     journals, categories, *texts = cells
     journals = list(map(str.strip, journals))
@@ -320,35 +320,16 @@ def _plain(block: list[str]) -> list[list] | None:
     return [cells[k::width] for k in range(len(CSV_COLUMNS))]
 
 
-def _add_pairs(seen: set, journals: list, categories: list, lines: array) -> None:
-    """Add to seen, which holds the keys of the first len(seen) rows, the
-    keys of the rows after them; raise at the first repeat in file order."""
-    start = len(seen)
-    for key, line in zip(zip(journals[start:], categories[start:]), lines[start:]):
-        if key in seen:
-            raise _duplicate(key, line)
-        seen.add(key)
-
-
-def _check_pairs(corpus: Corpus, lines: array) -> None:
-    """Raise at the first row, in file order, whose (journal, category) key an
-    earlier row has, looking at one category's row group at a time."""
+def _repeats_a_pair(corpus: Corpus) -> bool:
+    """Whether two rows have the same (journal, category) key, looking at one
+    category's row group at a time."""
     journals = corpus._journals
-    first = len(journals)
     for rows in corpus._rows.values():
-        if rows.size < 2:
-            continue
-        rows = rows.tolist()
-        group = itemgetter(*rows)(journals)
-        if len(set(group)) < len(group):
-            seen = set()
-            for row, journal in zip(rows, group):
-                if journal in seen:
-                    first = min(first, row)
-                    break
-                seen.add(journal)
-    if first < len(journals):
-        raise _duplicate((journals[first], corpus._names[corpus._codes[first]]), lines[first])
+        if rows.size > 1:
+            group = itemgetter(*rows.tolist())(journals)
+            if len(set(group)) < len(group):
+                return True
+    return False
 
 
 def parse_corpus(source: IO[str] | str) -> Corpus:
@@ -365,7 +346,10 @@ def parse_corpus(source: IO[str] | str) -> Corpus:
     stream = io.StringIO(source) if isinstance(source, str) else source
     reader = csv.reader(stream)
 
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise CorpusFormatError(str(exc), line=reader.line_num) from None
     if header is None:
         raise CorpusFormatError("empty input, expected a header row", line=1)
     if [h.strip() for h in header] != list(CSV_COLUMNS):
@@ -375,17 +359,24 @@ def parse_corpus(source: IO[str] | str) -> Corpus:
 
     journals, categories = [], []
     columns = [[np.empty(0)] for _ in Indicator]  # so that a header-only file concatenates
-    lines = array("q")  # of every row read, for an error found after the last block
+    lines = array("q")  # of every row read, for fail
     canonical: dict[str, str] = {}  # one string object per category name
-    seen: set[tuple[str, str]] = set()  # keys of the rows before a block checked row by row
+
+    def fail(rows: Iterable = ()) -> None:
+        """Check every row read so far one at a time: the rows added, whose
+        cells passed, then rows, whose numbers end lines. This raises the
+        error of the first offending row in the file, if there is one."""
+        _checked(chain(
+            zip(lines, journals, categories, *[repeat(None)] * len(Indicator)),
+            _parsed(rows, lines[len(journals):]),
+        ))
 
     def add_block(block: tuple | None, rows: Iterable) -> None:
-        """Append a block that _block checked or, when it gave None, its
-        rows checked one at a time; lines already holds their numbers."""
+        """Append a block that _block checked; when it gave None, raise the
+        error of its rows, lines already holding their numbers."""
         if block is None:
-            # Repeats among the rows before the block come first.
-            _add_pairs(seen, journals, categories, lines)
-            block = _checked(_parsed(rows, lines[len(journals):]), seen)
+            fail(rows)
+            raise AssertionError("rows that failed the column check passed the row check")
         block_journals, block_categories, block_columns = block
         journals.extend(block_journals)
         categories.extend(map(canonical.setdefault, block_categories, block_categories))
@@ -417,16 +408,16 @@ def parse_corpus(source: IO[str] | str) -> Corpus:
                         add_rows(rows)
                         rows = []
         except csv.Error as exc:
-            # The rows read before it come first, so their errors win.
-            add_rows(rows)
-            _add_pairs(seen, journals, categories, lines)
+            fail(rows)  # the rows read before it come first
             raise CorpusFormatError(str(exc), line=offset + reader.line_num) from None
         if rows:
             add_rows(rows)
     corpus = Corpus._from_columns(
         journals, categories, [np.concatenate(parts) for parts in columns]
     )
-    _check_pairs(corpus, lines)
+    if _repeats_a_pair(corpus):
+        fail()
+        raise AssertionError("a repeated (journal, category) pair passed the row check")
     return corpus
 
 
@@ -443,11 +434,13 @@ def serialize_corpus(corpus: Corpus) -> str:
     """Render a Corpus back to CSV text; parse(serialize(c)) == c."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
+    # Python 3.11's writer quotes a line feed but not a lone carriage
+    # return, which csv.reader rejects in an unquoted field.
+    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(CSV_COLUMNS)
-    writer.writerows(
-        [journal, category] + ["" if v is None else repr(v) for v in values]
-        for journal, category, *values in corpus._plain_rows()
-    )
+    for journal, category, *values in corpus._plain_rows():
+        row = [journal, category] + ["" if v is None else repr(v) for v in values]
+        (quoted if "\r" in journal or "\r" in category else writer).writerow(row)
     return out.getvalue()
 
 

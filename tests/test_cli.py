@@ -68,6 +68,15 @@ class TestValidateCommand:
         assert main(["validate", "--input", malformed_csv]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_header_field_over_the_field_limit_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "long_header.csv"
+        path.write_text(f'"{"x" * 200_000}",category,impact_factor,eigenfactor,immediacy\n'
+                        "j,C,1.0,0.1,0.2\n", encoding="utf-8")
+        assert main(["validate", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "error: line 1: field larger than field limit"
+        )
+
     def test_missing_file_exits_two(self):
         assert main(["validate", "--input", "/no/such/file.csv"]) == 2
 

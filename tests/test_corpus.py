@@ -1,4 +1,6 @@
+import csv
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -191,3 +193,39 @@ def test_values_plus_skipped_equals_record_count(raw, indicator):
     for cat, recs in corpus.categories.items():
         values, skipped = category_values(corpus, cat, indicator)
         assert len(values) + skipped == len(recs)
+
+
+class TestRoundTrip:
+    def test_name_the_parser_would_strip_is_rejected(self):
+        for records in [
+            [JournalRecord("j", "C", 1.0), JournalRecord("j ", "C", 2.0)],
+            [JournalRecord("j", " C ", 1.0)],
+            [JournalRecord("\x85", "C", 1.0)],
+        ]:
+            with pytest.raises(CorpusFormatError, match="starts or ends with whitespace"):
+                Corpus(records)
+
+    def test_name_with_a_lone_carriage_return_is_quoted(self):
+        records = [JournalRecord("a\rb", "C", 1.0, None, 0.5), JournalRecord("j", "C\rD", 2.0)]
+        text = serialize_corpus(Corpus(records))
+        assert text.split("\n")[1:] == ['"a\rb","C","1.0","","0.5"', '"j","C\rD","2.0","",""', ""]
+        assert parse_corpus(text).records == tuple(records)
+
+
+names = st.text(st.characters(exclude_categories=("Cs",)), min_size=1)
+numbers = st.one_of(st.none(), st.floats(min_value=0, max_value=1e300))
+
+
+@given(st.lists(st.builds(JournalRecord, names, names, numbers, numbers, numbers), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_every_corpus_that_records_make_round_trips(records):
+    try:
+        corpus = Corpus(records)
+    except CorpusFormatError:
+        return
+    if sys.version_info < (3, 11) and any("\0" in r.journal for r in records):
+        # Python 3.10's csv module neither writes nor reads a NUL.
+        with pytest.raises((csv.Error, CorpusFormatError)):
+            parse_corpus(serialize_corpus(corpus))
+        return
+    assert parse_corpus(serialize_corpus(corpus)).records == tuple(records)

@@ -1,6 +1,7 @@
 """parse_corpus reads rows in blocks and checks each block column by column;
-a block that fails a check is parsed again one row at a time. These tests
-hold the block path to the row-at-a-time path on random CSV text."""
+when a check fails, every row read so far is checked one row at a time.
+These tests hold the block path to the row-at-a-time path on random CSV
+text."""
 
 import csv
 import gc
@@ -226,6 +227,21 @@ def test_repeat_of_a_row_thousands_of_rows_earlier_is_named(text, line, message)
     assert outcome(parse_corpus, text) == outcome(parse_row_by_row, text)
 
 
+@pytest.mark.parametrize("header, message", [
+    pytest.param(LONG_FIELD.replace("C1,1,1,1", ",".join(CSV_COLUMNS[1:])),
+                 "field larger than field limit", id="field-over-limit"),
+    pytest.param(HEADER.replace("category", "cat\regory"),
+                 "new-line character seen in unquoted field", id="carriage-return"),
+    # Python 3.10's csv.reader rejects a NUL; later ones read the header,
+    # which is then not the expected one.
+    pytest.param(HEADER.replace("journal", "jour\0nal"), "", id="nul"),
+])
+def test_header_that_csv_reader_cannot_read_names_line_1(header, message):
+    with pytest.raises(CorpusFormatError) as exc_info:
+        parse_corpus(header + numbered_rows(3))
+    assert str(exc_info.value).startswith(f"line 1: {message}")
+
+
 def test_parse_holds_less_in_flight_than_the_corpus_it_returns(tmp_path):
     # A key set of every row, or one category string per row, would hold
     # about twice what the returned corpus keeps.
@@ -320,12 +336,12 @@ def test_load_corpus_reads_a_file_as_parse_corpus_reads_its_text(monkeypatch, tm
 @pytest.mark.parametrize("rows", [0, 2, 4])
 def test_no_empty_final_block_is_checked(monkeypatch, rows):
     # A file whose rows fill whole blocks ends in no empty block, which
-    # would be checked row by row after a key set of every row.
+    # would be checked row by row together with every row before it.
     monkeypatch.setattr(corpus_module, "_BLOCK_ROWS", 2)
     calls = []
-    add_pairs = corpus_module._add_pairs
+    checked = corpus_module._checked
     monkeypatch.setattr(
-        corpus_module, "_add_pairs", lambda *args: calls.append(args) or add_pairs(*args)
+        corpus_module, "_checked", lambda *args: calls.append(args) or checked(*args)
     )
     text = HEADER + numbered_rows(rows)
     for text in [text, text.replace("\n", "\r\n")]:
@@ -399,3 +415,23 @@ def test_lines_ending_in_crlf_are_split_as_plain_lines(monkeypatch, text):
 ])
 def test_lines_that_csv_reader_may_read_otherwise_are_not_plain(block):
     assert corpus_module._plain(block) is None
+
+
+@given(st.lists(
+    st.lists(st.one_of(plain_names, odd_names, plain_cells, odd_cells, st.text()),
+             min_size=5, max_size=5),
+    min_size=1,
+    max_size=6,
+    unique_by=lambda row: (row[0].strip(), row[1].strip()),
+))
+@settings(max_examples=500, deadline=None)
+def test_column_check_refuses_exactly_the_rows_the_row_check_rejects(rows):
+    # parse_corpus relies on this: a block that _block refuses always makes
+    # the row check raise, which then names the offending row.
+    try:
+        corpus_module._checked(corpus_module._parsed(rows, range(2, len(rows) + 2)))
+    except CorpusFormatError:
+        rejected = True
+    else:
+        rejected = False
+    assert (corpus_module._block(list(zip(*rows))) is None) == rejected
