@@ -101,10 +101,8 @@ _OPTIONS = {
 def _coerce(key: str, value: str):
     """A config-file value converted as its flag's argparse keywords say."""
     flag = _OPTIONS[key][2]
-    if flag.get("action") == "store_true":
-        return value.lower() in ("1", "true", "yes", "on")
-    if flag.get("action") == "append":
-        return [value]
+    if flag.get("action") == "store_true":  # tuple.index raises ValueError for another word
+        return ("0", "false", "no", "off", "1", "true", "yes", "on").index(value.lower()) > 3
     return flag.get("type", str)(value)
 
 
@@ -128,7 +126,10 @@ def _read_config_file(path: str) -> dict:
         if key not in _OPTIONS:
             raise CorpusFormatError(f"unknown config key {key!r}", line=n)
         try:
-            entries[key] = _coerce(key, value)
+            if _OPTIONS[key][2].get("action") == "append":  # each line adds, as each flag does
+                entries.setdefault(key, []).append(value)
+            else:
+                entries[key] = _coerce(key, value)
         except ValueError:
             raise CorpusFormatError(f"config {key}: invalid value {value!r}", line=n) from None
         choices = _OPTIONS[key][2].get("choices")

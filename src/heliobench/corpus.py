@@ -11,15 +11,16 @@ categories contributes one row per category. Empty indicator cells mean
 A Corpus stores one float64 column per indicator (NaN = missing) and one
 sorted-category code per row; rows are checked once, record views built lazily.
 
-parse_corpus reads the CSV body in blocks of lines. While each line of a
-block is plain, with five fields, no quote or NUL, and no carriage return
-but one before its line feed, the block is split with str.split; from the
-first block that is not, csv.reader reads the rest. Either way each block
-is checked column by column; whether a (journal, category) pair repeats is
-checked once per category after the last block. These checks only decide
-pass or fail. Every error comes from the per-row checker that
-Corpus(records) uses, run over every row read so far, so its message and
-line are those the first offending row in the file gives on its own.
+parse_corpus reads the CSV body in blocks of lines. A block whose lines are
+plain, with five fields, no quote or NUL, and no carriage return but one
+before its line feed, is split with str.split. Any other block is read by a
+csv.reader of its own, up to the end of the row its last line is part of,
+so the next block starts on a row. Either way each block is checked column
+by column; whether a (journal, category) pair repeats is checked once per
+category after the last block. These checks only decide pass or fail. Every
+error comes from the per-row checker that Corpus(records) uses, run over
+every row read so far, so its message and line are those the first
+offending row in the file gives on its own.
 """
 
 from __future__ import annotations
@@ -371,47 +372,39 @@ def parse_corpus(source: IO[str] | str) -> Corpus:
             _parsed(rows, lines[len(journals):]),
         ))
 
-    def add_block(block: tuple | None, rows: Iterable) -> None:
-        """Append a block that _block checked; when it gave None, raise the
-        error of its rows, lines already holding their numbers."""
-        if block is None:
+    offset = reader.line_num  # lines read so far
+    while block := list(islice(stream, _BLOCK_ROWS)):
+        cells = _plain(block)
+        if cells is not None:
+            rows = zip(*cells)
+            lines.extend(range(offset + 1, offset + len(block) + 1))
+            offset += len(block)
+        else:  # read up to the first row that ends on or past the block's last line
+            reader, rows = csv.reader(chain(block, stream)), []
+            try:
+                for row in reader:
+                    if row:  # blank lines come through as []
+                        rows.append(row)
+                        lines.append(offset + reader.line_num)
+                    if reader.line_num >= len(block):
+                        break
+            except csv.Error as exc:
+                fail(rows)  # the rows read before it come first
+                raise CorpusFormatError(str(exc), line=offset + reader.line_num) from None
+            offset += reader.line_num
+            if not rows:
+                continue
+            if set(map(len, rows)) == {len(CSV_COLUMNS)}:
+                cells = list(zip(*rows))
+        checked = cells and _block(cells)
+        if checked is None:  # raise the error of rows, whose lines are in lines
             fail(rows)
             raise AssertionError("rows that failed the column check passed the row check")
-        block_journals, block_categories, block_columns = block
+        block_journals, block_categories, block_columns = checked
         journals.extend(block_journals)
         categories.extend(map(canonical.setdefault, block_categories, block_categories))
         for parts, column in zip(columns, block_columns):
             parts.append(column)
-
-    def add_rows(rows: list[list]) -> None:
-        fit = set(map(len, rows)) == {len(CSV_COLUMNS)}
-        add_block(_block(list(zip(*rows))) if fit else None, rows)
-
-    offset = reader.line_num  # lines read so far
-    while block := list(islice(stream, _BLOCK_ROWS)):
-        cells = _plain(block)
-        if cells is None:
-            break
-        lines.extend(range(offset + 1, offset + len(block) + 1))
-        offset += len(block)
-        add_block(_block(cells), zip(*cells))
-
-    if block:  # from the first block that is not plain on, csv.reader reads
-        reader = csv.reader(chain(block, stream))
-        rows = []
-        try:
-            for row in reader:
-                if row:  # blank lines come through as []
-                    rows.append(row)
-                    lines.append(offset + reader.line_num)
-                    if len(rows) == _BLOCK_ROWS:
-                        add_rows(rows)
-                        rows = []
-        except csv.Error as exc:
-            fail(rows)  # the rows read before it come first
-            raise CorpusFormatError(str(exc), line=offset + reader.line_num) from None
-        if rows:
-            add_rows(rows)
     corpus = Corpus._from_columns(
         journals, categories, [np.concatenate(parts) for parts in columns]
     )

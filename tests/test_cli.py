@@ -249,6 +249,51 @@ class TestBenchCommand:
         assert entry.partition("=")[0] in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("value", ["ture", "2", "y", ""])
+    def test_unrecognised_boolean_config_value_exits_two(self, valid_csv, tmp_path, capsys, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"summary={value}\n", encoding="utf-8")
+        assert main(
+            ["bench", "--input", valid_csv, "--reference", "A", "--config", str(cfg)]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"error: line 1: config summary: invalid value {value!r}"
+        )
+
+    @pytest.mark.parametrize("value, summary", [
+        ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+        ("0", False), ("False", False), ("NO", False), ("off", False),
+    ])
+    def test_boolean_config_words_are_read_either_way(
+        self, valid_csv, tmp_path, capsys, value, summary
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"summary={value}\n", encoding="utf-8")
+        assert main(
+            ["bench", "--input", valid_csv, "--reference", "A", "--config", str(cfg),
+             "--format", "csv"]
+        ) == 0
+        captured = capsys.readouterr()
+        assert _resolved_config(captured.err)["summary"] is summary
+        assert ("category,appearances" in captured.out) is summary
+
+    def test_repeated_category_config_lines_add_up_and_a_flag_replaces_them(
+        self, valid_csv, tmp_path, capsys
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("category=A\ncategory=B\n", encoding="utf-8")
+        argv = ["hist", "--input", valid_csv, "--config", str(cfg), "--indicator", "if"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert _resolved_config(captured.err)["category"] == ["A", "B"]
+        assert [json.loads(line)["category"] for line in captured.out.splitlines()] == ["A", "B"]
+        assert main(argv + ["--category", "B"]) == 0
+        captured = capsys.readouterr()
+        assert _resolved_config(captured.err)["category"] == ["B"]
+        assert [json.loads(line)["category"] for line in captured.out.splitlines()] == ["B"]
+
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_non_finite_alpha_exits_three(self, valid_csv, capsys, alpha):
         assert main(

@@ -376,6 +376,33 @@ def test_plain_lines_after_the_header_are_not_read_by_csv_reader(monkeypatch, en
     assert read == [HEADER]
 
 
+SPANNING = 'b,"C\n2",1,2,3\n'  # one record over two lines
+
+
+@pytest.mark.parametrize("body, seen, rows", [
+    pytest.param('"q",C1,1,2,3\n' + numbered_rows(1) + SPANNING + numbered_rows(3, 100), 4, 6,
+                 id="record-over-a-whole-block"),
+    pytest.param('"q",C1,1,2,3\n' + SPANNING + numbered_rows(3, 100), 3, 5,
+                 id="record-from-a-block-end-into-the-next"),
+])
+def test_plain_blocks_after_a_quoted_one_are_not_read_by_csv_reader(monkeypatch, body, seen, rows):
+    # Each block that is not plain gets a csv.reader of its own, which reads
+    # on past the block's end only to finish a record; the next block is
+    # split again.
+    text = HEADER + body
+    want = parse_row_by_row(text)
+    monkeypatch.setattr(corpus_module, "_BLOCK_ROWS", 2)
+    read = []
+    reader = csv.reader
+    monkeypatch.setattr(
+        csv, "reader", lambda lines: reader(map(lambda x: read.append(x) or x, lines))
+    )
+    corpus = parse_corpus(text)
+    assert read == text.splitlines(keepends=True)[:1 + seen]
+    assert len(corpus) == rows
+    assert_same_corpus(corpus, want)
+
+
 @pytest.mark.parametrize("block_rows", [1, 2, 3])
 @pytest.mark.parametrize("odd", [
     pytest.param("a,C1,1,2,3,x,b,C2,4,5,6\n", id="eleven-fields"),
