@@ -7,7 +7,7 @@ category-by-bin matrix. That whole matrix is scored in one kernel call,
 the reference's own row is dropped, and one stable sort ranks the others
 ascending by information gain relative to the reference (lower = more
 similar). Rankings are always computed in full; top-k truncation is a
-presentation step.
+presentation step. CSV tables are written by corpus._csv_text.
 
 The binning of the candidates depends on the corpus, the indicator and the
 bin spec, not on the reference, so it is memoized on the Corpus object:
@@ -18,13 +18,11 @@ fresh corpus and ranks one reference, so it gains nothing from this.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Mapping, Sequence
 
-from .corpus import Corpus, Indicator, category_values
+from .corpus import Corpus, Indicator, _csv_text, category_values
 from .errors import CategoryNotFoundError, EmptyDataError, InvalidInputError
 from .histogram import (
     DEFAULT_BIN_COUNT,
@@ -102,12 +100,8 @@ class BenchmarkResult:
         }
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["rank", "category", "gain"])
-        for i, (cat, gain) in enumerate(self.ranking):
-            writer.writerow([i + 1, cat, repr(gain)])
-        return out.getvalue()
+        rows = [(str(i), cat, repr(gain)) for i, (cat, gain) in enumerate(self.ranking, 1)]
+        return _csv_text([("rank", "category", "gain"), *rows])
 
 
 def run_benchmark(
@@ -193,15 +187,13 @@ class CrossIndicatorSummary:
         }
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ["category", "appearances"] + [f"rank_{ind.code}" for ind in self.indicators]
-        )
-        for row in self.rows:
-            ranks = [row.ranks[ind.code] for ind in self.indicators]
-            writer.writerow([row.category, row.appearances] + ["" if r is None else r for r in ranks])
-        return out.getvalue()
+        codes = [ind.code for ind in self.indicators]
+        rows = [
+            [row.category, str(row.appearances)]
+            + ["" if row.ranks[code] is None else str(row.ranks[code]) for code in codes]
+            for row in self.rows
+        ]
+        return _csv_text([["category", "appearances"] + [f"rank_{code}" for code in codes], *rows])
 
 
 def cross_indicator_summary(results: Sequence[BenchmarkResult]) -> CrossIndicatorSummary:

@@ -42,6 +42,7 @@ from .benchmark import (
 from .corpus import (
     DEFAULT_MIN_RECORDS,
     Indicator,
+    _read_text,
     category_values,
     load_corpus,
     validate_corpus,
@@ -112,11 +113,7 @@ def _read_config_file(path: str) -> dict:
     CorpusFormatError naming the line, a file that is not UTF-8 one naming
     the file."""
     entries = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise CorpusFormatError(f"{exc}: {path!r}") from None
-    for n, raw in enumerate(text.splitlines(), start=1):
+    for n, raw in enumerate(_read_text(path).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

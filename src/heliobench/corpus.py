@@ -1,15 +1,15 @@
-"""Ingestion and indexing of journal impact-indicator tables.
+"""Ingestion and indexing of journal impact-indicator tables, and the package's
+one CSV writer (_csv_text) and one reader of whole text files (_read_text).
 
 The expected input is a UTF-8 CSV (a byte-order mark is allowed) with header
 
     journal,category,impact_factor,eigenfactor,immediacy
 
-one row per (journal, category) pair. A journal listed under several
-categories contributes one row per category. Empty indicator cells mean
-"value not available" and are kept as missing, never coerced to zero.
-
-A Corpus stores one float64 column per indicator (NaN = missing) and one
-sorted-category code per row; rows are checked once, record views built lazily.
+one row per (journal, category) pair, so a journal listed under several
+categories has several rows. Empty indicator cells mean "value not
+available" and are kept as missing, never coerced to zero. A Corpus stores
+one float64 column per indicator (NaN = missing) and one sorted-category
+code per row; rows are checked once, record views built lazily.
 
 parse_corpus reads the CSV body in blocks of lines. A block whose lines are
 plain, with five fields, no quote or NUL, and no carriage return but one
@@ -36,7 +36,7 @@ from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -423,18 +423,32 @@ def load_corpus(path: str | Path) -> Corpus:
             raise CorpusFormatError(f"{exc}: {str(path)!r}") from None
 
 
-def serialize_corpus(corpus: Corpus) -> str:
-    """Render a Corpus back to CSV text; parse(serialize(c)) == c."""
+def _read_text(path: str | Path) -> str:
+    """Text of a UTF-8 file, BOM allowed, CRLF and CR read as LF; else a CorpusFormatError."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(f"{exc}: {str(path)!r}") from None
+
+
+def _csv_text(rows: Iterable[Sequence[str]]) -> str:
+    """CSV text of rows, one line feed after each. Python 3.11's csv.writer
+    quotes a line feed but not a lone carriage return, which csv.reader
+    rejects unquoted, so a row with one in a cell has every field quoted."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    # Python 3.11's writer quotes a line feed but not a lone carriage
-    # return, which csv.reader rejects in an unquoted field.
     quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    writer.writerow(CSV_COLUMNS)
-    for journal, category, *values in corpus._plain_rows():
-        row = [journal, category] + ["" if v is None else repr(v) for v in values]
-        (quoted if "\r" in journal or "\r" in category else writer).writerow(row)
+    for row in rows:
+        (quoted if any("\r" in cell for cell in row) else writer).writerow(row)
     return out.getvalue()
+
+
+def serialize_corpus(corpus: Corpus) -> str:
+    """Render a Corpus back to CSV text; parse(serialize(c)) == c."""
+    return _csv_text(chain([CSV_COLUMNS], (
+        [journal, category, *("" if v is None else repr(v) for v in values)]
+        for journal, category, *values in corpus._plain_rows()
+    )))
 
 
 def category_values(

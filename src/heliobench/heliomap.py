@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .benchmark import BenchmarkResult
-from .errors import CorpusFormatError, InvalidInputError
+from .corpus import _read_text
+from .errors import InvalidInputError
 
 DEFAULT_R_MIN = 0.15
 DEFAULT_R_MAX = 1.0
@@ -41,9 +42,9 @@ class PrestigeOrder:
 
 
 def parse_prestige_order(text: str) -> PrestigeOrder:
-    """One category per line, best first; blank lines and # comments skipped."""
+    """One category per LF-ended line, best first; blank lines and # comments skipped."""
     names = []
-    for line in text.splitlines():
+    for line in text.split("\n"):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -52,11 +53,7 @@ def parse_prestige_order(text: str) -> PrestigeOrder:
 
 
 def load_prestige_order(path: str | Path) -> PrestigeOrder:
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise CorpusFormatError(f"{exc}: {str(path)!r}") from None
-    return parse_prestige_order(text)
+    return parse_prestige_order(_read_text(path))
 
 
 @dataclass(frozen=True)
@@ -177,4 +174,5 @@ def render_svg(layout: HelioLayout, style: MapStyle = DEFAULT_STYLE) -> str:
             f"{html.escape(dot.label, quote=False)}</text>"
         )
     lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    # Only labels hold carriage returns; XML would read a raw one back as a line feed.
+    return "\n".join(lines).replace("\r", "&#13;") + "\n"

@@ -9,6 +9,7 @@ import pytest
 from heliobench import (
     AbsoluteContinuityError,
     BenchmarkRequest,
+    BenchmarkResult,
     BinSpec,
     CategoryNotFoundError,
     Corpus,
@@ -464,6 +465,17 @@ class TestCrossIndicatorSummary:
         lines = summary.to_csv().splitlines()
         assert lines[0] == "category,appearances,rank_if,rank_es,rank_ii"
         assert len(lines) == 1 + len(summary.rows)
+
+    def test_csv_rows_with_a_carriage_return_are_fully_quoted(self):
+        # csv.writer leaves a lone carriage return unquoted on Python 3.11.
+        result = BenchmarkResult(
+            reference="A", indicator=Indicator.IMPACT_FACTOR, spec=BinSpec(0.0, 1.0, 4),
+            alpha=0.5, ranking=(("B\rC", 0.5), ("D,E", 1.0)),
+        )
+        assert result.to_csv() == 'rank,category,gain\n"1","B\rC","0.5"\n2,"D,E",1.0\n'
+        assert cross_indicator_summary([result]).to_csv() == (
+            'category,appearances,rank_if\n"B\rC","1","1"\n"D,E",1,2\n'
+        )
 
 
 class TestRequestValidation:

@@ -561,6 +561,17 @@ class TestReferenceFromConfig:
         assert main([command, "--input", valid_csv, "--indicator", "if", "--reference", "B"]) == 0
         assert from_config.out == capsys.readouterr().out
 
+    def test_config_lines_end_at_lf_crlf_or_cr_only(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text(VALID_CSV.replace("B", "B\u2028\x85\u2029b"), encoding="utf-8")
+        cfg = tmp_path / "ref.cfg"
+        cfg.write_bytes("k=1\r\nindicator=if\rreference=B\u2028\x85\u2029b\n".encode("utf-8"))
+        assert main(["bench", "--input", str(corpus), "--config", str(cfg)]) == 0
+        resolved = _resolved_config(capsys.readouterr().err)
+        assert (resolved["reference"], resolved["k"], resolved["indicator"]) == (
+            "B\u2028\x85\u2029b", 1, "if"
+        )
+
     def test_flag_beats_config_reference(self, valid_csv, tmp_path, capsys):
         cfg = tmp_path / "ref.cfg"
         cfg.write_text("reference=B\n", encoding="utf-8")

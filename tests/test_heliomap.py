@@ -161,6 +161,15 @@ class TestPrestigeOrder:
         path.write_text("One\nTwo\n", encoding="utf-8")
         assert load_prestige_order(path).names == ("One", "Two")
 
+    def test_lines_end_at_line_feeds_only(self):
+        order = parse_prestige_order("D\u2028E\nF\x85G\r\nH\u2029I\n")
+        assert order.names == ("D\u2028E", "F\x85G", "H\u2029I")
+
+    def test_file_lines_end_at_lf_crlf_or_cr(self, tmp_path):
+        path = tmp_path / "prestige.txt"
+        path.write_bytes("One\r\nT\u2028wo\rThree\nF\x85our".encode("utf-8"))
+        assert load_prestige_order(path).names == ("One", "T\u2028wo", "Three", "F\x85our")
+
 
 class TestRenderSvg:
     def layout(self, n=4):
@@ -297,3 +306,9 @@ class TestWellFormedMaps:
             make_result([(n, 0.1 * i) for i, n in enumerate(names)], reference="<Ref & 'co'>")
         )
         assert _text_labels(render_svg(layout)) == ["<Ref & 'co'>", *names]
+
+    def test_carriage_returns_in_names_come_back_verbatim(self):
+        # An XML reader turns a raw carriage return into a line feed.
+        names = ["B\rC", "D\r\nE", "F\nG"]
+        layout = layout_map(make_result([(n, 0.1 * i) for i, n in enumerate(names)], "R\rS"))
+        assert _text_labels(render_svg(layout)) == ["R\rS", *names]
