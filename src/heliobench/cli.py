@@ -28,7 +28,7 @@ import tempfile
 import traceback
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, get_args
 
 from .benchmark import (
     DEFAULT_ALPHA,
@@ -52,6 +52,7 @@ from .heliomap import layout_map, load_prestige_order, render_svg
 from .histogram import (
     DEFAULT_BIN_COUNT,
     MAX_BIN_COUNT,
+    Scale,
     build_histogram,
     check_alpha,
     pooled_bin_spec,
@@ -77,11 +78,11 @@ _REFERENCED = ("bench", "map")
 # config file may set any option whatever the command.
 _OPTIONS = {
     "indicator": (_BINNING, "all", {
-        "choices": ("if", "es", "ii", "all"), "help": "indicator code, or all"}),
+        "choices": (*(ind.code for ind in Indicator), "all"), "help": "indicator code, or all"}),
     "bins": (_BINNING, DEFAULT_BIN_COUNT, {
         "type": int, "help": f"bin count, 2 to {MAX_BIN_COUNT}"}),
     "scale": (_BINNING, None, {  # None = per-indicator DEFAULT_SCALES
-        "choices": ("linear", "log"), "help": "override binning scale for all indicators"}),
+        "choices": get_args(Scale), "help": "override binning scale for all indicators"}),
     "alpha": (_BINNING, DEFAULT_ALPHA, {"type": float, "help": "smoothing pseudo-count"}),
     "out": (("validate", *_BINNING), None, {"help": "output directory (default: stdout)"}),
     "reference": (_REFERENCED, None, {

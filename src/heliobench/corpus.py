@@ -42,45 +42,32 @@ import numpy as np
 
 from .errors import CategoryNotFoundError, CorpusFormatError, DuplicateRecordError
 
-CSV_COLUMNS = ("journal", "category", "impact_factor", "eigenfactor", "immediacy")
 DEFAULT_MIN_RECORDS = 5
 
 
 class Indicator(enum.Enum):
-    """The three per-journal prestige indicators handled by the package."""
+    """The three per-journal prestige indicators handled by the package. The
+    value is the CSV column, code the CLI code, label the name for people."""
 
-    IMPACT_FACTOR = "impact_factor"
-    EIGENFACTOR = "eigenfactor"
-    IMMEDIACY = "immediacy"
+    IMPACT_FACTOR = "impact_factor", "if", "Impact Factor"
+    EIGENFACTOR = "eigenfactor", "es", "Eigenfactor Score"
+    IMMEDIACY = "immediacy", "ii", "Immediacy Index"
 
-    @property
-    def code(self) -> str:
-        """Short CLI code: if, es or ii."""
-        return _CODES[self]
-
-    @property
-    def label(self) -> str:
-        return _LABELS[self]
+    def __new__(cls, value: str, code: str, label: str) -> "Indicator":
+        member = object.__new__(cls)
+        member._value_, member.code, member.label = value, code, label
+        return member
 
     @classmethod
     def from_code(cls, code: str) -> "Indicator":
-        try:
-            return _FROM_CODE[code.strip().lower()]
-        except KeyError:
-            raise ValueError(f"unknown indicator code: {code!r} (use if, es or ii)") from None
+        for indicator in cls:
+            if indicator.code == code.strip().lower():
+                return indicator
+        *codes, last = (indicator.code for indicator in cls)
+        raise ValueError(f"unknown indicator code: {code!r} (use {', '.join(codes)} or {last})")
 
 
-_CODES = {
-    Indicator.IMPACT_FACTOR: "if",
-    Indicator.EIGENFACTOR: "es",
-    Indicator.IMMEDIACY: "ii",
-}
-_LABELS = {
-    Indicator.IMPACT_FACTOR: "Impact Factor",
-    Indicator.EIGENFACTOR: "Eigenfactor Score",
-    Indicator.IMMEDIACY: "Immediacy Index",
-}
-_FROM_CODE = {code: ind for ind, code in _CODES.items()}
+CSV_COLUMNS = ("journal", "category", *(indicator.value for indicator in Indicator))
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,10 @@ class PrestigeOrder:
 
 
 def parse_prestige_order(text: str) -> PrestigeOrder:
-    """One category per LF-ended line, best first; blank lines and # comments skipped."""
+    """One category per LF-ended line, best first. Blank lines are skipped, and so
+    are comments, lines whose first non-blank character is #: a category whose name
+    starts with # cannot be placed and goes after the listed ones, by gain. Since
+    load_prestige_order reads a leading U+FEFF as a byte-order mark, a first-line name loses it."""
     names = []
     for line in text.split("\n"):
         line = line.strip()

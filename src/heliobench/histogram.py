@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Literal, NamedTuple, Sequence
+from typing import Literal, NamedTuple, Sequence, get_args
 
 import numpy as np
 
@@ -61,8 +61,9 @@ class BinSpec:
             raise InvalidInputError("bin bounds must be finite")
         if self.lower < 0:
             raise InvalidInputError(f"lower bound must be >= 0, got {self.lower}")
-        if self.scale not in ("linear", "log"):
-            raise InvalidInputError(f"scale must be 'linear' or 'log', got {self.scale!r}")
+        if self.scale not in get_args(Scale):
+            scales = " or ".join(map(repr, get_args(Scale)))
+            raise InvalidInputError(f"scale must be {scales}, got {self.scale!r}")
         if self.upper <= (max(self.lower, LOG_FLOOR) if self.scale == "log" else self.lower):
             raise InvalidInputError(
                 f"upper bound must exceed lower bound, got [{self.lower}, {self.upper}]"

@@ -28,13 +28,10 @@ DEMO_SEED = 2010
 DEMO_CATEGORIES = 174
 DEMO_CLONES = 5
 
-# Base log-space location and spread for each indicator. Eigenfactor-like
-# values are orders of magnitude smaller and wider-spread than the
-# citation-rate indicators.
-_BASE_LOG_MEAN = {"impact_factor": math.log(2.2), "eigenfactor": math.log(0.004),
-                  "immediacy": math.log(0.45)}
-_SIGMA = {"impact_factor": 0.4, "eigenfactor": 0.8, "immediacy": 0.4}
-_DECIMALS = {"impact_factor": 3, "eigenfactor": 5, "immediacy": 3}
+# (base log-space location, spread, decimals) per indicator, in Indicator
+# order, which is the order values are drawn in. Eigenfactor-like values are
+# orders of magnitude smaller and wider-spread than the citation-rate ones.
+_PARAMETERS = ((math.log(2.2), 0.4, 3), (math.log(0.004), 0.8, 5), (math.log(0.45), 0.4, 3))
 
 
 def category_name(index: int) -> str:
@@ -74,10 +71,8 @@ def make_synthetic_corpus(
             journal_counter += 1
             journal = f"jnl-{journal_counter:05d}"
             values = [
-                round(float(rng.lognormal(mean=_BASE_LOG_MEAN[field] + shifts[c],
-                                          sigma=_SIGMA[field])),
-                      _DECIMALS[field])
-                for field in _BASE_LOG_MEAN
+                round(float(rng.lognormal(mean=log_mean + shifts[c], sigma=sigma)), decimals)
+                for log_mean, sigma, decimals in _PARAMETERS
             ]
             values = [None if rng.random() < missing_rate else v for v in values]
             rows.append((None, journal, cat, *values))

@@ -25,6 +25,7 @@ from heliobench import (
     information_gain,
     layout_map,
     load_corpus,
+    make_demo_corpus,
     make_synthetic_corpus,
     render_svg,
     run_benchmark,
@@ -189,6 +190,7 @@ def test_criterion_7_determinism(demo_corpus, demo_csv_path, tmp_path):
 
     # the committed CSV is the fixed-seed generator output
     assert serialize_corpus(make_synthetic_corpus()) == demo_csv_path.read_text(encoding="utf-8")
+    assert serialize_corpus(make_demo_corpus()) == demo_csv_path.read_text(encoding="utf-8")
 
     outputs = {}
     for label, source in [("run1", demo_csv_path), ("run2", demo_csv_path),

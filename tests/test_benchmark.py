@@ -449,6 +449,8 @@ class TestCrossIndicatorSummary:
         )
         with pytest.raises(InvalidInputError):
             cross_indicator_summary(res_a + res_b)
+        with pytest.raises(InvalidInputError, match="at least one benchmark result is required"):
+            cross_indicator_summary([])
 
     def test_repeated_indicator_rejected(self, small_corpus):
         (result,) = run_benchmark(
@@ -479,6 +481,10 @@ class TestCrossIndicatorSummary:
 
 
 class TestRequestValidation:
+    def test_reference_must_be_non_empty(self):
+        with pytest.raises(InvalidInputError, match="reference category must be non-empty"):
+            BenchmarkRequest(reference="")
+
     def test_k_must_be_positive(self):
         with pytest.raises(InvalidInputError):
             BenchmarkRequest(reference="A", k=0)

@@ -663,3 +663,17 @@ def test_hist_keeps_a_subnormal_probability(valid_csv, capsys):
     docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     smallest = min(p for doc in docs for p in doc["probabilities"])
     assert 0.0 < smallest < 2.2250738585072014e-308
+
+
+def test_internal_error_exits_four_with_the_traceback_on_stderr(demo_csv_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr("heliobench.cli.validate_corpus", fail)
+    assert main(["validate", "--input", str(demo_csv_path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("resolved-config: ")
+    traceback = err[err.index("Traceback (most recent call last):\n"):]
+    assert traceback.endswith("RuntimeError: injected fault\n")
+    assert "in fail\n" in traceback

@@ -3,8 +3,8 @@
 Every run must exit 0, 2 or 3 (never 4), write nothing to stdout when it
 fails, and when it succeeds write stdout that parses: JSON documents with no
 NaN or Infinity, CSV tables with finite gains, or SVG maps. Inputs are
-mostly valid, with now and then one bad row, flag value or config entry,
-so that every exit code is reached.
+mostly valid, with now and then one bad row, flag value, config entry or
+prestige file, so that every exit code is reached.
 """
 
 import csv
@@ -39,6 +39,9 @@ ODD_ROWS = ["x,y", "j9,A,1,2,3,4", "j8,A,-1,,", "j8,A,nan,,", "j8,B,,inf,", "j8,
             "j8,A,1e308,,", "j8,B,1.7976931348623157e308,,", "j8,C,,5e-324,", "j8,A,0,0,0"]
 BAD_HEADERS = ["﻿" + HEADER, "journal,category", ""]
 
+# Stands for the run's temporary directory in generated paths.
+TMP = "{tmp}"
+
 # Option -> (valid values, values that must be rejected with exit 2 or 3).
 OPTIONS = {
     "indicator": (["if", "es", "ii", "all"], ["zz"]),
@@ -52,13 +55,14 @@ OPTIONS = {
     "summary": (["true"], []),
     "category": (["A", "C"], ["Z"]),
     "min_records": (["0", "2"], ["x"]),
+    "prestige": ([TMP + "/prestige.txt"], [TMP + "/missing.txt"]),
 }
 RANKING = ["indicator", "bins", "scale", "alpha", "reference", "k"]
 COMMAND_OPTIONS = {
     "validate": ["min_records"],
     "hist": ["indicator", "bins", "scale", "alpha", "category"],
     "bench": RANKING + ["format", "summary"],
-    "map": RANKING,
+    "map": RANKING + ["prestige"],
 }
 JUNK_CONFIG = ["# comment", "", "no equals sign", "bogus=1"]
 
@@ -68,8 +72,23 @@ RARELY = st.integers(0, 11).map(lambda n: n == 11)
 
 
 @st.composite
+def prestige_files(draw):
+    """The corpus's names and an unknown one in any order, among comments and
+    blank lines, with LF or CRLF line ends and maybe a byte-order mark; now and
+    then with a repeated name (exit 3) or a byte that is not UTF-8 (exit 2)."""
+    names = draw(st.permutations(["A", "B", "C", "Z"]))[:draw(st.integers(0, 4))]
+    lines = list(names)
+    for junk in draw(st.lists(st.sampled_from(["# comment", "", "  ", " # A"]), max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), junk)
+    if names and draw(RARELY):
+        lines.insert(draw(st.integers(0, len(lines))), names[0])
+    text = draw(st.sampled_from(["", "\ufeff"])) + draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    return text.encode("utf-8") + (b"\xff" if draw(RARELY) else b"")
+
+
+@st.composite
 def runs(draw):
-    """(command, CSV text, config text or None, flags)."""
+    """(command, CSV text, config text or None, flags, prestige file bytes or None)."""
     command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
     lines = [",".join(row) for row in draw(ROWS)]
     if draw(SOMETIMES):
@@ -77,7 +96,7 @@ def runs(draw):
     header = draw(st.sampled_from(BAD_HEADERS)) if draw(RARELY) else HEADER
     csv_text = "\n".join([header, *lines]) + "\n"
 
-    flags, config = [], []
+    flags, config, prestige = [], [], None
     for key in COMMAND_OPTIONS[command]:
         valid, invalid = OPTIONS[key]
         where = draw(st.sampled_from(["flag"] if key == "reference" else ["", "flag", "config"]))
@@ -85,6 +104,8 @@ def runs(draw):
             continue
         bad = invalid and draw(RARELY)
         value = draw(st.sampled_from(invalid if bad else valid))
+        if key == "prestige" and not bad:
+            prestige = draw(prestige_files())
         if where == "config":
             config.append(f"{key}={value}")
         elif key == "summary":
@@ -93,7 +114,7 @@ def runs(draw):
             flags += ["--" + key.replace("_", "-"), value]
     if draw(RARELY):
         config.append(draw(st.sampled_from(JUNK_CONFIG)))
-    return command, csv_text, "\n".join(config) if config else None, flags
+    return command, csv_text, "\n".join(config) if config else None, flags, prestige
 
 
 def _reject_constant(name):
@@ -130,13 +151,15 @@ def check_stdout(command, resolved, stdout):
 @settings(max_examples=150, deadline=None)
 @given(runs())
 def test_exit_code_and_stdout_contract(run):
-    command, csv_text, config, flags = run
+    command, csv_text, config, flags, prestige = run
     with tempfile.TemporaryDirectory() as tmp:
         corpus = Path(tmp, "corpus.csv")
         corpus.write_text(csv_text, encoding="utf-8")
-        argv = [command, "--input", str(corpus), *flags]
+        argv = [command, "--input", str(corpus), *(flag.replace(TMP, tmp) for flag in flags)]
+        if prestige is not None:
+            Path(tmp, "prestige.txt").write_bytes(prestige)
         if config is not None:
-            Path(tmp, "run.cfg").write_text(config, encoding="utf-8")
+            Path(tmp, "run.cfg").write_text(config.replace(TMP, tmp), encoding="utf-8")
             argv += ["--config", str(Path(tmp, "run.cfg"))]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):

@@ -1,5 +1,6 @@
 import csv
 import math
+import pickle
 import sys
 
 import pytest
@@ -14,9 +15,11 @@ from heliobench import (
     CorpusFormatError,
     DuplicateRecordError,
     Indicator,
+    InvalidInputError,
     JournalRecord,
     category_values,
     load_corpus,
+    make_synthetic_corpus,
     parse_corpus,
     run_benchmark,
     serialize_corpus,
@@ -24,6 +27,27 @@ from heliobench import (
 )
 
 HEADER = "journal,category,impact_factor,eigenfactor,immediacy\n"
+
+
+def test_each_indicator_has_its_column_code_and_label():
+    assert [(ind.value, ind.code, ind.label) for ind in Indicator] == [
+        ("impact_factor", "if", "Impact Factor"),
+        ("eigenfactor", "es", "Eigenfactor Score"),
+        ("immediacy", "ii", "Immediacy Index"),
+    ]
+    assert heliobench.corpus.CSV_COLUMNS == tuple(HEADER.strip().split(","))
+    assert Indicator("impact_factor") is Indicator.IMPACT_FACTOR
+    assert repr(Indicator.EIGENFACTOR) == "<Indicator.EIGENFACTOR: 'eigenfactor'>"
+    assert pickle.loads(pickle.dumps(Indicator.IMMEDIACY)) is Indicator.IMMEDIACY
+    assert [Indicator.from_code(code) for code in (" IF ", "es", "Ii")] == list(Indicator)
+    with pytest.raises(ValueError) as excinfo:
+        Indicator.from_code("xx")
+    assert str(excinfo.value) == "unknown indicator code: 'xx' (use if, es or ii)"
+
+
+def test_synthetic_corpus_needs_clones_plus_two_categories():
+    with pytest.raises(InvalidInputError, match="need at least clones \\+ 2 categories"):
+        make_synthetic_corpus(n_categories=4, clones=3)
 
 
 class TestParseCorpus:

@@ -121,6 +121,8 @@ class TestInformationGain:
     def test_negative_scale_constant_rejected(self):
         with pytest.raises(InvalidInputError):
             DivergenceConfig(scale_constant=-1.0)
+        with pytest.raises(InvalidInputError, match="log_base must be 'natural' or 'base2'"):
+            DivergenceConfig(log_base="base10")
 
     def test_base2_is_natural_over_ln2(self):
         p, q = hist([0.3, 0.7]), hist([0.6, 0.4])
