@@ -12,8 +12,11 @@ presentation step. CSV tables are written by corpus._csv_text.
 The binning of the candidates depends on the corpus, the indicator and the
 bin spec, not on the reference, so it is memoized on the Corpus object:
 ranking several references on one loaded Corpus bins each indicator column
-once, and later rankings only count and smooth. Each CLI process loads a
-fresh corpus and ranks one reference, so it gains nothing from this.
+once and smooths it once per alpha. A later ranking with the same spec and
+alpha scores the kept matrix as it is; a matrix of more than
+histogram.BLOCK_ELEMENTS values is not kept, and is counted and smoothed
+again. Each CLI process loads a fresh corpus and ranks one reference, so it
+gains nothing from this.
 """
 
 from __future__ import annotations
@@ -130,11 +133,11 @@ def run_benchmark(
         spec = pooled_bin_spec(corpus, indicator, request.bin_count, request.scale_for(indicator))
         # The candidate matrix is smoothed before the reference histogram, so
         # that a pseudo-count the indicator cannot take is reported by name.
-        # It is deleted once scored, so one candidate matrix is alive at a
-        # time. It goes through gains_against_reference, not the kernel
-        # directly, because bench/tracing.py times the gain layer by that
-        # name, and bench/run.py reports infogain.pairs_per_s only when that
-        # span has run.
+        # It is deleted once scored, so at most one matrix too large for the
+        # memo is alive at a time. It goes through gains_against_reference,
+        # not the kernel directly, because bench/tracing.py times the gain
+        # layer by that name, and bench/run.py reports infogain.pairs_per_s
+        # only when that span has run.
         candidates = _Rows(*category_probabilities(corpus, indicator, spec, request.alpha))
         ref_hist = build_histogram(ref_values, spec, request.alpha)
         gains = gains_against_reference(ref_hist, candidates, config, request.reference)

@@ -59,12 +59,19 @@ def load_prestige_order(path: str | Path) -> PrestigeOrder:
     return parse_prestige_order(_read_text(path))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HelioDot:
     label: str
     angle_degrees: float
     radius_fraction: float
     gain: float
+
+    def __init__(self, label: str, angle_degrees: float, radius_fraction: float, gain: float):
+        # Four dict stores instead of the generated frozen __init__'s four
+        # object.__setattr__ calls: a map builds one per dot.
+        fields = self.__dict__
+        fields["label"], fields["angle_degrees"] = label, angle_degrees
+        fields["radius_fraction"], fields["gain"] = radius_fraction, gain
 
 
 @dataclass(frozen=True)
@@ -110,14 +117,7 @@ def layout_map(
             # unit ratio first: (gain - g_min) / (g_max - g_min) is in [0, 1]
             # exactly, which keeps the radius inside [r_min, r_max]
             radius = r_min + (r_max - r_min) * ((gain - g_min) / (g_max - g_min))
-        dots.append(
-            HelioDot(
-                label=name,
-                angle_degrees=90.0 - i * step,
-                radius_fraction=radius,
-                gain=gain,
-            )
-        )
+        dots.append(HelioDot(name, 90.0 - i * step, radius, gain))
     return HelioLayout(center_label=result.reference, dots=tuple(dots))
 
 
@@ -128,6 +128,30 @@ class MapStyle:
 
     size: float = 800.0
     ring_fractions: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0)
+
+    def _header(self) -> str:
+        """The SVG text up to the centre label's name, which depends on the
+        style only, computed once per style."""
+        header = self.__dict__.get("_header_text")
+        if header is None:
+            size, centre = _fmt(self.size), _fmt(self.size / 2.0)
+            plot_radius = self.size / 2.0 - 110.0  # 110 units kept free for labels
+            header = "\n".join([
+                '<?xml version="1.0" encoding="UTF-8"?>',
+                f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{size}" '
+                f'height="{size}" viewBox="0 0 {size} {size}" '
+                'font-family="Helvetica, Arial, sans-serif">',
+                f'<rect class="background" width="{size}" height="{size}" fill="#ffffff"/>',
+                *(f'<circle class="ring" cx="{centre}" cy="{centre}" '
+                  f'r="{_fmt(plot_radius * frac)}" fill="none" stroke="#cccccc" stroke-width="1"/>'
+                  for frac in self.ring_fractions),
+                f'<circle class="center" cx="{centre}" cy="{centre}" r="7.000" fill="#222222"/>',
+                f'<text class="center-label" x="{centre}" '
+                f'y="{_fmt(self.size / 2.0 + 5.0 + 2.0 + 13.0 + 4.0)}" text-anchor="middle" '
+                'font-size="13.000" font-weight="bold" fill="#222222">',
+            ])
+            object.__setattr__(self, "_header_text", header)
+        return header
 
 
 DEFAULT_STYLE = MapStyle()
@@ -143,24 +167,10 @@ def render_svg(layout: HelioLayout, style: MapStyle = DEFAULT_STYLE) -> str:
     byte-identical output."""
     mid = style.size / 2.0  # the centre's x and y
     plot_radius = mid - 110.0  # 110 units of canvas kept free for labels
-    size, centre = _fmt(style.size), _fmt(mid)
     reach = 5.0 + 12.0  # dot radius plus label offset
     lift = 11.0 / 3.0  # a third of the label font size
 
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{size}" '
-        f'height="{size}" viewBox="0 0 {size} {size}" '
-        'font-family="Helvetica, Arial, sans-serif">',
-        f'<rect class="background" width="{size}" height="{size}" fill="#ffffff"/>',
-        *(f'<circle class="ring" cx="{centre}" cy="{centre}" r="{_fmt(plot_radius * frac)}" '
-          'fill="none" stroke="#cccccc" stroke-width="1"/>'
-          for frac in style.ring_fractions),
-        f'<circle class="center" cx="{centre}" cy="{centre}" r="7.000" fill="#222222"/>',
-        f'<text class="center-label" x="{centre}" y="{_fmt(mid + 5.0 + 2.0 + 13.0 + 4.0)}" '
-        'text-anchor="middle" font-size="13.000" font-weight="bold" fill="#222222">'
-        f"{html.escape(layout.center_label, quote=False)}</text>",
-    ]
+    lines = [style._header() + f"{html.escape(layout.center_label, quote=False)}</text>"]
     for i, dot in enumerate(layout.dots):
         theta = math.radians(dot.angle_degrees)
         cos, sin = math.cos(theta), math.sin(theta)

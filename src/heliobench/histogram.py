@@ -7,9 +7,12 @@ probability strictly positive, which downstream divergence computations
 require of the input distribution.
 
 A Corpus memoizes, per indicator, the pooled spec of the latest
-(bin_count, scale) and the bin of every present value on it, so repeated
-rankings on one Corpus object bin each column once. A CLI process loads a
-fresh corpus every time and gains nothing from the memo.
+(bin_count, scale), the bin of every present value on it and the smoothed
+category-by-bin matrix of the latest alpha, so repeated rankings on one
+Corpus object bin each column once and smooth it once per alpha. The
+matrix is kept only while it holds at most BLOCK_ELEMENTS values, so what
+the memo keeps stays bounded at any bin_count. A CLI process loads a fresh
+corpus every time and gains nothing from the memo.
 """
 
 from __future__ import annotations
@@ -40,6 +43,11 @@ PROBABILITY_SUM_TOL = 1e-12
 MAX_BIN_COUNT = 10_000
 
 DEFAULT_BIN_COUNT = 20
+
+# Candidate values scored at once by the gain kernel; each temporary of a
+# block is then about 2 MB, whatever the number of candidates. It also caps
+# the smoothed matrix a Corpus memo keeps.
+BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -103,9 +111,9 @@ class Histogram:
             raise InvalidInputError(
                 f"expected {self.spec.bin_count} probabilities, got shape {probs.shape}"
             )
-        if not (np.all(np.isfinite(probs)) and np.all(probs >= 0)):
+        if not ((probs >= 0) & (probs < math.inf)).all():
             raise InvalidInputError("probabilities must be finite and >= 0")
-        if self.alpha > 0 and np.any(probs == 0):
+        if self.alpha > 0 and not probs.all():
             raise InvalidInputError("alpha > 0 requires strictly positive probabilities")
         if abs(math.fsum(probs.tolist()) - 1.0) > PROBABILITY_SUM_TOL:
             raise InvalidInputError("probabilities must sum to 1")
@@ -148,13 +156,16 @@ class _Binned(NamedTuple):
     """An indicator's pooled spec as memoized on a Corpus, plus, once a
     ranking has asked for it, the flat bin index of the column's present
     values (row of the value's category among names, times bin_count, plus
-    its bin) and the sorted names of the categories that have values.
-    Entries are replaced whole, never changed, so a reader always sees a
-    consistent one."""
+    its bin) and the sorted names of the categories that have values, and
+    the read-only matrix those counts smooth to with alpha, when it holds
+    at most BLOCK_ELEMENTS values. Entries are replaced whole, never
+    changed, so a reader always sees a consistent one."""
 
     spec: BinSpec
     index: np.ndarray | None = None
     names: tuple[str, ...] = ()
+    alpha: float = 0.0
+    probabilities: np.ndarray | None = None
 
 
 def pooled_bin_spec(
@@ -311,19 +322,30 @@ def category_probabilities(
     at least one present value, and one row per name on spec. Each row
     equals build_histogram(category_values(...)).probabilities bit for bit.
     When spec is the indicator's pooled spec memoized on the corpus, the
-    column is binned on the first call only and later calls just count and
-    smooth; any other spec is binned afresh and not kept. Raises
+    column is binned on the first call only. The smoothed matrix is kept,
+    read-only, when it holds at most BLOCK_ELEMENTS values, and a later call
+    with the same alpha returns it as it is; another alpha counts and
+    smooths again and keeps its own matrix instead. Any other spec is binned
+    and smoothed afresh and nothing is kept. Raises
     InvalidInputError, naming the indicator, alpha and the limit, when
     alpha > 0 leaves a probability below the smallest normal float, because
     alpha times bin_count overflows or an empty bin's share underflows.
     """
     check_alpha(alpha)
     binned = corpus._binned.get(indicator)
-    if binned is None or binned.spec != spec:
+    memoized = binned is not None and binned.spec == spec
+    if not memoized:
         binned = _bin_column(corpus, indicator, spec)
+    elif binned.probabilities is not None and binned.alpha == alpha:
+        return list(binned.names), binned.probabilities
     elif binned.index is None:
-        binned = corpus._binned[indicator] = _bin_column(corpus, indicator, binned.spec)
+        binned = _bin_column(corpus, indicator, binned.spec)
     _, probabilities = _smooth(binned.index, spec.bin_count, alpha, len(binned.names))
     # The gain kernel divides by these: a subnormal one can overflow p / q.
     _check_smoothed(probabilities, alpha, spec.bin_count, sys.float_info.min, indicator)
+    if memoized:
+        if probabilities.size <= BLOCK_ELEMENTS:
+            probabilities.flags.writeable = False
+            binned = binned._replace(alpha=alpha, probabilities=probabilities)
+        corpus._binned[indicator] = binned
     return list(binned.names), probabilities

@@ -33,17 +33,13 @@ from typing import Literal, Mapping, Sequence
 import numpy as np
 
 from .errors import AbsoluteContinuityError, IncompatibleSupportError, InvalidInputError
-from .histogram import Histogram
+from .histogram import BLOCK_ELEMENTS, Histogram
 
 LogBase = Literal["natural", "base2"]
 
 # Agreement required between the expectation-difference form and the direct
 # summation form of the gain.
 IDENTITY_TOL = 1e-12
-
-# Candidate values scored at once by the gain kernel; each temporary of a
-# block is then about 2 MB, whatever the number of candidates.
-BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -78,9 +74,10 @@ class GainValue:
     candidate: str = ""
 
     def __init__(self, value: float, reference: str = "", candidate: str = ""):
-        # One dict update instead of the generated frozen __init__'s three
+        # Three dict stores instead of the generated frozen __init__'s three
         # object.__setattr__ calls: a ranking builds one per candidate.
-        self.__dict__.update(value=value, reference=reference, candidate=candidate)
+        fields = self.__dict__
+        fields["value"], fields["reference"], fields["candidate"] = value, reference, candidate
 
 
 def unexpectedness(p: float, config: DivergenceConfig = DEFAULT_CONFIG) -> float:
@@ -144,15 +141,19 @@ def _gains(
 
     block = max(1, BLOCK_ELEMENTS // p.size)
     support = np.flatnonzero(p)
+    full = support.size == p.size
     p = p[support]
     self_nats = (p * -np.log(p)).sum()  # U_P(P), reduced like every row
     gains = []
     for start in range(0, len(rows), block):
-        Q = np.array(rows[start:start + block], dtype=float)
+        Q = np.asarray(rows[start:start + block], dtype=float)
         valid = ((Q >= 0) & (Q < math.inf)).all()
         # take keeps rows contiguous. Q[:, support] would be column-major,
         # and its sequential row sums drift past IDENTITY_TOL at 10^4 bins.
-        Q = Q.take(support, axis=1)
+        # When p has no zero bin and the rows are contiguous already, they
+        # are reduced without the copy, to the same bits.
+        if not (full and Q.flags.c_contiguous):
+            Q = Q.take(support, axis=1)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             gain_nats = (p * -np.log(Q)).sum(axis=1) - self_nats
             direct_nats = (p * np.log(p / Q)).sum(axis=1)

@@ -208,7 +208,8 @@ class TestBinningMemo:
     """Rankings on one Corpus object reuse its per-indicator binning."""
 
     SETTINGS = [(20, "linear", 0.5), (7, "log", 0.0), (20, "linear", 0.5), (7, "linear", 0.0),
-                (7, "log", 0.5), (20, "log", 0.0)]
+                (7, "log", 0.5), (20, "log", 0.0), (20, "log", 0.5), (20, "log", 0.0),
+                (20, "log", 0.5)]
 
     def test_alternating_settings_match_a_fresh_corpus(self):
         warm = loguniform_corpus()
@@ -246,6 +247,37 @@ class TestBinningMemo:
         assert binned == reference_sizes
         monkeypatch.undo()
         assert warm == run_benchmark(Corpus(corpus.records), request)
+
+    def test_warm_corpus_returns_its_kept_matrix(self):
+        corpus = loguniform_corpus()
+        spec = pooled_bin_spec(corpus, Indicator.IMPACT_FACTOR)
+        names, first = category_probabilities(corpus, Indicator.IMPACT_FACTOR, spec, 0.5)
+        again_names, again = category_probabilities(
+            corpus, Indicator.IMPACT_FACTOR, replace(spec), 0.5
+        )
+        assert again is first and again_names == names
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 1.0
+        fresh = loguniform_corpus()
+        fresh_spec = pooled_bin_spec(fresh, Indicator.IMPACT_FACTOR)
+        _, expected = category_probabilities(fresh, Indicator.IMPACT_FACTOR, fresh_spec, 0.5)
+        assert np.array_equal(first, expected)
+
+    @pytest.mark.parametrize("spare", [0, -1])
+    def test_matrix_above_the_cap_is_not_kept(self, monkeypatch, spare):
+        import heliobench.histogram as histogram
+
+        corpus = loguniform_corpus()
+        spec = pooled_bin_spec(corpus, Indicator.IMPACT_FACTOR, 20)
+        monkeypatch.setattr(histogram, "BLOCK_ELEMENTS", 6 * 20 + spare)
+        _, first = category_probabilities(corpus, Indicator.IMPACT_FACTOR, spec, 0.5)
+        _, again = category_probabilities(corpus, Indicator.IMPACT_FACTOR, spec, 0.5)
+        assert np.array_equal(again, first)
+        kept = corpus._binned[Indicator.IMPACT_FACTOR].probabilities
+        if spare == 0:
+            assert again is first and kept is first
+        else:
+            assert again is not first and first.flags.writeable and kept is None
 
     def test_reference_without_values_still_raises_on_a_warm_corpus(self):
         corpus = Corpus(

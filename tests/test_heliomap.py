@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import xml.etree.ElementTree as ET
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from heliobench import (
     BenchmarkRequest,
     BinSpec,
+    HelioDot,
     Indicator,
     InvalidInputError,
     MapStyle,
@@ -171,6 +173,19 @@ class TestPrestigeOrder:
         assert load_prestige_order(path).names == ("One", "T\u2028wo", "Three", "F\x85our")
 
 
+class TestHelioDot:
+    def test_is_a_frozen_value_object(self):
+        dot = HelioDot("b", 90.0, 0.15, 0.25)
+        assert dot == HelioDot(label="b", angle_degrees=90.0, radius_fraction=0.15, gain=0.25)
+        assert hash(dot) == hash(HelioDot("b", 90.0, 0.15, 0.25))
+        assert repr(dot) == (
+            "HelioDot(label='b', angle_degrees=90.0, radius_fraction=0.15, gain=0.25)"
+        )
+        assert dataclasses.replace(dot, gain=0.5) == HelioDot("b", 90.0, 0.15, 0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dot.gain = 1.0
+
+
 class TestRenderSvg:
     def layout(self, n=4):
         entries = [(f"cat {i:02d}", 0.1 * (i + 1)) for i in range(n)]
@@ -185,6 +200,12 @@ class TestRenderSvg:
         assert svg.count("<circle") == 5 + 1
         assert svg.count('class="dot"') == 5
         assert svg.count('class="center"') == 1
+
+    def test_style_header_is_made_once_and_takes_any_sequence_of_rings(self):
+        layout, style = self.layout(5), MapStyle(ring_fractions=[0.5, 1.0])
+        assert render_svg(layout, style) == render_svg(layout, style)
+        assert render_svg(layout, style) == render_svg(layout, MapStyle(ring_fractions=(0.5, 1.0)))
+        assert style == MapStyle(ring_fractions=[0.5, 1.0])
 
     def test_ring_count_with_default_style(self):
         svg = render_svg(self.layout(5))

@@ -320,6 +320,20 @@ class TestGainsAgainstReference:
                 gains_against_reference(ref, dict(rows), reference_name=reference_name)
             )
 
+    @pytest.mark.parametrize("zero_bins", [0, 2])
+    def test_contiguous_and_column_major_matrices_score_alike(self, zero_bins):
+        from heliobench.infogain import _Rows
+
+        rng = np.random.default_rng(9)
+        matrix = rng.dirichlet(np.ones(12), size=7)
+        p = rng.dirichlet(np.ones(12))
+        p[:zero_bins] = 0.0
+        ref = hist(p / p.sum())
+        names = [f"c{i}" for i in range(7)]
+        assert gains_against_reference(ref, _Rows(names, matrix)) == (
+            gains_against_reference(ref, _Rows(names, np.asfortranarray(matrix)))
+        )
+
     def test_gains_are_python_floats(self):
         gains = gains_against_reference(hist([0.2, 0.8]), {"a": hist([0.6, 0.4])})
         assert type(gains[0].value) is float
