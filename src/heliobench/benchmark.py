@@ -4,9 +4,10 @@ For each requested indicator the corpus is binned on a single pooled
 support: the reference becomes a smoothed histogram, and one pass over the
 indicator column gives every category's smoothed distribution as one
 category-by-bin matrix. That whole matrix is scored in one kernel call,
-the reference's own row is dropped, and one stable sort ranks the others
-ascending by information gain relative to the reference (lower = more
-similar). Rankings are always computed in full; top-k truncation is a
+the reference's own row is dropped, and the others' (name, gain) pairs,
+taken in name order, are ranked by one stable sort on the gain: ascending
+information gain relative to the reference (lower = more similar), ties by
+name. Rankings are always computed in full; top-k truncation is a
 presentation step. CSV tables are written by corpus._csv_text.
 
 The binning of the candidates depends on the corpus, the indicator and the
@@ -22,7 +23,7 @@ gains nothing from this.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Mapping, Sequence
 
 from .corpus import Corpus, Indicator, _csv_text, category_values
@@ -143,15 +144,15 @@ def run_benchmark(
         gains = gains_against_reference(ref_hist, candidates, config, request.reference)
         del candidates
         # gains come in name order, so the stable sort breaks ties by name.
-        by_gain = sorted(gains, key=attrgetter("value"))
-        ranking = tuple(map(attrgetter("candidate", "value"), by_gain))
+        ranking = list(map(attrgetter("candidate", "value"), gains))
+        ranking.sort(key=itemgetter(1))
         results.append(
             BenchmarkResult(
                 reference=request.reference,
                 indicator=indicator,
                 spec=spec,
                 alpha=request.alpha,
-                ranking=ranking,
+                ranking=tuple(ranking),
             )
         )
     return results

@@ -206,9 +206,10 @@ def _emit(documents: Documents, out_dir: str | None) -> None:
                 if filename in written:
                     raise InvalidInputError(f"two documents would both be written to {filename}")
                 written.add(filename)
-                (Path(staging) / filename).write_text(text, encoding="utf-8")
+                with open(os.path.join(staging, filename), "w", encoding="utf-8") as file:
+                    file.write(text)
             for filename in written:
-                os.replace(Path(staging) / filename, directory / filename)
+                os.replace(os.path.join(staging, filename), os.path.join(out_dir, filename))
     except BaseException:
         for path in created:
             with contextlib.suppress(OSError):

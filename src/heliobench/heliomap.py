@@ -162,15 +162,27 @@ def _fmt(x: float) -> str:
     return "0.000" if s == "-0.000" else s
 
 
+def _escape(text: str) -> str:
+    """html.escape(text, quote=False), skipped when text holds no & < or >."""
+    if "&" in text or "<" in text or ">" in text:
+        return html.escape(text, quote=False)
+    return text
+
+
 def render_svg(layout: HelioLayout, style: MapStyle = DEFAULT_STYLE) -> str:
     """Render a layout to SVG text. A pure function: identical inputs give
-    byte-identical output."""
+    byte-identical output.
+
+    Each dot's four coordinates are written with 3 decimals straight into
+    its markup, and a "-0.000" among them is then written "0.000", as _fmt
+    does, before the label is appended, since a label may hold that text.
+    """
     mid = style.size / 2.0  # the centre's x and y
     plot_radius = mid - 110.0  # 110 units of canvas kept free for labels
     reach = 5.0 + 12.0  # dot radius plus label offset
     lift = 11.0 / 3.0  # a third of the label font size
 
-    lines = [style._header() + f"{html.escape(layout.center_label, quote=False)}</text>"]
+    lines = [style._header() + _escape(layout.center_label) + "</text>"]
     for i, dot in enumerate(layout.dots):
         theta = math.radians(dot.angle_degrees)
         cos, sin = math.cos(theta), math.sin(theta)
@@ -178,14 +190,15 @@ def render_svg(layout: HelioLayout, style: MapStyle = DEFAULT_STYLE) -> str:
         # Labels alternate outward/inward of the dot by index parity to
         # reduce collisions between angular neighbours.
         label_r = r_px + reach if i % 2 == 0 else r_px - reach
-        lines.append(
-            f'<circle class="dot" cx="{_fmt(mid + r_px * cos)}" cy="{_fmt(mid - r_px * sin)}" '
+        shapes = (
+            f'<circle class="dot" cx="{mid + r_px * cos:.3f}" cy="{mid - r_px * sin:.3f}" '
             'r="5.000" fill="#1f5fa8"/>\n'
-            f'<text class="dot-label" x="{_fmt(mid + label_r * cos)}" '
-            f'y="{_fmt(mid - label_r * sin + lift)}" text-anchor="middle" '
+            f'<text class="dot-label" x="{mid + label_r * cos:.3f}" '
+            f'y="{mid - label_r * sin + lift:.3f}" text-anchor="middle" '
             'font-size="11.000" fill="#222222">'
-            f"{html.escape(dot.label, quote=False)}</text>"
-        )
-    lines.append("</svg>")
+        ).replace('"-0.000"', '"0.000"')
+        lines.append(shapes + _escape(dot.label) + "</text>")
+    lines.append("</svg>\n")
+    text = "\n".join(lines)
     # Only labels hold carriage returns; XML would read a raw one back as a line feed.
-    return "\n".join(lines).replace("\r", "&#13;") + "\n"
+    return text.replace("\r", "&#13;") if "\r" in text else text

@@ -221,9 +221,11 @@ def _bin_index(values: np.ndarray, spec: BinSpec) -> tuple[np.ndarray, int]:
     """Each value's interval of spec, values outside it clamped into the
     first or last bin. Returns (bins, clamped)."""
     n = spec.bin_count
-    bins = np.searchsorted(spec.edges(), values, side="right") - 1
+    bins = np.searchsorted(spec.edges(), values, side="right")
+    bins -= 1
     clamped = int(np.count_nonzero(bins < 0) + np.count_nonzero(bins >= n))
-    np.clip(bins, 0, n - 1, out=bins)
+    if clamped:
+        np.clip(bins, 0, n - 1, out=bins)
     return bins, clamped
 
 

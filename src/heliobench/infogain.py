@@ -140,20 +140,24 @@ def _gains(
         return exc
 
     block = max(1, BLOCK_ELEMENTS // p.size)
-    support = np.flatnonzero(p)
-    full = support.size == p.size
-    p = p[support]
+    full = p.all()
+    if not full:
+        support = np.flatnonzero(p)
+        p = p[support]
     self_nats = (p * -np.log(p)).sum()  # U_P(P), reduced like every row
     gains = []
     for start in range(0, len(rows), block):
         Q = np.asarray(rows[start:start + block], dtype=float)
         valid = ((Q >= 0) & (Q < math.inf)).all()
-        # take keeps rows contiguous. Q[:, support] would be column-major,
-        # and its sequential row sums drift past IDENTITY_TOL at 10^4 bins.
-        # When p has no zero bin and the rows are contiguous already, they
-        # are reduced without the copy, to the same bits.
-        if not (full and Q.flags.c_contiguous):
+        # Each row is reduced from contiguous memory. Q[:, support] would be
+        # column-major, and its sequential row sums drift past IDENTITY_TOL
+        # at 10^4 bins. When p has no zero bin, a contiguous copy of Q holds
+        # the same values as take over every column, and contiguous rows
+        # need none.
+        if not full:
             Q = Q.take(support, axis=1)
+        elif not Q.flags.c_contiguous:
+            Q = np.ascontiguousarray(Q)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             gain_nats = (p * -np.log(Q)).sum(axis=1) - self_nats
             direct_nats = (p * np.log(p / Q)).sum(axis=1)
@@ -163,6 +167,8 @@ def _gains(
         # offender.
         if not (valid and agree.all()):
             Q = np.array(rows[start:start + block], dtype=float)
+            if full:
+                support = np.arange(p.size)
             invalid = ~((Q >= 0) & (Q < math.inf)).all(axis=1)
             zero = Q.take(support, axis=1) == 0.0
             row = int((invalid | zero.any(axis=1) | ~agree).argmax())
@@ -174,7 +180,9 @@ def _gains(
                 f"expectation-difference and direct summation disagree: "
                 f"{float(gain_nats[row])!r} vs {float(direct_nats[row])!r}"
             ), start + row)
-        gains += config._convert(config.scale_constant * gain_nats).tolist()
+        if config.scale_constant != 1.0:  # x * 1.0 is x, bit for bit
+            gain_nats = config.scale_constant * gain_nats
+        gains += config._convert(gain_nats).tolist()
     return gains
 
 

@@ -597,6 +597,19 @@ class TestReferenceFromConfig:
         ]
 
 
+def test_names_that_start_with_a_dash_take_the_equals_form(tmp_path, capsys):
+    # argparse reads a separate value that starts with - as an option.
+    path = tmp_path / "dash.csv"
+    path.write_text(VALID_CSV.replace(",A,", ",-x,"), encoding="utf-8")
+    assert main(["bench", "--input", str(path), "--indicator", "if", "--reference=-x"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["reference"], [e["category"] for e in doc["ranking"]]) == ("-x", ["B"])
+    assert main(["hist", "--input", str(path), "--indicator", "if", "--category=-x"]) == 0
+    assert json.loads(capsys.readouterr().out)["category"] == "-x"
+    assert main(["bench", "--input", str(path), "--indicator", "if", "--reference", "-x"]) == 2
+    assert "argument --reference: expected one argument" in capsys.readouterr().err
+
+
 CSV_HEADER = "journal,category,impact_factor,eigenfactor,immediacy\n"
 
 

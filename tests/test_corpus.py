@@ -141,6 +141,15 @@ class TestCategoryValues:
     def test_values_in_input_order(self, small_corpus):
         values, _ = category_values(small_corpus, "Physics", Indicator.IMPACT_FACTOR)
         assert values == [8.0, 0.5, 4.0]
+        # Over 16 interleaved rows per category: numpy's default argsort is
+        # not stable past its insertion-sort cutoff.
+        rows = [(f"J{i}", f"Cat{i % 3}", float(i)) for i in range(60)]
+        corpus = parse_corpus(HEADER + "".join(f"{j},{c},{v},0.1,0.2\n" for j, c, v in rows))
+        for name in ("Cat0", "Cat1", "Cat2"):
+            expected = [(j, v) for j, c, v in rows if c == name]
+            values, _ = category_values(corpus, name, Indicator.IMPACT_FACTOR)
+            assert values == [v for _, v in expected]
+            assert [(r.journal, r.impact_factor) for r in corpus.categories[name]] == expected
 
     def test_pipeline_builds_no_records(self, monkeypatch):
         def forbidden(*args):

@@ -270,6 +270,14 @@ class TestRenderSvg:
         assert dots[0].get("cx") == "0.000"
         assert "-0.000" not in svg
 
+    def test_negative_zero_rule_leaves_labels_alone(self):
+        names = ['"-0.000"', "-0.000 & <-0.000>"]
+        layout = layout_map(make_result([(names[0], 0.1), (names[1], 0.2)], reference="-0.000"))
+        svg = render_svg(layout, MapStyle(size=0.0))
+        dots = [el for el in ET.fromstring(svg).iter(f"{SVG_NS}circle") if el.get("class") == "dot"]
+        assert dots[0].get("cx") == "0.000"
+        assert _text_labels(svg) == ["-0.000", *names]
+
 
 def _text_labels(svg: str) -> list[str]:
     """The text of every <text> element, centre label first, parsed with minidom."""

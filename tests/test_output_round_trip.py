@@ -107,7 +107,8 @@ def test_every_output_parses_and_gives_every_name_back(drawn):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "corpus.csv")
         write_corpus_csv(corpus, path)
-        argv = ["--input", str(path), "--reference", reference, "--indicator", "all"]
+        # The = form, since argparse reads a separate value starting with - as an option.
+        argv = ["--input", str(path), f"--reference={reference}", "--indicator", "all"]
         docs = _json_documents(_run(["bench", *argv, "--summary"]))
         table = _run(["bench", *argv, "--summary", "--format", "csv"])
         maps = [_labels(document) for document in _svg_documents(_run(["map", *argv]))]
