@@ -27,7 +27,6 @@ import sys
 import tempfile
 import traceback
 from dataclasses import replace
-from pathlib import Path
 from typing import Iterator, get_args
 
 from .benchmark import (
@@ -195,13 +194,16 @@ def _emit(documents: Documents, out_dir: str | None) -> None:
             staged.seek(0)
             shutil.copyfileobj(staged, sys.stdout)
         return
-    directory = Path(out_dir)
+    out_dir = out_dir or os.curdir  # an empty --out names the working directory
     # Innermost first, so that each is empty when it is removed after a failure.
-    created = [path for path in (directory, *directory.parents) if not path.exists()]
-    directory.mkdir(parents=True, exist_ok=True)
+    created, path = [], out_dir
+    while path and not os.path.exists(path):
+        created.append(path)
+        path = os.path.dirname(path.rstrip(os.sep))
+    os.makedirs(out_dir, exist_ok=True)
     written = set()
     try:
-        with tempfile.TemporaryDirectory(prefix=".staging-", dir=directory) as staging:
+        with tempfile.TemporaryDirectory(prefix=".staging-", dir=out_dir) as staging:
             for text, filename in documents:
                 if filename in written:
                     raise InvalidInputError(f"two documents would both be written to {filename}")
@@ -213,7 +215,7 @@ def _emit(documents: Documents, out_dir: str | None) -> None:
     except BaseException:
         for path in created:
             with contextlib.suppress(OSError):
-                path.rmdir()
+                os.rmdir(path)
         raise
 
 

@@ -9,7 +9,10 @@ one row per (journal, category) pair, so a journal listed under several
 categories has several rows. Empty indicator cells mean "value not
 available" and are kept as missing, never coerced to zero. A Corpus stores
 one float64 column per indicator (NaN = missing) and one sorted-category
-code per row; rows are checked once, record views built lazily.
+code per row; rows are checked once, record views built lazily. Category
+names are coded as they are read, each distinct name getting the next
+integer the first time it is seen; the distinct names are sorted once at
+the end and the codes remapped to sorted order in one array lookup.
 
 parse_corpus reads the CSV body in blocks of lines. A block whose lines are
 plain, with five fields, no quote or NUL, and no carriage return but one
@@ -20,7 +23,9 @@ by column; whether a (journal, category) pair repeats is checked once per
 category after the last block. These checks only decide pass or fail. Every
 error comes from the per-row checker that Corpus(records) uses, run over
 every row read so far, so its message and line are those the first
-offending row in the file gives on its own.
+offending row in the file gives on its own. A plain block's line numbers
+are kept as one range, and a csv.reader block's as one array of its own;
+they are expanded row by row only when a check fails.
 """
 
 from __future__ import annotations
@@ -30,11 +35,12 @@ import enum
 import io
 import math
 import re
+import os
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, count, islice, repeat
 from operator import itemgetter
-from pathlib import Path
 from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -99,26 +105,33 @@ class Corpus:
         return cls._from_columns(*_checked(rows))
 
     @classmethod
-    def _from_columns(cls, journals: list, categories: list, columns: list) -> "Corpus":
+    def _from_columns(
+        cls, journals: list, codes: np.ndarray, names: list, columns: list
+    ) -> "Corpus":
         """A Corpus of checked rows, given as _checked returns them."""
         corpus = cls.__new__(cls)
-        corpus._finish(journals, categories, columns)
+        corpus._finish(journals, codes, names, columns)
         return corpus
 
-    def _finish(self, journals: list, categories: list, columns: list) -> None:
-        """Index checked rows: journals and categories per row, one float64
-        column per indicator."""
+    def _finish(self, journals: list, codes: np.ndarray, names: list, columns: list) -> None:
+        """Index checked rows: journals per row, each row's category as a
+        code into names, which lists each name once in first-seen order,
+        and one float64 column per indicator."""
         self._journals = tuple(journals)
-        self._names = tuple(sorted(set(categories)))
-        position = {name: i for i, name in enumerate(self._names)}
-        self._codes = np.fromiter(map(position.__getitem__, categories), np.intp, len(categories))
+        by_name = sorted(range(len(names)), key=names.__getitem__)
+        self._names = tuple(names[i] for i in by_name)
+        sorted_code = np.empty(len(names), np.intp)
+        sorted_code[by_name] = np.arange(len(names))
+        self._codes = sorted_code.take(codes)
         self._codes.flags.writeable = False
         self._columns = dict(zip(Indicator, columns))
         for column in self._columns.values():
             column.flags.writeable = False
         order = np.argsort(self._codes, kind="stable")
-        bounds = np.cumsum(np.bincount(self._codes, minlength=len(self._names)))[:-1]
-        self._rows = dict(zip(self._names, np.split(order, bounds)))
+        ends = np.cumsum(np.bincount(self._codes, minlength=len(names))).tolist()
+        self._rows = {
+            name: order[start:end] for name, start, end in zip(self._names, [0, *ends], ends)
+        }
         self._records = self._categories = None
         # Indicator -> its pooled binning, kept by the histogram module.
         self._binned: dict = {}
@@ -174,15 +187,17 @@ _BLOCK_ROWS = 1024
 _XML_FORBIDDEN = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
-def _checked(rows: Iterable[tuple]) -> tuple[list, list, list]:
+def _checked(rows: Iterable[tuple]) -> tuple[list, np.ndarray, list, list]:
     """Check (line or None, journal, category, *values) rows one at a time.
 
     Values are floats or None. Raises on the first bad row, with its line.
     A name with whitespace that str.strip() removes is bad, since the CSV
-    parser would strip it. Returns journals, categories and one float64
-    column per indicator (NaN = missing).
+    parser would strip it. Returns journals, each row's category code, the
+    category names in first-seen order, which the codes index, and one
+    float64 column per indicator (NaN = missing).
     """
-    journals, categories = [], []
+    journals, codes = [], array("q")
+    code = defaultdict(count().__next__)
     columns = [array("d") for _ in Indicator]
     seen = set()
     for line, journal, category, *values in rows:
@@ -212,8 +227,8 @@ def _checked(rows: Iterable[tuple]) -> tuple[list, list, list]:
                 )
             column.append(math.nan if value is None else value)
         journals.append(journal)
-        categories.append(category)
-    return journals, categories, [np.array(column) for column in columns]
+        codes.append(code[category])
+    return journals, np.array(codes, np.intp), list(code), [np.array(column) for column in columns]
 
 
 def _parsed(rows: Iterable[list], lines: Iterable[int]) -> Iterator[tuple]:
@@ -246,11 +261,12 @@ def _floats(texts: list | tuple) -> tuple[np.ndarray, int]:
 
 
 def _block(cells: list) -> tuple[list, list, list] | None:
-    """_checked(_parsed(rows, lines)) but for its key check, computed column
-    by column from the five columns of a non-empty block of rows, or None
-    when the block fails a check or holds a cell that float() rejects, that
-    is, exactly when _checked(_parsed(rows, lines)) would raise for rows
-    with distinct keys.
+    """The journals, categories and float64 columns of a non-empty block of
+    rows, given as its five columns, checked column by column as
+    _checked(_parsed(rows, lines)) checks them but for its key check; or
+    None when the block fails a check or holds a cell that float() rejects,
+    that is, exactly when _checked(_parsed(rows, lines)) would raise for
+    rows with distinct keys.
     """
     journals, categories, *texts = cells
     journals = list(map(str.strip, journals))
@@ -345,18 +361,27 @@ def parse_corpus(source: IO[str] | str) -> Corpus:
             f"expected header {','.join(CSV_COLUMNS)!r}, got {','.join(header)!r}", line=1
         )
 
-    journals, categories = [], []
-    columns = [[np.empty(0)] for _ in Indicator]  # so that a header-only file concatenates
-    lines = array("q")  # of every row read, for fail
-    canonical: dict[str, str] = {}  # one string object per category name
+    journals = []
+    codes = [np.empty(0, np.intp)]  # so that a header-only file concatenates
+    code = defaultdict(count().__next__)  # category name -> first-seen code
+    columns = [[np.empty(0)] for _ in Indicator]
+    lines = []  # a range or array("q") of each block's row lines, for fail
 
     def fail(rows: Iterable = ()) -> None:
         """Check every row read so far one at a time: the rows added, whose
-        cells passed, then rows, whose numbers end lines. This raises the
-        error of the first offending row in the file, if there is one."""
+        cells passed, then rows, whose line numbers are the last in lines.
+        This raises the error of the first offending row in the file, if
+        there is one."""
+        names = list(code)
+        numbers = chain.from_iterable(lines)
         _checked(chain(
-            zip(lines, journals, categories, *[repeat(None)] * len(Indicator)),
-            _parsed(rows, lines[len(journals):]),
+            zip(
+                islice(numbers, len(journals)),
+                journals,
+                map(names.__getitem__, chain.from_iterable(codes)),
+                *[repeat(None)] * len(Indicator),
+            ),
+            _parsed(rows, numbers),
         ))
 
     offset = reader.line_num  # lines read so far
@@ -364,15 +389,16 @@ def parse_corpus(source: IO[str] | str) -> Corpus:
         cells = _plain(block)
         if cells is not None:
             rows = zip(*cells)
-            lines.extend(range(offset + 1, offset + len(block) + 1))
+            lines.append(range(offset + 1, offset + len(block) + 1))
             offset += len(block)
         else:  # read up to the first row that ends on or past the block's last line
-            reader, rows = csv.reader(chain(block, stream)), []
+            reader, rows, block_lines = csv.reader(chain(block, stream)), [], array("q")
+            lines.append(block_lines)
             try:
                 for row in reader:
                     if row:  # blank lines come through as []
                         rows.append(row)
-                        lines.append(offset + reader.line_num)
+                        block_lines.append(offset + reader.line_num)
                     if reader.line_num >= len(block):
                         break
             except csv.Error as exc:
@@ -389,11 +415,13 @@ def parse_corpus(source: IO[str] | str) -> Corpus:
             raise AssertionError("rows that failed the column check passed the row check")
         block_journals, block_categories, block_columns = checked
         journals.extend(block_journals)
-        categories.extend(map(canonical.setdefault, block_categories, block_categories))
+        codes.append(
+            np.fromiter(map(code.__getitem__, block_categories), np.intp, len(block_categories))
+        )
         for parts, column in zip(columns, block_columns):
             parts.append(column)
     corpus = Corpus._from_columns(
-        journals, categories, [np.concatenate(parts) for parts in columns]
+        journals, np.concatenate(codes), list(code), [np.concatenate(parts) for parts in columns]
     )
     if _repeats_a_pair(corpus):
         fail()
@@ -401,7 +429,7 @@ def parse_corpus(source: IO[str] | str) -> Corpus:
     return corpus
 
 
-def load_corpus(path: str | Path) -> Corpus:
+def load_corpus(path: str | os.PathLike) -> Corpus:
     """parse_corpus of a file; a file that is not UTF-8 is a CorpusFormatError."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
         try:
@@ -410,10 +438,11 @@ def load_corpus(path: str | Path) -> Corpus:
             raise CorpusFormatError(f"{exc}: {str(path)!r}") from None
 
 
-def _read_text(path: str | Path) -> str:
+def _read_text(path: str | os.PathLike) -> str:
     """Text of a UTF-8 file, BOM allowed, CRLF and CR read as LF; else a CorpusFormatError."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise CorpusFormatError(f"{exc}: {str(path)!r}") from None
 

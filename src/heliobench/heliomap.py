@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import html
 import math
+import os
 from dataclasses import dataclass
-from pathlib import Path
 
 from .benchmark import BenchmarkResult
 from .corpus import _read_text
@@ -55,7 +55,7 @@ def parse_prestige_order(text: str) -> PrestigeOrder:
     return PrestigeOrder(tuple(names))
 
 
-def load_prestige_order(path: str | Path) -> PrestigeOrder:
+def load_prestige_order(path: str | os.PathLike) -> PrestigeOrder:
     return parse_prestige_order(_read_text(path))
 
 

@@ -136,10 +136,10 @@ class Histogram:
 
     def to_dict(self) -> dict:
         return {
-            "edges": [float(e) for e in self.spec.edges()],
+            "edges": self.spec.edges().tolist(),
             "scale": self.spec.scale,
-            "probabilities": [float(p) for p in self.probabilities],
-            "counts": None if self.counts is None else [int(c) for c in self.counts],
+            "probabilities": self.probabilities.tolist(),
+            "counts": None if self.counts is None else self.counts.tolist(),
             "sample_count": self.sample_count,
             "alpha": self.alpha,
             "clamped": self.clamped,

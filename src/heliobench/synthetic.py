@@ -17,7 +17,7 @@ indicators spread.
 from __future__ import annotations
 
 import math
-from pathlib import Path
+import os
 
 import numpy as np
 
@@ -89,5 +89,6 @@ def make_demo_corpus() -> Corpus:
     return make_synthetic_corpus()
 
 
-def write_corpus_csv(corpus: Corpus, path: str | Path) -> None:
-    Path(path).write_text(serialize_corpus(corpus), encoding="utf-8")
+def write_corpus_csv(corpus: Corpus, path: str | os.PathLike) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(serialize_corpus(corpus))

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -690,3 +693,39 @@ def test_internal_error_exits_four_with_the_traceback_on_stderr(demo_csv_path, m
     traceback = err[err.index("Traceback (most recent call last):\n"):]
     assert traceback.endswith("RuntimeError: injected fault\n")
     assert "in fail\n" in traceback
+
+
+def test_cli_import_loads_neither_pathlib_nor_urllib_parse():
+    # Without site, which may import pathlib itself, through a .pth file.
+    # shutil imports fnmatch, so that one is not asserted.
+    code = (
+        "import sys, heliobench.cli; "
+        "print(sorted({'pathlib', 'urllib.parse'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
+
+
+def test_relative_nested_out_dir_is_removed_on_failure_and_written_on_success(
+    valid_csv, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    with open("collide.csv", "w", encoding="utf-8") as fh:
+        fh.write(
+            "journal,category,impact_factor,eigenfactor,immediacy\n"
+            "j1,A B,1.0,0.01,0.2\nj2,A-B,2.0,0.02,0.4\n"
+        )
+    assert main(["hist", "--input", "collide.csv", "--out", "new/out"]) == 3
+    assert not os.path.exists("new")
+    assert main(["hist", "--input", valid_csv, "--out", "new/out"]) == 0
+    assert main(["hist", "--input", valid_csv, "--out", str(tmp_path / "absolute")]) == 0
+    capsys.readouterr()
+    names = sorted(os.listdir(tmp_path / "absolute"))
+    assert sorted(os.listdir("new/out")) == names and len(names) == 6
+    for name in names:
+        with open(os.path.join("new", "out", name), encoding="utf-8") as got, \
+                open(tmp_path / "absolute" / name, encoding="utf-8") as want:
+            assert got.read() == want.read()

@@ -462,3 +462,31 @@ def test_column_check_refuses_exactly_the_rows_the_row_check_rejects(rows):
     else:
         rejected = False
     assert (corpus_module._block(list(zip(*rows))) is None) == rejected
+
+
+def test_codes_index_sorted_names_whatever_order_the_names_are_first_seen_in(
+    monkeypatch, tmp_path
+):
+    # Rows name b, a, c, b, a; the second block, whose first row is quoted,
+    # is read by csv.reader, the others are split as plain lines.
+    monkeypatch.setattr(corpus_module, "_BLOCK_ROWS", 2)
+    text = HEADER + 'j0,b,1,1,1\nj1,a,2,2,2\n"j2","c","3","3","3"\nj3,b,4,4,4\nj4,a,5,5,5\n'
+    path = tmp_path / "corpus.csv"
+    path.write_text(text, encoding="utf-8")
+    records = [
+        JournalRecord(f"j{i}", name, i + 1.0, i + 1.0, i + 1.0) for i, name in enumerate("bacba")
+    ]
+    for corpus in [parse_corpus(text), load_corpus(path), Corpus(records)]:
+        assert corpus.category_names() == ["a", "b", "c"]
+        assert corpus.category_codes().tolist() == [1, 0, 2, 1, 0]
+        assert {name: rows.tolist() for name, rows in corpus._rows.items()} == {
+            "a": [1, 4], "b": [0, 3], "c": [2],
+        }
+        assert list(corpus._rows) == ["a", "b", "c"]
+        assert corpus_module.category_values(corpus, "a", Indicator.IMPACT_FACTOR) == ([2.0, 5.0], 0)
+        assert corpus_module.category_values(corpus, "b", Indicator.EIGENFACTOR) == ([1.0, 4.0], 0)
+        assert [r.category for r in corpus.records] == list("bacba")
+    # The row check of a failed parse reads each row's name back from its code.
+    with pytest.raises(CorpusFormatError) as exc_info:
+        parse_corpus(text + "j1,a,6,6,6\n")
+    assert str(exc_info.value) == "line 7: duplicate (journal, category) pair: ('j1', 'a')"
