@@ -108,15 +108,16 @@ def layout_map(
 
     gains = [g for _, g in entries]
     g_min, g_max = min(gains), max(gains)
+    g_span, r_span = g_max - g_min, r_max - r_min
     step = 360.0 / len(entries)
     dots = []
     for i, (name, gain) in enumerate(entries):
         if g_max == g_min:
             radius = r_min
         else:
-            # unit ratio first: (gain - g_min) / (g_max - g_min) is in [0, 1]
-            # exactly, which keeps the radius inside [r_min, r_max]
-            radius = r_min + (r_max - r_min) * ((gain - g_min) / (g_max - g_min))
+            # unit ratio first: (gain - g_min) / g_span is in [0, 1] exactly,
+            # which keeps the radius inside [r_min, r_max]
+            radius = r_min + r_span * ((gain - g_min) / g_span)
         dots.append(HelioDot(name, 90.0 - i * step, radius, gain))
     return HelioLayout(center_label=result.reference, dots=tuple(dots))
 
@@ -173,16 +174,16 @@ def render_svg(layout: HelioLayout, style: MapStyle = DEFAULT_STYLE) -> str:
     """Render a layout to SVG text. A pure function: identical inputs give
     byte-identical output.
 
-    Each dot's four coordinates are written with 3 decimals straight into
-    its markup, and a "-0.000" among them is then written "0.000", as _fmt
-    does, before the label is appended, since a label may hold that text.
+    Every dot's coordinates go through one % format of a per-dot template,
+    with 3 decimals, and a "-0.000" in that label-free text is written
+    "0.000", as _fmt does. Each escaped label is then appended to its piece.
     """
     mid = style.size / 2.0  # the centre's x and y
     plot_radius = mid - 110.0  # 110 units of canvas kept free for labels
     reach = 5.0 + 12.0  # dot radius plus label offset
     lift = 11.0 / 3.0  # a third of the label font size
 
-    lines = [style._header() + _escape(layout.center_label) + "</text>"]
+    coords = []
     for i, dot in enumerate(layout.dots):
         theta = math.radians(dot.angle_degrees)
         cos, sin = math.cos(theta), math.sin(theta)
@@ -190,15 +191,15 @@ def render_svg(layout: HelioLayout, style: MapStyle = DEFAULT_STYLE) -> str:
         # Labels alternate outward/inward of the dot by index parity to
         # reduce collisions between angular neighbours.
         label_r = r_px + reach if i % 2 == 0 else r_px - reach
-        shapes = (
-            f'<circle class="dot" cx="{mid + r_px * cos:.3f}" cy="{mid - r_px * sin:.3f}" '
-            'r="5.000" fill="#1f5fa8"/>\n'
-            f'<text class="dot-label" x="{mid + label_r * cos:.3f}" '
-            f'y="{mid - label_r * sin + lift:.3f}" text-anchor="middle" '
-            'font-size="11.000" fill="#222222">'
-        ).replace('"-0.000"', '"0.000"')
-        lines.append(shapes + _escape(dot.label) + "</text>")
-    lines.append("</svg>\n")
-    text = "\n".join(lines)
+        coords += (mid + r_px * cos, mid - r_px * sin,
+                   mid + label_r * cos, mid - label_r * sin + lift)
+    shapes = ((
+        '\n<circle class="dot" cx="%.3f" cy="%.3f" r="5.000" fill="#1f5fa8"/>\n'
+        '<text class="dot-label" x="%.3f" y="%.3f" text-anchor="middle" font-size="11.000" '
+        'fill="#222222">\0'  # a NUL, which no markup holds, ends a dot's piece
+    ) * len(layout.dots) % tuple(coords)).replace('"-0.000"', '"0.000"').split("\0")
+    text = "".join([style._header(), _escape(layout.center_label), "</text>"] + [
+        shape + _escape(dot.label) + "</text>" for shape, dot in zip(shapes, layout.dots)
+    ]) + "\n</svg>\n"
     # Only labels hold carriage returns; XML would read a raw one back as a line feed.
     return text.replace("\r", "&#13;") if "\r" in text else text

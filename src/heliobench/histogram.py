@@ -111,7 +111,7 @@ class Histogram:
             raise InvalidInputError(
                 f"expected {self.spec.bin_count} probabilities, got shape {probs.shape}"
             )
-        if not ((probs >= 0) & (probs < math.inf)).all():
+        if not (probs.min() >= 0 and probs.max() < math.inf):  # NaN fails both
             raise InvalidInputError("probabilities must be finite and >= 0")
         if self.alpha > 0 and not probs.all():
             raise InvalidInputError("alpha > 0 requires strictly positive probabilities")
@@ -254,7 +254,7 @@ def _check_smoothed(
     """Raise InvalidInputError, naming alpha, the indicator when given and the
     limit, when alpha > 0 leaves a probability below limit: alpha times
     bin_count overflows, or an empty bin's share underflows."""
-    if alpha > 0 and (probabilities < limit).any():
+    if alpha > 0 and probabilities.min(initial=math.inf) < limit:  # no rows: no error
         where = "" if indicator is None else f" for {indicator.value}"
         if math.isinf(alpha * bin_count):
             raise InvalidInputError(

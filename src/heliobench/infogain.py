@@ -6,7 +6,9 @@ distribution P seen through an estimating distribution Q is the
 expectation U_P(Q) = sum_i p_i * h(q_i); and the information gain is the
 excess unexpectedness eps(P, Q) = a * (U_P(Q) - U_P(P)), which equals the
 Kullback-Leibler divergence a * sum_i p_i * log(p_i / q_i). Both forms are
-evaluated and cross-checked on every call.
+evaluated, in one scratch matrix, and cross-checked on every call; unless
+the reference has a zero bin, their agreement also stands in for a validity
+pass over the candidates (see _gains).
 
 One vectorized kernel scores a reference against many candidate
 distributions, a block of rows at a time. information_gain is its one-row
@@ -130,8 +132,12 @@ def _gains(
     for a value that is not finite and >= 0, then AbsoluteContinuityError for
     a zero where p is positive, then ArithmeticError when the
     expectation-difference and direct forms disagree by more than
-    IDENTITY_TOL. The checks run once per block; only a block that fails
-    one is reduced row by row, to find its first offending row.
+    IDENTITY_TOL. Both forms share one scratch matrix per block, and the
+    checks run once per block: validity in a pass of its own only when p has
+    a zero bin, else by agreement, as every value is then scored and a NaN,
+    negative, infinite or zero one leaves a form NaN or infinite, which
+    agrees with nothing. Only a block that fails is reduced row by row, to
+    find its first offending row.
     """
 
     def fail(exc: Exception, row: int) -> Exception:
@@ -148,7 +154,7 @@ def _gains(
     gains = []
     for start in range(0, len(rows), block):
         Q = np.asarray(rows[start:start + block], dtype=float)
-        valid = ((Q >= 0) & (Q < math.inf)).all()
+        valid = full or ((Q >= 0) & (Q < math.inf)).all()
         # Each row is reduced from contiguous memory. Q[:, support] would be
         # column-major, and its sequential row sums drift past IDENTITY_TOL
         # at 10^4 bins. When p has no zero bin, a contiguous copy of Q holds
@@ -159,8 +165,15 @@ def _gains(
         elif not Q.flags.c_contiguous:
             Q = np.ascontiguousarray(Q)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            gain_nats = (p * -np.log(Q)).sum(axis=1) - self_nats
-            direct_nats = (p * np.log(p / Q)).sum(axis=1)
+            # The ufuncs and operands of p * -log(Q) and p * log(p / Q).
+            work = np.log(Q)
+            np.negative(work, out=work)
+            work *= p
+            gain_nats = work.sum(axis=1) - self_nats
+            np.divide(p, Q, out=work)
+            np.log(work, out=work)
+            work *= p
+            direct_nats = work.sum(axis=1)
             agree = np.abs(gain_nats - direct_nats) <= IDENTITY_TOL
         # A zero where p is positive makes both forms infinite and their
         # difference NaN, so a valid block whose rows all agree has no
@@ -249,11 +262,11 @@ def gains_against_reference(
         # scores exactly 0 and passes every check, so it is dropped after.
         names = candidates.names
         gains = _gains(reference_hist.probabilities, candidates.matrix, config, names)
+        values = list(map(GainValue, gains, repeat(reference_name), names))
         own = bisect.bisect_left(names, reference_name)
         if names[own:own + 1] == [reference_name]:
-            names = names[:own] + names[own + 1:]
-            del gains[own]
-        return list(map(GainValue, gains, repeat(reference_name), names))
+            del values[own]
+        return values
     spec = reference_hist.spec
     names = [name for name in sorted(candidates) if name != reference_name]
     rows, error = [], None

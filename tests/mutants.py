@@ -1,0 +1,192 @@
+"""Mutation check of src/heliobench: each mutant below breaks one guard, and
+the tests it names must fail on it.
+
+Run from anywhere, on every mutant or on the named ones:
+
+    python tests/mutants.py [NAME ...]
+
+Each mutant replaces one exact text of one file. The runner copies the
+repository, without .git, to a temporary directory, runs every selected
+mutant's tests there on the unmutated copy, and then, one mutant at a
+time, writes the mutated file, runs `python -m pytest -x -q` on the
+mutant's tests and restores the file. A mutant is killed when pytest
+reports a failed test. The runner exits 1 when an old text does not occur
+exactly once in its file, so a refactor has to update this list, when the
+unmutated copy fails, or when a mutant not marked equivalent is not killed.
+pytest does not collect this file, since its name has no test_ prefix.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str  # must occur exactly once in the file
+    new: str
+    contract: str  # what the mutant breaks
+    tests: tuple[str, ...]  # pytest arguments, relative to the repository root
+    equivalent: str = ""  # why no test can kill it, and on which Python versions
+
+
+MUTANTS = (
+    Mutant(
+        "kernel-validity-pass",
+        "src/heliobench/infogain.py",
+        "valid = full or ((Q >= 0) & (Q < math.inf)).all()",
+        "valid = True",
+        "a NaN, negative or infinite candidate value where the reference is zero is rejected",
+        ("tests/test_infogain.py",),
+    ),
+    Mutant(
+        "kernel-cross-check",
+        "src/heliobench/infogain.py",
+        "agree = np.abs(gain_nats - direct_nats) <= IDENTITY_TOL",
+        "agree = np.abs(gain_nats - direct_nats) >= -math.inf",
+        "the two forms of the gain agree within IDENTITY_TOL, and a zero where the "
+        "reference is positive is rejected",
+        ("tests/test_infogain.py",),
+    ),
+    Mutant(
+        "kernel-contiguous-rows",
+        "src/heliobench/infogain.py",
+        "elif not Q.flags.c_contiguous:",
+        "elif False:",
+        "a column-major candidate matrix scores bit for bit like a row-major one",
+        ("tests/test_infogain.py",),
+    ),
+    Mutant(
+        "svg-negative-zero",
+        "src/heliobench/heliomap.py",
+        """.replace('"-0.000"', '"0.000"').split("\\0")""",
+        """.split("\\0")""",
+        'no SVG coordinate is written "-0.000"',
+        ("tests/test_heliomap.py",),
+    ),
+    Mutant(
+        "histogram-empty-bin",
+        "src/heliobench/histogram.py",
+        "probs.min() >= 0 and",
+        "probs.min() > 0 and",
+        "an unsmoothed histogram may hold an empty bin",
+        ("tests/test_histogram.py",),
+    ),
+    Mutant(
+        "smoothed-limit-inclusive",
+        "src/heliobench/histogram.py",
+        "probabilities.min(initial=math.inf) < limit",
+        "probabilities.min(initial=math.inf) <= limit",
+        "a smoothed probability equal to the limit is kept",
+        ("tests/test_histogram.py",),
+    ),
+    Mutant(
+        "smoothed-no-rows",
+        "src/heliobench/histogram.py",
+        "probabilities.min(initial=math.inf) < limit",
+        "probabilities.min() < limit",
+        "an indicator without values gives a matrix of no rows, not an error",
+        ("tests/test_histogram.py",),
+    ),
+    Mutant(
+        "memo-alpha-key",
+        "src/heliobench/histogram.py",
+        "elif binned.probabilities is not None and binned.alpha == alpha:",
+        "elif binned.probabilities is not None:",
+        "a kept candidate matrix is reused only for the alpha it was smoothed with",
+        ("tests/test_benchmark.py",),
+    ),
+    Mutant(
+        "ties-by-name",
+        "src/heliobench/benchmark.py",
+        "ranking.sort(key=itemgetter(1))",
+        "ranking.reverse()\n        ranking.sort(key=itemgetter(1))",
+        "candidates with equal gains are ranked by name",
+        ("tests/test_benchmark.py",),
+    ),
+    Mutant(
+        "codes-stable-order",
+        "src/heliobench/corpus.py",
+        'order = np.argsort(self._codes, kind="stable")',
+        "order = np.argsort(self._codes)",
+        "a category's values and records come in input order",
+        ("tests/test_corpus.py",),
+    ),
+    Mutant(
+        "plain-block-nul",
+        "src/heliobench/corpus.py",
+        '        or "\\0" in text\n',
+        "",
+        "a line holding NUL is read by csv.reader, not split as a plain line",
+        ("tests/test_parse_blocks.py", "tests/test_corpus.py"),
+        equivalent="Python 3.11 and later: csv.reader reads NUL as str.split does; "
+        "only 3.10's csv.reader rejects it",
+    ),
+)
+
+
+def misplaced(mutants, root: Path = ROOT) -> list[str]:
+    """One line per mutant whose old text does not occur exactly once."""
+    problems = []
+    for mutant in mutants:
+        count = (root / mutant.path).read_text(encoding="utf-8").count(mutant.old)
+        if count != 1:
+            problems.append(f"{mutant.name}: old text occurs {count} times in {mutant.path}")
+    return problems
+
+
+def _pytest(copy: Path, tests) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True)
+
+
+def main(names: list[str]) -> int:
+    unknown = sorted(set(names) - {mutant.name for mutant in MUTANTS})
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}")
+        return 2
+    problems = misplaced(MUTANTS)
+    for problem in problems:
+        print(problem)
+    if problems:
+        return 1
+    selected = [mutant for mutant in MUTANTS if not names or mutant.name in names]
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_*", "output"))
+        baseline = _pytest(copy, sorted({test for mutant in selected for test in mutant.tests}))
+        if baseline.returncode != 0:
+            print(baseline.stdout + baseline.stderr + "the unmutated copy fails its tests")
+            return 1
+        failed = 0
+        for mutant in selected:
+            path = copy / mutant.path
+            original = path.read_text(encoding="utf-8")
+            path.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
+            try:
+                code = _pytest(copy, mutant.tests).returncode
+            finally:
+                path.write_text(original, encoding="utf-8")
+            verdict = {0: "survived", 1: "killed"}.get(code, f"pytest exited {code}")
+            if mutant.equivalent:
+                verdict += f" (equivalent: {mutant.equivalent})"
+            elif code != 1:
+                failed += 1
+            print(f"{mutant.name}: {verdict}; breaks: {mutant.contract}", flush=True)
+    print(f"{len(selected)} mutants, {failed} not killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -12,6 +12,7 @@ from heliobench import (
     BenchmarkRequest,
     BinSpec,
     HelioDot,
+    HelioLayout,
     Indicator,
     InvalidInputError,
     MapStyle,
@@ -25,6 +26,7 @@ from heliobench import (
     top_k,
 )
 from heliobench.benchmark import BenchmarkResult
+from heliobench.heliomap import DEFAULT_STYLE
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -277,6 +279,25 @@ class TestRenderSvg:
         dots = [el for el in ET.fromstring(svg).iter(f"{SVG_NS}circle") if el.get("class") == "dot"]
         assert dots[0].get("cx") == "0.000"
         assert _text_labels(svg) == ["-0.000", *names]
+
+    def test_layout_without_dots_gives_header_centre_label_and_end(self):
+        svg = render_svg(HelioLayout("ref", ()))
+        assert svg == DEFAULT_STYLE._header() + "ref</text>\n</svg>\n"
+        assert _text_labels(svg) == ["ref"]
+
+    def test_percent_signs_in_labels_come_back_verbatim(self):
+        names = ["100% Science", "%.3f", "%s"]
+        entries = [(n, 0.1 * i) for i, n in enumerate(names)]
+        svg = render_svg(layout_map(make_result(entries, "%d %%")))
+        assert _text_labels(svg) == ["%d %%", *names]
+        plain = render_svg(layout_map(make_result([(f"n{i}", 0.1 * i) for i in range(3)], "r")))
+        assert _positions(svg) == _positions(plain)
+
+
+def _positions(svg: str) -> list[tuple]:
+    """The coordinates of every circle and text element, in document order."""
+    return [(el.get("cx"), el.get("cy"), el.get("x"), el.get("y"))
+            for el in ET.fromstring(svg).iter() if el.tag in (f"{SVG_NS}circle", f"{SVG_NS}text")]
 
 
 def _text_labels(svg: str) -> list[str]:

@@ -1,3 +1,5 @@
+import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -203,6 +205,25 @@ class TestCategoryProbabilities:
         names, probabilities = category_probabilities(corpus, Indicator.IMPACT_FACTOR, spec)
         assert names == ["A", "C"]
         assert probabilities.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    def test_indicator_without_values_gives_no_rows(self):
+        corpus = parse_corpus(HEADER + "a,A,1.0,0.1,\nb,B,2.0,0.1,\n")
+        names, probabilities = category_probabilities(
+            corpus, Indicator.IMMEDIACY, BinSpec(0.0, 1.0, 4), 0.5
+        )
+        assert names == [] and probabilities.shape == (0, 4)
+
+    def test_probability_equal_to_the_limit_is_kept(self):
+        # One value per category and alpha at the limit leave each empty
+        # bin's probability exactly at the limit, which is allowed.
+        hist = build_histogram([0.5], BinSpec(0.0, 1.0, 4), alpha=math.ulp(0.0))
+        assert hist.probabilities.min() == math.ulp(0.0)
+        corpus = parse_corpus(HEADER + "a,A,1.0,0.1,0.2\nb,B,3.0,0.1,0.2\n")
+        spec = pooled_bin_spec(corpus, Indicator.IMPACT_FACTOR, 4)
+        _, probabilities = category_probabilities(
+            corpus, Indicator.IMPACT_FACTOR, spec, sys.float_info.min
+        )
+        assert probabilities.min() == sys.float_info.min
 
 
 class TestHistogramInvariants:

@@ -358,3 +358,81 @@ def test_first_offender_in_a_later_block_is_named(monkeypatch, bad, error):
     candidates["c5"] = np.array([0.0, 1.0, 0.0])
     with pytest.raises(error, match="^candidate 'c3': "):
         gains_against_reference(hist([0.5, 0.5, 0.0]), candidates)
+
+
+def _named_error(score):
+    """The type and text of the error score() raises."""
+    with pytest.raises(Exception) as exc_info:
+        score()
+    return type(exc_info.value), str(exc_info.value)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), math.inf, -math.inf, -1.0, 0.0, -0.0])
+@pytest.mark.parametrize("reference, column", [
+    pytest.param([0.25, 0.25, 0.5], 1, id="no-zero-bin"),
+    pytest.param([0.5, 0.0, 0.5], 1, id="unscored-column"),
+])
+def test_bad_value_raises_alike_through_every_path(bad, reference, column):
+    # With no zero bin in the reference every value enters both forms, and
+    # the forms' agreement is the only validity check: it must raise what
+    # the separate pass, still run when the bad value sits in an unscored
+    # column, raises.
+    from heliobench.infogain import _Rows
+
+    ref = hist(reference)
+    row = [0.2, 0.3, 0.5]
+    row[column] = bad
+    if math.isnan(bad) or bad < 0 or bad == math.inf:
+        error, message = InvalidInputError, "probabilities must be finite and >= 0"
+    elif reference[column] == 0.0:  # a zero is valid where the reference is zero
+        error, message = None, None
+    else:
+        error, message = AbsoluteContinuityError, str(AbsoluteContinuityError(column))
+    matrix = np.array([[0.2, 0.3, 0.5], row, [0.5, 0.3, 0.2]])
+    named = [
+        lambda: gains_against_reference(ref, _Rows(["a", "bad", "c"], matrix)),
+        lambda: gains_against_reference(ref, {"c": matrix[2], "bad": matrix[1], "a": matrix[0]}),
+    ]
+    q = Histogram.from_probabilities([0.2, 0.3, 0.5])
+    object.__setattr__(q, "probabilities", matrix[1])  # past the Histogram's own check
+    if error is None:
+        for score in named:
+            assert [g.candidate for g in score()] == ["a", "bad", "c"]
+        assert information_gain(ref, q).value >= 0.0
+        return
+    for score in named:
+        assert _named_error(score) == (error, f"candidate 'bad': {message}")
+    assert _named_error(lambda: information_gain(ref, q)) == (error, message)
+
+
+@pytest.mark.parametrize("bins", [2, 7, 20, 129, 10_000])
+@pytest.mark.parametrize("zero_bins", [0, 1, 3])
+def test_kernel_gains_equal_the_plain_expression_bit_for_bit(bins, zero_bins):
+    from heliobench.infogain import DEFAULT_CONFIG, _gains
+
+    rng = np.random.default_rng(bins * 10 + zero_bins)
+    p = rng.dirichlet(np.ones(bins))
+    p[rng.choice(bins, size=min(zero_bins, bins - 1), replace=False)] = 0.0
+    p /= p.sum()
+    Q = rng.dirichlet(np.ones(bins), size=40)
+    assert _gains(p, Q, DEFAULT_CONFIG) == _plain_gains(p, Q)
+
+
+def test_kernel_gains_equal_the_plain_expression_on_the_demo_matrices(demo_csv_path):
+    from heliobench import DEFAULT_ALPHA, DEFAULT_SCALES, Indicator, load_corpus, pooled_bin_spec
+    from heliobench.histogram import category_probabilities
+    from heliobench.infogain import DEFAULT_CONFIG, _gains
+
+    corpus = load_corpus(demo_csv_path)
+    for indicator in Indicator:
+        spec = pooled_bin_spec(corpus, indicator, scale=DEFAULT_SCALES[indicator])
+        _, matrix = category_probabilities(corpus, indicator, spec, DEFAULT_ALPHA)
+        for p in matrix:
+            assert _gains(p, matrix, DEFAULT_CONFIG) == _plain_gains(p, matrix)
+
+
+def _plain_gains(p, Q):
+    """U_P(Q) - U_P(P) per row of Q, written out over p's support."""
+    support = np.flatnonzero(p)
+    p, Q = p[support], np.ascontiguousarray(Q[:, support])
+    return ((p * -np.log(Q)).sum(axis=1) - (p * -np.log(p)).sum()).tolist()
