@@ -10,14 +10,13 @@ information gain relative to the reference (lower = more similar), ties by
 name. Rankings are always computed in full; top-k truncation is a
 presentation step. CSV tables are written by corpus._csv_text.
 
-The binning of the candidates depends on the corpus, the indicator and the
-bin spec, not on the reference, so it is memoized on the Corpus object:
-ranking several references on one loaded Corpus bins each indicator column
-once and smooths it once per alpha. A later ranking with the same spec and
-alpha scores the kept matrix as it is; a matrix of more than
-histogram.BLOCK_ELEMENTS values is not kept, and is counted and smoothed
-again. Each CLI process loads a fresh corpus and ranks one reference, so it
-gains nothing from this.
+The candidates' smoothed matrix depends on the corpus, the indicator, the
+bin spec and alpha, not on the reference, so it is memoized on the Corpus
+object: ranking several references on one loaded Corpus with one setting
+bins and smooths each indicator column once. A matrix of more than
+histogram.BLOCK_ELEMENTS values is not kept, and is binned and smoothed
+again on every ranking. Each CLI process loads a fresh corpus and ranks one
+reference, so it gains nothing from this.
 """
 
 from __future__ import annotations

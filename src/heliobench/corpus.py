@@ -133,7 +133,7 @@ class Corpus:
             name: order[start:end] for name, start, end in zip(self._names, [0, *ends], ends)
         }
         self._records = self._categories = None
-        # Indicator -> its pooled binning, kept by the histogram module.
+        # Indicator -> its pooled spec and smoothed matrix, kept by the histogram module.
         self._binned: dict = {}
 
     def column(self, indicator: Indicator) -> np.ndarray:

@@ -7,12 +7,12 @@ probability strictly positive, which downstream divergence computations
 require of the input distribution.
 
 A Corpus memoizes, per indicator, the pooled spec of the latest
-(bin_count, scale), the bin of every present value on it and the smoothed
-category-by-bin matrix of the latest alpha, so repeated rankings on one
-Corpus object bin each column once and smooth it once per alpha. The
-matrix is kept only while it holds at most BLOCK_ELEMENTS values, so what
-the memo keeps stays bounded at any bin_count. A CLI process loads a fresh
-corpus every time and gains nothing from the memo.
+(bin_count, scale) and the smoothed category-by-bin matrix of the latest
+alpha on it, so repeated rankings with one setting on one Corpus object
+bin and smooth each column once. The matrix is kept only while it holds
+at most BLOCK_ELEMENTS values, so what the memo keeps stays bounded at any
+bin_count. A CLI process loads a fresh corpus every time and gains nothing
+from the memo.
 """
 
 from __future__ import annotations
@@ -153,16 +153,12 @@ def check_alpha(alpha: float) -> None:
 
 
 class _Binned(NamedTuple):
-    """An indicator's pooled spec as memoized on a Corpus, plus, once a
-    ranking has asked for it, the flat bin index of the column's present
-    values (row of the value's category among names, times bin_count, plus
-    its bin) and the sorted names of the categories that have values, and
-    the read-only matrix those counts smooth to with alpha, when it holds
-    at most BLOCK_ELEMENTS values. Entries are replaced whole, never
+    """An indicator's pooled spec as memoized on a Corpus and, once a ranking
+    has kept one, the names of the categories with values and their
+    read-only matrix smoothed with alpha. Entries are replaced whole, never
     changed, so a reader always sees a consistent one."""
 
     spec: BinSpec
-    index: np.ndarray | None = None
     names: tuple[str, ...] = ()
     alpha: float = 0.0
     probabilities: np.ndarray | None = None
@@ -179,8 +175,8 @@ def pooled_bin_spec(
     Linear: [0, max * (1 + 1e-9)). Log: [smallest positive value,
     max * (1 + 1e-9)). Raises EmptyDataError when the indicator has no
     usable values at all. The spec is memoized on the corpus per indicator,
-    for the latest (bin_count, scale) only, together with the column's
-    binning on it once category_probabilities has made that.
+    for the latest (bin_count, scale) only, together with the smoothed
+    matrix category_probabilities keeps for it.
     """
     binned = corpus._binned.get(indicator)
     if binned is not None and (binned.spec.bin_count, binned.spec.scale) == (bin_count, scale):
@@ -295,25 +291,6 @@ def build_histogram(values: Sequence[float], spec: BinSpec, alpha: float = 0.0) 
     )
 
 
-def _bin_column(corpus: Corpus, indicator: Indicator, spec: BinSpec) -> _Binned:
-    """Bin every present value of an indicator column on spec."""
-    names = corpus.category_names()
-    column = corpus.column(indicator)
-    present = ~np.isnan(column)
-    codes = corpus.category_codes()[present]
-    # Number the categories that have values 0..k-1, so that no row is empty.
-    has_values = np.bincount(codes, minlength=len(names)) > 0
-    rows = np.cumsum(has_values) - 1
-    bins, _ = _bin_index(column[present], spec)
-    # int32 halves what the memo keeps whenever the largest index fits.
-    n = spec.bin_count
-    dtype = np.int32 if int(has_values.sum()) * n <= np.iinfo(np.int32).max else np.intp
-    index = (rows[codes] * n + bins).astype(dtype)
-    index.flags.writeable = False
-    kept = tuple(name for name, keep in zip(names, has_values.tolist()) if keep)
-    return _Binned(spec, index, kept)
-
-
 def category_probabilities(
     corpus: Corpus, indicator: Indicator, spec: BinSpec, alpha: float = 0.0
 ) -> tuple[list[str], np.ndarray]:
@@ -324,11 +301,9 @@ def category_probabilities(
     at least one present value, and one row per name on spec. Each row
     equals build_histogram(category_values(...)).probabilities bit for bit.
     When spec is the indicator's pooled spec memoized on the corpus, the
-    column is binned on the first call only. The smoothed matrix is kept,
-    read-only, when it holds at most BLOCK_ELEMENTS values, and a later call
-    with the same alpha returns it as it is; another alpha counts and
-    smooths again and keeps its own matrix instead. Any other spec is binned
-    and smoothed afresh and nothing is kept. Raises
+    smoothed matrix is kept, read-only, if it holds at most BLOCK_ELEMENTS
+    values, and a later call with the same alpha returns it as it is. Any
+    other call bins and smooths the column afresh. Raises
     InvalidInputError, naming the indicator, alpha and the limit, when
     alpha > 0 leaves a probability below the smallest normal float, because
     alpha times bin_count overflows or an empty bin's share underflows.
@@ -336,18 +311,24 @@ def category_probabilities(
     check_alpha(alpha)
     binned = corpus._binned.get(indicator)
     memoized = binned is not None and binned.spec == spec
-    if not memoized:
-        binned = _bin_column(corpus, indicator, spec)
-    elif binned.probabilities is not None and binned.alpha == alpha:
+    if memoized and binned.probabilities is not None and binned.alpha == alpha:
         return list(binned.names), binned.probabilities
-    elif binned.index is None:
-        binned = _bin_column(corpus, indicator, binned.spec)
-    _, probabilities = _smooth(binned.index, spec.bin_count, alpha, len(binned.names))
+    names = corpus.category_names()
+    column = corpus.column(indicator)
+    present = ~np.isnan(column)
+    codes = corpus.category_codes()[present]
+    # Number the categories that have values 0..k-1, so that no row is empty.
+    has_values = np.bincount(codes, minlength=len(names)) > 0
+    rows = np.cumsum(has_values) - 1
+    bins, _ = _bin_index(column[present], spec)
+    kept = [name for name, keep in zip(names, has_values.tolist()) if keep]
+    n = spec.bin_count
+    _, probabilities = _smooth(rows[codes] * n + bins, n, alpha, len(kept))
     # The gain kernel divides by these: a subnormal one can overflow p / q.
-    _check_smoothed(probabilities, alpha, spec.bin_count, sys.float_info.min, indicator)
-    if memoized:
-        if probabilities.size <= BLOCK_ELEMENTS:
-            probabilities.flags.writeable = False
-            binned = binned._replace(alpha=alpha, probabilities=probabilities)
-        corpus._binned[indicator] = binned
-    return list(binned.names), probabilities
+    _check_smoothed(probabilities, alpha, n, sys.float_info.min, indicator)
+    if memoized and probabilities.size <= BLOCK_ELEMENTS:
+        probabilities.flags.writeable = False
+        corpus._binned[indicator] = binned._replace(
+            names=tuple(kept), alpha=alpha, probabilities=probabilities
+        )
+    return kept, probabilities

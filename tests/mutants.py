@@ -100,9 +100,17 @@ MUTANTS = (
     Mutant(
         "memo-alpha-key",
         "src/heliobench/histogram.py",
-        "elif binned.probabilities is not None and binned.alpha == alpha:",
-        "elif binned.probabilities is not None:",
+        "if memoized and binned.probabilities is not None and binned.alpha == alpha:",
+        "if memoized and binned.probabilities is not None:",
         "a kept candidate matrix is reused only for the alpha it was smoothed with",
+        ("tests/test_benchmark.py",),
+    ),
+    Mutant(
+        "memo-size-cap",
+        "src/heliobench/histogram.py",
+        "if memoized and probabilities.size <= BLOCK_ELEMENTS:",
+        "if memoized:",
+        "a candidate matrix of more than BLOCK_ELEMENTS values is not kept",
         ("tests/test_benchmark.py",),
     ),
     Mutant(
@@ -120,6 +128,14 @@ MUTANTS = (
         "order = np.argsort(self._codes)",
         "a category's values and records come in input order",
         ("tests/test_corpus.py",),
+    ),
+    Mutant(
+        "config-line-equals",
+        "src/heliobench/cli.py",
+        'if "=" not in line:',
+        "if False:",
+        "a config line without = is refused as not key=value",
+        ("tests/test_cli.py",),
     ),
     Mutant(
         "plain-block-nul",

@@ -320,6 +320,23 @@ class TestBinningMemo:
         # One candidate matrix of one indicator would be 60 x 10^4 floats.
         assert after - before < present * np.dtype(np.intp).itemsize
 
+    def test_above_the_cap_only_the_bin_edges_are_kept(self):
+        corpus = loguniform_corpus(n_categories=60, journals=1700, seed=3)
+        request = BenchmarkRequest(reference="C0", bin_count=MAX_BIN_COUNT)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            run_benchmark(corpus, request)
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Each indicator's pooled spec caches its MAX_BIN_COUNT + 1 float
+        # edges; 64 KiB covers the specs, names and dict entries around them.
+        # A kept bin per present value would be about 1.2 MB more.
+        assert after - before < 3 * (MAX_BIN_COUNT + 1) * 8 + 64 * 1024
+
 
 def public_ranking(corpus, reference, indicator, spec, alpha):
     """A ranking from one Histogram per category through the public

@@ -252,6 +252,18 @@ class TestBenchCommand:
         assert entry.partition("=")[0] in captured.err
         assert "Traceback" not in captured.err
 
+    def test_config_line_without_equals_sign_exits_two(self, valid_csv, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# settings\nno equals sign\n", encoding="utf-8")
+        assert main(
+            ["bench", "--input", valid_csv, "--reference", "A", "--config", str(cfg)]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "error: line 2: config entry is not key=value: 'no equals sign'"
+        )
+
     @pytest.mark.parametrize("value", ["ture", "2", "y", ""])
     def test_unrecognised_boolean_config_value_exits_two(self, valid_csv, tmp_path, capsys, value):
         cfg = tmp_path / "run.cfg"
