@@ -26,7 +26,7 @@ from operator import attrgetter, itemgetter
 from typing import Mapping, Sequence
 
 from .corpus import Corpus, Indicator, _csv_text, category_values
-from .errors import CategoryNotFoundError, EmptyDataError, InvalidInputError
+from .errors import EmptyDataError, InvalidInputError
 from .histogram import (
     DEFAULT_BIN_COUNT,
     BinSpec,
@@ -119,9 +119,6 @@ def run_benchmark(
     Deterministic for a fixed corpus and request, whatever the row order of
     the input.
     """
-    if request.reference not in corpus:
-        raise CategoryNotFoundError(request.reference)
-
     results = []
     for indicator in request.indicators:
         ref_values, _ = category_values(corpus, request.reference, indicator)

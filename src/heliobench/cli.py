@@ -200,9 +200,9 @@ def _emit(documents: Documents, out_dir: str | None) -> None:
     while path and not os.path.exists(path):
         created.append(path)
         path = os.path.dirname(path.rstrip(os.sep))
-    os.makedirs(out_dir, exist_ok=True)
     written = set()
     try:
+        os.makedirs(out_dir, exist_ok=True)
         with tempfile.TemporaryDirectory(prefix=".staging-", dir=out_dir) as staging:
             for text, filename in documents:
                 if filename in written:

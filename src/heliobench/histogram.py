@@ -106,7 +106,7 @@ class Histogram:
     clamped: int = 0
 
     def __post_init__(self):
-        probs = np.asarray(self.probabilities, dtype=float)
+        probs = np.array(self.probabilities, dtype=float)
         if probs.shape != (self.spec.bin_count,):
             raise InvalidInputError(
                 f"expected {self.spec.bin_count} probabilities, got shape {probs.shape}"
@@ -120,7 +120,7 @@ class Histogram:
         probs.flags.writeable = False
         object.__setattr__(self, "probabilities", probs)
         if self.counts is not None:
-            counts = np.asarray(self.counts, dtype=np.int64)
+            counts = np.array(self.counts, dtype=np.int64)
             counts.flags.writeable = False
             object.__setattr__(self, "counts", counts)
 
@@ -226,30 +226,24 @@ def _bin_index(values: np.ndarray, spec: BinSpec) -> tuple[np.ndarray, int]:
 
 
 def _smooth(
-    index: np.ndarray, bin_count: int, alpha: float, rows: int = 1
+    index: np.ndarray,
+    bin_count: int,
+    alpha: float,
+    limit: float,
+    rows: int = 1,
+    indicator: Indicator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Count a flat index (row * bin_count + bin) into rows x bin_count
     counts and smooth each row with pseudo-count alpha.
 
     Returns (counts, probabilities). Every row must hold a value unless
-    alpha > 0.
+    alpha > 0. Raises InvalidInputError, naming alpha, the indicator when
+    given and the limit, when alpha > 0 leaves a probability below limit:
+    alpha times bin_count overflows, or an empty bin's share underflows.
     """
     counts = np.bincount(index, minlength=rows * bin_count).reshape(rows, bin_count)
     probabilities = counts + float(alpha)
     probabilities /= counts.sum(axis=1, keepdims=True) + alpha * bin_count
-    return counts, probabilities
-
-
-def _check_smoothed(
-    probabilities: np.ndarray,
-    alpha: float,
-    bin_count: int,
-    limit: float,
-    indicator: Indicator | None = None,
-) -> None:
-    """Raise InvalidInputError, naming alpha, the indicator when given and the
-    limit, when alpha > 0 leaves a probability below limit: alpha times
-    bin_count overflows, or an empty bin's share underflows."""
     if alpha > 0 and probabilities.min(initial=math.inf) < limit:  # no rows: no error
         where = "" if indicator is None else f" for {indicator.value}"
         if math.isinf(alpha * bin_count):
@@ -261,6 +255,7 @@ def _check_smoothed(
             f"alpha {alpha!r} is too small{where} on {bin_count} bins: an empty "
             f"bin's probability falls below {limit!r}"
         )
+    return counts, probabilities
 
 
 def build_histogram(values: Sequence[float], spec: BinSpec, alpha: float = 0.0) -> Histogram:
@@ -279,8 +274,7 @@ def build_histogram(values: Sequence[float], spec: BinSpec, alpha: float = 0.0) 
         raise EmptyDataError("cannot build an unsmoothed histogram from zero values")
 
     bins, clamped = _bin_index(values, spec)
-    counts, probabilities = _smooth(bins, spec.bin_count, alpha)
-    _check_smoothed(probabilities, alpha, spec.bin_count, math.ulp(0.0))
+    counts, probabilities = _smooth(bins, spec.bin_count, alpha, math.ulp(0.0))
     return Histogram(
         spec=spec,
         probabilities=probabilities[0],
@@ -323,9 +317,10 @@ def category_probabilities(
     bins, _ = _bin_index(column[present], spec)
     kept = [name for name, keep in zip(names, has_values.tolist()) if keep]
     n = spec.bin_count
-    _, probabilities = _smooth(rows[codes] * n + bins, n, alpha, len(kept))
     # The gain kernel divides by these: a subnormal one can overflow p / q.
-    _check_smoothed(probabilities, alpha, n, sys.float_info.min, indicator)
+    _, probabilities = _smooth(
+        rows[codes] * n + bins, n, alpha, sys.float_info.min, len(kept), indicator
+    )
     if memoized and probabilities.size <= BLOCK_ELEMENTS:
         probabilities.flags.writeable = False
         corpus._binned[indicator] = binned._replace(

@@ -146,10 +146,9 @@ def _gains(
         return exc
 
     block = max(1, BLOCK_ELEMENTS // p.size)
-    full = p.all()
-    if not full:
-        support = np.flatnonzero(p)
-        p = p[support]
+    support = np.flatnonzero(p)
+    full = support.size == p.size
+    p = p[support]
     self_nats = (p * -np.log(p)).sum()  # U_P(P), reduced like every row
     gains = []
     for start in range(0, len(rows), block):
@@ -160,10 +159,7 @@ def _gains(
         # at 10^4 bins. When p has no zero bin, a contiguous copy of Q holds
         # the same values as take over every column, and contiguous rows
         # need none.
-        if not full:
-            Q = Q.take(support, axis=1)
-        elif not Q.flags.c_contiguous:
-            Q = np.ascontiguousarray(Q)
+        Q = np.ascontiguousarray(Q) if full else Q.take(support, axis=1)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             # The ufuncs and operands of p * -log(Q) and p * log(p / Q).
             work = np.log(Q)
@@ -180,8 +176,6 @@ def _gains(
         # offender.
         if not (valid and agree.all()):
             Q = np.array(rows[start:start + block], dtype=float)
-            if full:
-                support = np.arange(p.size)
             invalid = ~((Q >= 0) & (Q < math.inf)).all(axis=1)
             zero = Q.take(support, axis=1) == 0.0
             row = int((invalid | zero.any(axis=1) | ~agree).argmax())
@@ -258,38 +252,39 @@ def gains_against_reference(
     scored in one kernel call with no per-candidate check.
     """
     if isinstance(candidates, _Rows):
-        # The whole matrix in one kernel call. The reference's own row
-        # scores exactly 0 and passes every check, so it is dropped after.
-        names = candidates.names
-        gains = _gains(reference_hist.probabilities, candidates.matrix, config, names)
-        values = list(map(GainValue, gains, repeat(reference_name), names))
-        own = bisect.bisect_left(names, reference_name)
-        if names[own:own + 1] == [reference_name]:
-            del values[own]
-        return values
-    spec = reference_hist.spec
-    names = [name for name in sorted(candidates) if name != reference_name]
-    rows, error = [], None
-    for name in names:
-        candidate = candidates[name]
-        if isinstance(candidate, Histogram):
-            if candidate.spec != spec:
+        # The whole matrix in one kernel call, without a per-candidate check.
+        names, rows, error = candidates.names, candidates.matrix, None
+    else:
+        spec = reference_hist.spec
+        names = [name for name in sorted(candidates) if name != reference_name]
+        rows, error = [], None
+        for name in names:
+            candidate = candidates[name]
+            if isinstance(candidate, Histogram):
+                if candidate.spec != spec:
+                    error = IncompatibleSupportError(
+                        f"candidate {name!r}: histograms use different bin specs: "
+                        f"{spec} vs {candidate.spec}"
+                    )
+                    break
+                candidate = candidate.probabilities
+            elif np.shape(candidate) != (spec.bin_count,):
                 error = IncompatibleSupportError(
-                    f"candidate {name!r}: histograms use different bin specs: "
-                    f"{spec} vs {candidate.spec}"
+                    f"candidate {name!r}: expected {spec.bin_count} probabilities, "
+                    f"got shape {np.shape(candidate)}"
                 )
                 break
-            candidate = candidate.probabilities
-        elif np.shape(candidate) != (spec.bin_count,):
-            error = IncompatibleSupportError(
-                f"candidate {name!r}: expected {spec.bin_count} probabilities, "
-                f"got shape {np.shape(candidate)}"
-            )
-            break
-        rows.append(candidate)
+            rows.append(candidate)
     # The candidates before a misfit are scored first, so that their own
     # errors take precedence.
     gains = _gains(reference_hist.probabilities, rows, config, names)
     if error is not None:
         raise error
-    return list(map(GainValue, gains, repeat(reference_name), names))
+    values = list(map(GainValue, gains, repeat(reference_name), names))
+    # A _Rows matrix may hold the reference's own row: it scores exactly 0
+    # and passes every check, so it is dropped here, not copied out of the
+    # matrix. A Mapping's names already leave the reference out.
+    own = bisect.bisect_left(names, reference_name)
+    if names[own:own + 1] == [reference_name]:
+        del values[own]
+    return values

@@ -60,8 +60,8 @@ MUTANTS = (
     Mutant(
         "kernel-contiguous-rows",
         "src/heliobench/infogain.py",
-        "elif not Q.flags.c_contiguous:",
-        "elif False:",
+        "Q = np.ascontiguousarray(Q) if full else Q.take(support, axis=1)",
+        "Q = Q if full else Q.take(support, axis=1)",
         "a column-major candidate matrix scores bit for bit like a row-major one",
         ("tests/test_infogain.py",),
     ),
@@ -135,6 +135,78 @@ MUTANTS = (
         'if "=" not in line:',
         "if False:",
         "a config line without = is refused as not key=value",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "plain-line-end-positions",
+        "src/heliobench/corpus.py",
+        ' or cells[width - 1::width].count("\\n") != len(block)',
+        "",
+        "a block whose short lines balance a long one's field count is not split as plain",
+        ("tests/test_parse_blocks.py",),
+    ),
+    Mutant(
+        "csv-lone-cr-quoting",
+        "src/heliobench/corpus.py",
+        '(quoted if any("\\r" in cell for cell in row) else writer).writerow(row)',
+        "writer.writerow(row)",
+        "a row with a lone carriage return in a cell is written with every field quoted",
+        ("tests/test_corpus.py",),
+    ),
+    Mutant(
+        "checked-xml-forbidden",
+        "src/heliobench/corpus.py",
+        "forbidden = _XML_FORBIDDEN.search(category)",
+        "forbidden = None",
+        "a category holding a character XML 1.0 forbids is refused, with its line",
+        ("tests/test_corpus.py",),
+    ),
+    Mutant(
+        "block-xml-forbidden",
+        "src/heliobench/corpus.py",
+        '        and not _XML_FORBIDDEN.search("".join(set(categories)))\n',
+        "",
+        "a block holding a category XML 1.0 forbids is checked row by row and refused",
+        ("tests/test_parse_blocks.py",),
+    ),
+    Mutant(
+        "output-duplicate-names",
+        "src/heliobench/cli.py",
+        "if filename in written:",
+        "if False:",
+        "two documents with one file name are refused, and nothing is written",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "stdout-staged",
+        "src/heliobench/cli.py",
+        "staged.write(text if",
+        "sys.stdout.write(text if",
+        "stdout is written only once the last document is built",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "exit-input-code",
+        "src/heliobench/cli.py",
+        "        return EXIT_INPUT\n    except HeliobenchError",
+        "        return EXIT_DOMAIN\n    except HeliobenchError",
+        "a malformed corpus or an unreadable file exits 2",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "exit-domain-code",
+        "src/heliobench/cli.py",
+        "        return EXIT_DOMAIN\n    except Exception",
+        "        return EXIT_INPUT\n    except Exception",
+        "a domain error exits 3",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "exit-internal-code",
+        "src/heliobench/cli.py",
+        "        return EXIT_INTERNAL\n",
+        "        return EXIT_DOMAIN\n",
+        "an internal error exits 4",
         ("tests/test_cli.py",),
     ),
     Mutant(

@@ -741,3 +741,12 @@ def test_relative_nested_out_dir_is_removed_on_failure_and_written_on_success(
         with open(os.path.join("new", "out", name), encoding="utf-8") as got, \
                 open(tmp_path / "absolute" / name, encoding="utf-8") as want:
             assert got.read() == want.read()
+
+
+def test_out_dir_that_cannot_be_made_leaves_no_parent_behind(valid_csv, tmp_path, capsys):
+    # A 300-character name is longer than a file system allows, so makedirs
+    # fails after making its parent.
+    out = tmp_path / "new" / ("x" * 300)
+    assert main(["validate", "--input", valid_csv, "--out", str(out)]) == 2
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "new").exists()

@@ -306,6 +306,17 @@ class TestHistogramType:
         with pytest.raises(ValueError):
             hist.probabilities[0] = 0.9
 
+    def test_the_callers_arrays_stay_writable_and_apart(self):
+        a = np.array([0.25, 0.75])
+        counts = np.array([1, 3], dtype=np.int64)
+        from_a = Histogram.from_probabilities(a)
+        hist = Histogram(spec=BinSpec(0.0, 1.0, 2), probabilities=a, counts=counts)
+        assert a.flags.writeable and counts.flags.writeable
+        assert not hist.probabilities.flags.writeable and not hist.counts.flags.writeable
+        a[0], a[1], counts[0] = 0.5, 0.5, 7
+        assert from_a.probabilities.tolist() == hist.probabilities.tolist() == [0.25, 0.75]
+        assert hist.counts.tolist() == [1, 3]
+
     def test_to_dict_round_trips_through_json(self):
         import json
 

@@ -496,3 +496,57 @@ def test_merging_adjacent_bins_never_raises_the_gain(seed, merge):
     for q, merged_q, gain in zip(Q, merged_Q, before):
         assert information_gain(hist(p), hist(q)).value == gain
         assert information_gain(hist(merged_p), hist(merged_q)).value <= gain + AXIOM_TOL
+
+
+# h(p*q) and h(p) + h(q) each take one rounded product, logarithm or sum
+# per step: 2^-53 relative for the product, about an ulp for each log and
+# one for the sum, so they agree within 4 ulps of 1 or of h, whichever is
+# larger. Drawn probabilities stay above 1e-150, so p*q is a normal float.
+UNEXPECTEDNESS_ULPS = 4 * 2.0**-52
+
+
+@given(st.floats(1e-150, 1.0), st.floats(1e-150, 1.0))
+@settings(max_examples=100, deadline=None)
+def test_unexpectedness_is_additive_over_independent_events(p, q):
+    from heliobench.infogain import DEFAULT_CONFIG, _gains
+
+    assert unexpectedness(1.0) == 0.0
+    h = unexpectedness(p * q)
+    assert abs(h - (unexpectedness(p) + unexpectedness(q))) <= UNEXPECTEDNESS_ULPS * max(1.0, h)
+    # Against a certain first bin, the gain of Q is h(q_0).
+    rows = [[p, 1.0 - p], [q, 1.0 - q], [p * q, 1.0 - p * q]]
+    hp, hq, hpq = _gains(np.array([1.0, 0.0]), rows, DEFAULT_CONFIG)
+    assert abs(hpq - (hp + hq)) <= UNEXPECTEDNESS_ULPS * max(1.0, hpq)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.floats(0.0, 1.0))
+@settings(max_examples=100, deadline=None)
+def test_gain_is_convex_in_the_candidate(seed, bins, lam):
+    from heliobench.infogain import DEFAULT_CONFIG, _gains
+
+    rng = np.random.default_rng(seed)
+    p, (q1, q2) = _dirichlet(rng, bins), _dirichlet(rng, bins, 2)
+    mixed = lam * q1 + (1.0 - lam) * q2
+    g1, g2, g = _gains(p, [q1, q2, mixed], DEFAULT_CONFIG)
+    assert g <= lam * g1 + (1.0 - lam) * g2 + AXIOM_TOL
+    assert information_gain(hist(p), hist(mixed)).value == g
+
+
+# A fixed-order sum of n terms errs by at most about n * 2^-53 times the sum
+# of their magnitudes, U_P(Q) + U_P(P) here, whatever the order of the
+# terms. For at most 40 bins of Dirichlet(1) draws that is far below the
+# oracle's 1e-12, which the gains of two orders are held to.
+@given(st.integers(0, 2**32 - 1), st.integers(2, 40))
+@settings(max_examples=100, deadline=None)
+def test_permuting_the_bins_of_both_leaves_the_gain(seed, bins):
+    from heliobench.infogain import DEFAULT_CONFIG, _gains
+
+    rng = np.random.default_rng(seed)
+    p, Q = _dirichlet(rng, bins), _dirichlet(rng, bins, 4)
+    order = rng.permutation(bins)
+    gains = _gains(p, Q, DEFAULT_CONFIG)
+    permuted = _gains(p[order], Q[:, order], DEFAULT_CONFIG)
+    assert np.abs(np.subtract(permuted, gains)).max() <= AXIOM_TOL
+    candidates = {f"c{r}": q[order] for r, q in enumerate(Q)}
+    public = [g.value for g in gains_against_reference(hist(p[order]), candidates)]
+    assert public == permuted

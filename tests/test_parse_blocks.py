@@ -434,14 +434,27 @@ def test_lines_ending_in_crlf_are_split_as_plain_lines(monkeypatch, text):
     assert read == [text.splitlines(keepends=True)[0]]
 
 
+# An eleven-field line and two short ones: fifteen fields in all.
+BALANCED = ["a,C1,1,2,3,x,b,C2,4,5,6\n", "p,q\n", "7,8\n"]
+
+
 @pytest.mark.parametrize("block", [
     pytest.param(["a,b\nc,d"], id="line-feed-inside-a-line"),
     pytest.param(["a,C1,1,2,3\r"], id="carriage-return-line-end"),
     pytest.param(["a,C1,1,2,3\r\r\n"], id="carriage-return-before-crlf"),
     pytest.param(["a,C1,1,2,3,x,b,C2,4,5,6\n"], id="eleven-fields"),
+    pytest.param(BALANCED, id="eleven-fields-balanced-by-short-lines"),
 ])
 def test_lines_that_csv_reader_may_read_otherwise_are_not_plain(block):
     assert corpus_module._plain(block) is None
+
+
+def test_short_lines_that_balance_a_long_one_in_its_block_are_not_split():
+    # Fifteen fields over three lines, as many as three five-field rows, but
+    # a line end falls where a field would.
+    got, want = parse_both(HEADER + "".join(BALANCED), 3, DEFAULT_FIELD_LIMIT)
+    assert want[:2] == (CorpusFormatError, "line 2: expected 5 columns, got 11")
+    assert got == want
 
 
 @given(st.lists(
