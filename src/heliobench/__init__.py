@@ -57,7 +57,6 @@ from .histogram import (
     pooled_bin_spec,
 )
 from .infogain import (
-    DivergenceConfig,
     GainValue,
     expected_unexpectedness,
     gains_against_reference,
@@ -81,7 +80,6 @@ __all__ = [
     "DEFAULT_BIN_COUNT",
     "DEFAULT_SCALES",
     "DEFAULT_TOP_K",
-    "DivergenceConfig",
     "DuplicateRecordError",
     "EmptyDataError",
     "GainValue",

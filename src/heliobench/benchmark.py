@@ -36,7 +36,7 @@ from .histogram import (
     check_alpha,
     pooled_bin_spec,
 )
-from .infogain import DEFAULT_CONFIG, DivergenceConfig, _Rows, gains_against_reference
+from .infogain import _Rows, gains_against_reference
 
 DEFAULT_ALPHA = 0.5
 DEFAULT_TOP_K = 30
@@ -107,11 +107,7 @@ class BenchmarkResult:
         return _csv_text([("rank", "category", "gain"), *rows])
 
 
-def run_benchmark(
-    corpus: Corpus,
-    request: BenchmarkRequest,
-    config: DivergenceConfig = DEFAULT_CONFIG,
-) -> list[BenchmarkResult]:
+def run_benchmark(corpus: Corpus, request: BenchmarkRequest) -> list[BenchmarkResult]:
     """One full-ranking BenchmarkResult per requested indicator.
 
     Candidates with no present values for an indicator are left out of that
@@ -137,7 +133,7 @@ def run_benchmark(
         # only when that span has run.
         candidates = _Rows(*category_probabilities(corpus, indicator, spec, request.alpha))
         ref_hist = build_histogram(ref_values, spec, request.alpha)
-        gains = gains_against_reference(ref_hist, candidates, config, request.reference)
+        gains = gains_against_reference(ref_hist, candidates, request.reference)
         del candidates
         # gains come in name order, so the stable sort breaks ties by name.
         ranking = list(map(attrgetter("candidate", "value"), gains))

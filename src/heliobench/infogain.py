@@ -4,11 +4,12 @@ The measure is built in three steps: the unexpectedness of a single event
 of probability p is h(p) = -log p; the unexpectedness of a reference
 distribution P seen through an estimating distribution Q is the
 expectation U_P(Q) = sum_i p_i * h(q_i); and the information gain is the
-excess unexpectedness eps(P, Q) = a * (U_P(Q) - U_P(P)), which equals the
-Kullback-Leibler divergence a * sum_i p_i * log(p_i / q_i). Both forms are
+excess unexpectedness eps(P, Q) = U_P(Q) - U_P(P), which equals the
+Kullback-Leibler divergence sum_i p_i * log(p_i / q_i). Both forms are
 evaluated, in one scratch matrix, and cross-checked on every call; unless
 the reference has a zero bin, their agreement also stands in for a validity
-pass over the candidates (see _gains).
+pass over the candidates (see _gains). Every value is in nats; divide it
+by math.log(2) for bits.
 
 One vectorized kernel scores a reference against many candidate
 distributions, a block of rows at a time. information_gain is its one-row
@@ -21,7 +22,8 @@ pairwise row sums, so equal candidates get equal gains and a copy of the
 reference gets exactly zero.
 
 Lower gain means more similar distributions; eps(P, P) = 0 and
-eps(P, Q) >= 0 whenever Q is positive wherever P is.
+eps(P, Q) >= 0 whenever Q is positive wherever P is, up to rounding: a
+near-copy of P may score a few 1e-16 below 0, and so rank before a copy.
 """
 
 from __future__ import annotations
@@ -30,41 +32,16 @@ import bisect
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Literal, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import AbsoluteContinuityError, IncompatibleSupportError, InvalidInputError
 from .histogram import BLOCK_ELEMENTS, Histogram
 
-LogBase = Literal["natural", "base2"]
-
 # Agreement required between the expectation-difference form and the direct
 # summation form of the gain.
 IDENTITY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class DivergenceConfig:
-    """Cosmetic knobs: a nonnegative multiplicative constant and the log
-    base. Neither affects any ranking order."""
-
-    scale_constant: float = 1.0
-    log_base: LogBase = "natural"
-
-    def __post_init__(self):
-        if not (math.isfinite(self.scale_constant) and self.scale_constant >= 0):
-            raise InvalidInputError(
-                f"scale_constant must be finite and >= 0, got {self.scale_constant}"
-            )
-        if self.log_base not in ("natural", "base2"):
-            raise InvalidInputError(f"log_base must be 'natural' or 'base2', got {self.log_base!r}")
-
-    def _convert(self, nats: float) -> float:
-        return nats / math.log(2.0) if self.log_base == "base2" else nats
-
-
-DEFAULT_CONFIG = DivergenceConfig()
 
 
 @dataclass(frozen=True, init=False)
@@ -82,11 +59,11 @@ class GainValue:
         fields["value"], fields["reference"], fields["candidate"] = value, reference, candidate
 
 
-def unexpectedness(p: float, config: DivergenceConfig = DEFAULT_CONFIG) -> float:
+def unexpectedness(p: float) -> float:
     """h(p) = -log p for a single event probability p in (0, 1]."""
     if not 0.0 < p <= 1.0:
         raise InvalidInputError(f"probability must be in (0, 1], got {p}")
-    return config._convert(-math.log(p))
+    return -math.log(p)
 
 
 def _check_compatible(p_hist: Histogram, q_hist: Histogram) -> None:
@@ -96,9 +73,7 @@ def _check_compatible(p_hist: Histogram, q_hist: Histogram) -> None:
         )
 
 
-def expected_unexpectedness(
-    p_hist: Histogram, q_hist: Histogram, config: DivergenceConfig = DEFAULT_CONFIG
-) -> float:
+def expected_unexpectedness(p_hist: Histogram, q_hist: Histogram) -> float:
     """U_P(Q) = sum_i p_i * h(q_i), skipping bins with p_i = 0.
 
     Raises IncompatibleSupportError on mismatched bin specs and
@@ -112,14 +87,11 @@ def expected_unexpectedness(
         if q == 0.0:
             raise AbsoluteContinuityError(i)
         terms.append(p * -math.log(q))
-    return config._convert(math.fsum(terms))
+    return math.fsum(terms)
 
 
 def _gains(
-    p: np.ndarray,
-    rows: Sequence[np.ndarray],
-    config: DivergenceConfig,
-    names: Sequence[str] | None = None,
+    p: np.ndarray, rows: Sequence[np.ndarray], names: Sequence[str] | None = None
 ) -> list[float]:
     """eps(P, Q_j) for each probability vector Q_j in rows, in row order, as
     Python floats.
@@ -187,27 +159,21 @@ def _gains(
                 f"expectation-difference and direct summation disagree: "
                 f"{float(gain_nats[row])!r} vs {float(direct_nats[row])!r}"
             ), start + row)
-        if config.scale_constant != 1.0:  # x * 1.0 is x, bit for bit
-            gain_nats = config.scale_constant * gain_nats
-        gains += config._convert(gain_nats).tolist()
+        gains += gain_nats.tolist()
     return gains
 
 
 def information_gain(
-    p_hist: Histogram,
-    q_hist: Histogram,
-    config: DivergenceConfig = DEFAULT_CONFIG,
-    reference: str = "",
-    candidate: str = "",
+    p_hist: Histogram, q_hist: Histogram, reference: str = "", candidate: str = ""
 ) -> GainValue:
-    """eps(P, Q) = a * (U_P(Q) - U_P(P)), cross-checked against the direct
-    form a * sum_i p_i * log(p_i / q_i).
+    """eps(P, Q) = U_P(Q) - U_P(P) in nats, cross-checked against the direct
+    form sum_i p_i * log(p_i / q_i).
 
     The two evaluations must agree within 1e-12; a discrepancy indicates a
     numerical defect and raises ArithmeticError.
     """
     _check_compatible(p_hist, q_hist)
-    (value,) = _gains(p_hist.probabilities, [q_hist.probabilities], config)
+    (value,) = _gains(p_hist.probabilities, [q_hist.probabilities])
     return GainValue(value=value, reference=reference, candidate=candidate)
 
 
@@ -237,7 +203,6 @@ class _Rows(Mapping):
 def gains_against_reference(
     reference_hist: Histogram,
     candidates: Mapping[str, Histogram | np.ndarray],
-    config: DivergenceConfig = DEFAULT_CONFIG,
     reference_name: str = "",
 ) -> list[GainValue]:
     """Gain of every candidate relative to the reference, one GainValue per
@@ -277,7 +242,7 @@ def gains_against_reference(
             rows.append(candidate)
     # The candidates before a misfit are scored first, so that their own
     # errors take precedence.
-    gains = _gains(reference_hist.probabilities, rows, config, names)
+    gains = _gains(reference_hist.probabilities, rows, names)
     if error is not None:
         raise error
     values = list(map(GainValue, gains, repeat(reference_name), names))

@@ -39,6 +39,10 @@ class Mutant(NamedTuple):
     equivalent: str = ""  # why no test can kill it, and on which Python versions
 
 
+NEGATIVE_GAIN_TEST = (
+    "tests/test_infogain.py::test_a_gain_rounded_below_zero_is_reported_and_ranks_before_a_copy"
+)
+
 MUTANTS = (
     Mutant(
         "kernel-validity-pass",
@@ -64,6 +68,22 @@ MUTANTS = (
         "Q = Q if full else Q.take(support, axis=1)",
         "a column-major candidate matrix scores bit for bit like a row-major one",
         ("tests/test_infogain.py",),
+    ),
+    Mutant(
+        "kernel-gain-clipped",
+        "src/heliobench/infogain.py",
+        "gain_nats = work.sum(axis=1) - self_nats",
+        "gain_nats = np.maximum(work.sum(axis=1) - self_nats, 0.0)",
+        "a gain rounded below zero is reported as it is, and ranks before a copy's 0.0",
+        (NEGATIVE_GAIN_TEST,),
+    ),
+    Mutant(
+        "kernel-gain-absolute",
+        "src/heliobench/infogain.py",
+        "gain_nats = work.sum(axis=1) - self_nats",
+        "gain_nats = np.abs(work.sum(axis=1) - self_nats)",
+        "a gain rounded below zero is reported as it is, and ranks before a copy's 0.0",
+        (NEGATIVE_GAIN_TEST,),
     ),
     Mutant(
         "svg-negative-zero",

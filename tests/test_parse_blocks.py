@@ -6,6 +6,7 @@ text."""
 import csv
 import gc
 import io
+import sys
 import tracemalloc
 
 import numpy as np
@@ -257,6 +258,37 @@ def test_parse_holds_less_in_flight_than_the_corpus_it_returns(tmp_path):
         tracemalloc.stop()
     assert len(corpus) >= 20_000
     assert peak - after < after - before
+
+
+def _python_calls_per_1000_rows(text: str) -> float:
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        parse_corpus(text)
+    finally:
+        sys.setprofile(None)
+    return 1000 * calls / (text.count("\n") - 1)
+
+
+# Plain blocks cost about 31 Python calls per 1,024 rows on Python 3.11, and
+# a parse a few dozen more; one call per row would add 1,000. Absolute counts
+# differ across versions (PEP 709 inlines comprehensions from 3.12), so only
+# the rate is bounded.
+CALLS_PER_1000_PLAIN_ROWS = 40
+
+
+def test_plain_rows_cost_a_bounded_number_of_python_calls(demo_csv_path):
+    demo = demo_csv_path.read_text(encoding="utf-8")
+    larger = serialize_corpus(make_synthetic_corpus(n_categories=300))
+    assert len(larger) > len(demo)
+    rates = [_python_calls_per_1000_rows(text) for text in (demo, larger)]
+    assert max(rates) <= CALLS_PER_1000_PLAIN_ROWS
+    assert rates[1] <= rates[0]  # the per-parse calls are spread over more rows
 
 
 def parse_both(text: str, block_rows: int, field_limit: int):
