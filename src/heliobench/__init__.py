@@ -43,7 +43,6 @@ from .errors import (
 from .heliomap import (
     HelioDot,
     HelioLayout,
-    MapStyle,
     PrestigeOrder,
     layout_map,
     load_prestige_order,
@@ -91,7 +90,6 @@ __all__ = [
     "Indicator",
     "InvalidInputError",
     "JournalRecord",
-    "MapStyle",
     "PrestigeOrder",
     "ValidationReport",
     "build_histogram",

@@ -11,8 +11,10 @@ without a reference from the flag or the config file); 3 input that
 is well-formed but outside its domain (unknown category, empty data, --k 0,
 --bins below 2 or above histogram.MAX_BIN_COUNT, non-finite or negative
 alpha, alpha 0 without full support, hist categories whose names give one
-output filename); 4 internal errors. With several indicators, one for
-which the reference has no values is skipped with a warning.
+output filename); 4 internal errors. With several indicators, one that
+cannot be binned (no values in the corpus, or no positive ones on a log
+scale) or, for bench and map, for which the reference has no values, is
+skipped with a warning; a run that skips every indicator exits 3.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import sys
 import tempfile
 import traceback
 from dataclasses import replace
-from typing import Iterator, get_args
+from typing import Iterator, Sequence, get_args
 
 from .benchmark import (
     DEFAULT_ALPHA,
@@ -224,10 +226,30 @@ def cmd_validate(corpus, resolved: dict) -> Documents:
     yield _json(report.to_dict(), indent=2), "validation.json"
 
 
+def _skipping_empty(indicators: Sequence[Indicator], run) -> list:
+    """[run(indicator) for indicator in indicators], but with several
+    indicators one for which run raises EmptyDataError is left out with a
+    warning; if every one is left out, the last error is raised."""
+    done = []
+    for indicator in indicators:
+        try:
+            done.append(run(indicator))
+        except EmptyDataError as exc:
+            if len(indicators) == 1:
+                raise
+            print(f"warning: skipping indicator {indicator.code}: {exc}", file=sys.stderr)
+            skipped = exc
+    if not done:
+        raise skipped
+    return done
+
+
 def cmd_hist(corpus, resolved: dict) -> Documents:
-    for indicator in _indicators(resolved):
+    def bin_spec(indicator):
         scale = resolved["scale"] or DEFAULT_SCALES[indicator]
-        spec = pooled_bin_spec(corpus, indicator, resolved["bins"], scale)
+        return indicator, pooled_bin_spec(corpus, indicator, resolved["bins"], scale)
+
+    for indicator, spec in _skipping_empty(_indicators(resolved), bin_spec):
         for cat in resolved["category"] or corpus.category_names():
             values, skipped = category_values(corpus, cat, indicator)
             try:
@@ -252,18 +274,12 @@ def _bench_results(corpus, resolved: dict):
         alpha=resolved["alpha"],
         k=resolved["k"],
     )
-    results = []
-    for indicator in request.indicators:
-        try:
-            results += run_benchmark(corpus, replace(request, indicators=(indicator,)))
-        except EmptyDataError as exc:
-            if len(request.indicators) == 1:
-                raise
-            print(f"warning: skipping indicator {indicator.code}: {exc}", file=sys.stderr)
-            skipped = exc
-    if not results:
-        raise skipped
-    return [top_k(result, request.k) for result in results]
+
+    def rank(indicator):
+        (result,) = run_benchmark(corpus, replace(request, indicators=(indicator,)))
+        return top_k(result, request.k)
+
+    return _skipping_empty(request.indicators, rank)
 
 
 def cmd_bench(corpus, resolved: dict) -> Documents:

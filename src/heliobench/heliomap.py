@@ -5,7 +5,9 @@ whose distance from the center grows affinely with its information gain
 (closer = more similar) and whose clockwise position, starting at the top,
 follows an externally supplied prestige order when one is given, or
 ascending gain otherwise. Rendering produces a self-contained, byte-stable
-SVG document.
+SVG document on a fixed CANVAS_SIZE-unit square canvas, with rings at
+RING_FRACTIONS of the plot radius and dots between INNER_RADIUS and
+OUTER_RADIUS of it.
 """
 
 from __future__ import annotations
@@ -19,8 +21,12 @@ from .benchmark import BenchmarkResult
 from .corpus import _read_text
 from .errors import InvalidInputError
 
-DEFAULT_R_MIN = 0.15
-DEFAULT_R_MAX = 1.0
+CANVAS_SIZE = 800.0  # width and height, in SVG units
+RING_FRACTIONS = (0.25, 0.5, 0.75, 1.0)  # of the plot radius
+INNER_RADIUS, OUTER_RADIUS = 0.15, 1.0  # of the plot radius: most and least similar
+
+_MID = CANVAS_SIZE / 2.0  # the centre's x and y
+_PLOT_RADIUS = _MID - 110.0  # 110 units of canvas kept free for labels
 
 
 @dataclass(frozen=True)
@@ -80,22 +86,15 @@ class HelioLayout:
     dots: tuple[HelioDot, ...]
 
 
-def layout_map(
-    result: BenchmarkResult,
-    order: PrestigeOrder | None = None,
-    r_min: float = DEFAULT_R_MIN,
-    r_max: float = DEFAULT_R_MAX,
-) -> HelioLayout:
+def layout_map(result: BenchmarkResult, order: PrestigeOrder | None = None) -> HelioLayout:
     """Place one dot per ranking entry of an (already truncated) result.
 
     Dot i of n sits at 90 - i * 360/n degrees, i.e. clockwise from the top.
-    Radius encodes gain affinely between r_min and r_max; when all gains
-    are equal every dot sits at r_min.
+    Radius encodes gain affinely between INNER_RADIUS and OUTER_RADIUS;
+    when all gains are equal every dot sits at INNER_RADIUS.
     """
     if not result.ranking:
         raise InvalidInputError("cannot lay out an empty ranking")
-    if not 0 <= r_min <= r_max:
-        raise InvalidInputError(f"need 0 <= r_min <= r_max, got {r_min}, {r_max}")
 
     entries = result.ranking
     if order is not None:
@@ -108,59 +107,34 @@ def layout_map(
 
     gains = [g for _, g in entries]
     g_min, g_max = min(gains), max(gains)
-    g_span, r_span = g_max - g_min, r_max - r_min
+    g_span, r_span = g_max - g_min, OUTER_RADIUS - INNER_RADIUS
     step = 360.0 / len(entries)
     dots = []
     for i, (name, gain) in enumerate(entries):
         if g_max == g_min:
-            radius = r_min
+            radius = INNER_RADIUS
         else:
             # unit ratio first: (gain - g_min) / g_span is in [0, 1] exactly,
-            # which keeps the radius inside [r_min, r_max]
-            radius = r_min + r_span * ((gain - g_min) / g_span)
+            # which keeps the radius inside [INNER_RADIUS, OUTER_RADIUS]
+            radius = INNER_RADIUS + r_span * ((gain - g_min) / g_span)
         dots.append(HelioDot(name, 90.0 - i * step, radius, gain))
     return HelioLayout(center_label=result.reference, dots=tuple(dots))
 
 
-@dataclass(frozen=True)
-class MapStyle:
-    """Canvas size and ring radii; the rest of the look is fixed. The
-    defaults give an 800 x 800 unit canvas."""
-
-    size: float = 800.0
-    ring_fractions: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0)
-
-    def _header(self) -> str:
-        """The SVG text up to the centre label's name, which depends on the
-        style only, computed once per style."""
-        header = self.__dict__.get("_header_text")
-        if header is None:
-            size, centre = _fmt(self.size), _fmt(self.size / 2.0)
-            plot_radius = self.size / 2.0 - 110.0  # 110 units kept free for labels
-            header = "\n".join([
-                '<?xml version="1.0" encoding="UTF-8"?>',
-                f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{size}" '
-                f'height="{size}" viewBox="0 0 {size} {size}" '
-                'font-family="Helvetica, Arial, sans-serif">',
-                f'<rect class="background" width="{size}" height="{size}" fill="#ffffff"/>',
-                *(f'<circle class="ring" cx="{centre}" cy="{centre}" '
-                  f'r="{_fmt(plot_radius * frac)}" fill="none" stroke="#cccccc" stroke-width="1"/>'
-                  for frac in self.ring_fractions),
-                f'<circle class="center" cx="{centre}" cy="{centre}" r="7.000" fill="#222222"/>',
-                f'<text class="center-label" x="{centre}" '
-                f'y="{_fmt(self.size / 2.0 + 5.0 + 2.0 + 13.0 + 4.0)}" text-anchor="middle" '
-                'font-size="13.000" font-weight="bold" fill="#222222">',
-            ])
-            object.__setattr__(self, "_header_text", header)
-        return header
-
-
-DEFAULT_STYLE = MapStyle()
-
-
-def _fmt(x: float) -> str:
-    s = f"{x:.3f}"
-    return "0.000" if s == "-0.000" else s
+# The SVG text up to the centre label's name, the same for every map.
+_HEADER = "\n".join([
+    '<?xml version="1.0" encoding="UTF-8"?>',
+    f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{CANVAS_SIZE:.3f}" '
+    f'height="{CANVAS_SIZE:.3f}" viewBox="0 0 {CANVAS_SIZE:.3f} {CANVAS_SIZE:.3f}" '
+    'font-family="Helvetica, Arial, sans-serif">',
+    f'<rect class="background" width="{CANVAS_SIZE:.3f}" height="{CANVAS_SIZE:.3f}" '
+    'fill="#ffffff"/>',
+    *(f'<circle class="ring" cx="{_MID:.3f}" cy="{_MID:.3f}" r="{_PLOT_RADIUS * frac:.3f}" '
+      'fill="none" stroke="#cccccc" stroke-width="1"/>' for frac in RING_FRACTIONS),
+    f'<circle class="center" cx="{_MID:.3f}" cy="{_MID:.3f}" r="7.000" fill="#222222"/>',
+    f'<text class="center-label" x="{_MID:.3f}" y="{_MID + 5.0 + 2.0 + 13.0 + 4.0:.3f}" '
+    'text-anchor="middle" font-size="13.000" font-weight="bold" fill="#222222">',
+])
 
 
 def _escape(text: str) -> str:
@@ -170,16 +144,16 @@ def _escape(text: str) -> str:
     return text
 
 
-def render_svg(layout: HelioLayout, style: MapStyle = DEFAULT_STYLE) -> str:
+def render_svg(layout: HelioLayout) -> str:
     """Render a layout to SVG text. A pure function: identical inputs give
     byte-identical output.
 
     Every dot's coordinates go through one % format of a per-dot template,
     with 3 decimals, and a "-0.000" in that label-free text is written
-    "0.000", as _fmt does. Each escaped label is then appended to its piece.
+    "0.000": a hand-built layout may put a dot a hair left of or below the
+    centre. Each escaped label is then appended to its piece.
     """
-    mid = style.size / 2.0  # the centre's x and y
-    plot_radius = mid - 110.0  # 110 units of canvas kept free for labels
+    mid, plot_radius = _MID, _PLOT_RADIUS  # as locals, read five times per dot
     reach = 5.0 + 12.0  # dot radius plus label offset
     lift = 11.0 / 3.0  # a third of the label font size
 
@@ -198,7 +172,7 @@ def render_svg(layout: HelioLayout, style: MapStyle = DEFAULT_STYLE) -> str:
         '<text class="dot-label" x="%.3f" y="%.3f" text-anchor="middle" font-size="11.000" '
         'fill="#222222">\0'  # a NUL, which no markup holds, ends a dot's piece
     ) * len(layout.dots) % tuple(coords)).replace('"-0.000"', '"0.000"').split("\0")
-    text = "".join([style._header(), _escape(layout.center_label), "</text>"] + [
+    text = "".join([_HEADER, _escape(layout.center_label), "</text>"] + [
         shape + _escape(dot.label) + "</text>" for shape, dot in zip(shapes, layout.dots)
     ]) + "\n</svg>\n"
     # Only labels hold carriage returns; XML would read a raw one back as a line feed.

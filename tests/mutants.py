@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 NEGATIVE_GAIN_TEST = (
     "tests/test_infogain.py::test_a_gain_rounded_below_zero_is_reported_and_ranks_before_a_copy"
 )
+ERROR_BOUND_TEST = "tests/test_infogain.py::test_kernel_error_is_bounded_by_the_sums_it_subtracts"
 
 MUTANTS = (
     Mutant(
@@ -84,6 +85,14 @@ MUTANTS = (
         "gain_nats = np.abs(work.sum(axis=1) - self_nats)",
         "a gain rounded below zero is reported as it is, and ranks before a copy's 0.0",
         (NEGATIVE_GAIN_TEST,),
+    ),
+    Mutant(
+        "kernel-sequential-sum",
+        "src/heliobench/infogain.py",
+        "gain_nats = work.sum(axis=1) - self_nats",
+        "gain_nats = np.cumsum(work, axis=1)[:, -1] - self_nats",
+        "a gain's rounding error stays within KERNEL_ERROR_C units of the sums it subtracts",
+        (ERROR_BOUND_TEST,),
     ),
     Mutant(
         "svg-negative-zero",
@@ -188,6 +197,14 @@ MUTANTS = (
         "",
         "a block holding a category XML 1.0 forbids is checked row by row and refused",
         ("tests/test_parse_blocks.py",),
+    ),
+    Mutant(
+        "hist-skips-unbinnable",
+        "src/heliobench/cli.py",
+        "for indicator, spec in _skipping_empty(_indicators(resolved), bin_spec):",
+        "for indicator, spec in map(bin_spec, _indicators(resolved)):",
+        "with several indicators, hist skips one it cannot bin, with a warning",
+        ("tests/test_cli.py::TestHistCommand::test_indicator_that_cannot_be_binned_is_skipped",),
     ),
     Mutant(
         "output-duplicate-names",

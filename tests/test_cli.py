@@ -154,6 +154,38 @@ class TestHistCommand:
         assert [p.name for p in kept.iterdir()] == ["hist_a_if.json"]
         assert (kept / "hist_a_if.json").read_text(encoding="utf-8") == "earlier run"
 
+    def test_indicator_that_cannot_be_binned_is_skipped(self, tmp_path, capsys):
+        header = "journal,category,impact_factor,eigenfactor,immediacy\n"
+        path = tmp_path / "no_es.csv"
+        for eigenfactor, flags, why in (
+            ("", [], "no eigenfactor values present in corpus"),
+            ("0.0", ["--scale", "log"],
+             "no positive eigenfactor values; logarithmic binning impossible"),
+        ):
+            path.write_text(header + "".join(
+                f"j{i},{cat},{v},{eigenfactor},{v / 10}\n"
+                for i, (cat, v) in enumerate([("A", 1.5), ("B", 2.5), ("A", 0.5)])
+            ), encoding="utf-8")
+            assert main(["hist", "--input", str(path), *flags]) == 0
+            captured = capsys.readouterr()
+            docs = [json.loads(line) for line in captured.out.splitlines()]
+            assert [(d["category"], d["indicator"]) for d in docs] == [
+                ("A", "if"), ("B", "if"), ("A", "ii"), ("B", "ii"),
+            ]
+            assert captured.err.splitlines()[1:] == [f"warning: skipping indicator es: {why}"]
+            # Named alone, the indicator is an error, as in bench.
+            assert main(["hist", "--input", str(path), "--indicator", "es", *flags]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines()[-1] == f"error: {why}"
+        path.write_text(header + "j1,A,,,\n", encoding="utf-8")
+        assert main(["hist", "--input", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line.split(":")[0] for line in captured.err.splitlines()[1:]] == [
+            "warning", "warning", "warning", "error",
+        ]
+
     def test_writes_files_to_out_dir(self, valid_csv, tmp_path):
         out = tmp_path / "hists"
         assert main(

@@ -15,7 +15,6 @@ from heliobench import (
     HelioLayout,
     Indicator,
     InvalidInputError,
-    MapStyle,
     PrestigeOrder,
     layout_map,
     load_corpus,
@@ -26,7 +25,7 @@ from heliobench import (
     top_k,
 )
 from heliobench.benchmark import BenchmarkResult
-from heliobench.heliomap import DEFAULT_STYLE
+from heliobench.heliomap import _HEADER
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -144,10 +143,6 @@ class TestLayoutMap:
         by_gain = sorted(layout.dots, key=lambda d: d.gain)
         assert [d.label for d in by_radius] == [d.label for d in by_gain]
 
-    def test_bad_radius_bounds_rejected(self):
-        with pytest.raises(InvalidInputError):
-            layout_map(make_result([("a", 0.1)]), r_min=0.8, r_max=0.2)
-
 
 class TestPrestigeOrder:
     def test_parse_skips_comments_and_blanks(self):
@@ -197,21 +192,18 @@ class TestRenderSvg:
         layout = self.layout(12)
         assert render_svg(layout) == render_svg(layout)
 
-    def test_dot_count_with_rings_disabled(self):
-        svg = render_svg(self.layout(5), MapStyle(ring_fractions=()))
-        assert svg.count("<circle") == 5 + 1
+    def test_dot_count(self):
+        svg = render_svg(self.layout(5))
+        assert svg.count("<circle") == 5 + 4 + 1
         assert svg.count('class="dot"') == 5
         assert svg.count('class="center"') == 1
 
-    def test_style_header_is_made_once_and_takes_any_sequence_of_rings(self):
-        layout, style = self.layout(5), MapStyle(ring_fractions=[0.5, 1.0])
-        assert render_svg(layout, style) == render_svg(layout, style)
-        assert render_svg(layout, style) == render_svg(layout, MapStyle(ring_fractions=(0.5, 1.0)))
-        assert style == MapStyle(ring_fractions=[0.5, 1.0])
-
-    def test_ring_count_with_default_style(self):
-        svg = render_svg(self.layout(5))
-        assert svg.count('class="ring"') == 4
+    def test_four_rings_at_quarters_of_the_plot_radius(self):
+        # The plot radius is the 800-unit canvas's half less 110 units for labels.
+        rings = [el for el in ET.fromstring(render_svg(self.layout(5))).iter(f"{SVG_NS}circle")
+                 if el.get("class") == "ring"]
+        assert [el.get("r") for el in rings] == ["72.500", "145.000", "217.500", "290.000"]
+        assert {(el.get("cx"), el.get("cy")) for el in rings} == {("400.000", "400.000")}
 
     def test_thirty_labeled_dots(self):
         svg = render_svg(self.layout(30))
@@ -246,10 +238,11 @@ class TestRenderSvg:
         assert center == ["My Ref"]
 
     def test_is_valid_xml_with_declared_size(self):
-        svg = render_svg(self.layout(3), MapStyle(size=400.0))
+        svg = render_svg(self.layout(3))
         root = ET.fromstring(svg)
-        assert root.get("width") == "400.000"
-        assert root.get("height") == "400.000"
+        assert root.get("width") == "800.000"
+        assert root.get("height") == "800.000"
+        assert root.get("viewBox") == "0 0 800.000 800.000"
 
     def test_top_dot_sits_above_center(self):
         layout = layout_map(make_result([("top", 0.1), ("east", 0.2)]))
@@ -261,12 +254,12 @@ class TestRenderSvg:
         assert float(top.get("cy")) < 400.0
 
     def test_negative_zero_coordinate_prints_as_zero(self):
-        # With size 0 the centre is 0 and the plot radius -110, so the top
-        # dot's cx is -110 * 0.15 * cos(pi/2), about -1e-15.
-        layout = layout_map(make_result([("top", 0.1), ("east", 0.2)]))
-        raw = -110.0 * layout.dots[0].radius_fraction * math.cos(math.radians(90.0))
-        assert f"{raw:.3f}" == "-0.000"
-        svg = render_svg(layout, MapStyle(size=0.0))
+        # A dot due left of the centre, a hair beyond the canvas's left edge:
+        # its cx, 400 - 290 * radius, is about -1.1e-13.
+        layout = HelioLayout("ref", (_LEFT_EDGE_DOT,))
+        raw = 400.0 + 290.0 * _LEFT_EDGE_DOT.radius_fraction * math.cos(math.radians(180.0))
+        assert raw < 0 and f"{raw:.3f}" == "-0.000"
+        svg = render_svg(layout)
         root = ET.fromstring(svg)
         dots = [el for el in root.iter(f"{SVG_NS}circle") if el.get("class") == "dot"]
         assert dots[0].get("cx") == "0.000"
@@ -274,16 +267,18 @@ class TestRenderSvg:
 
     def test_negative_zero_rule_leaves_labels_alone(self):
         names = ['"-0.000"', "-0.000 & <-0.000>"]
-        layout = layout_map(make_result([(names[0], 0.1), (names[1], 0.2)], reference="-0.000"))
-        svg = render_svg(layout, MapStyle(size=0.0))
-        dots = [el for el in ET.fromstring(svg).iter(f"{SVG_NS}circle") if el.get("class") == "dot"]
-        assert dots[0].get("cx") == "0.000"
+        dots = tuple(dataclasses.replace(_LEFT_EDGE_DOT, label=name) for name in names)
+        svg = render_svg(HelioLayout("-0.000", dots))
+        circles = [el for el in ET.fromstring(svg).iter(f"{SVG_NS}circle")
+                   if el.get("class") == "dot"]
+        assert [el.get("cx") for el in circles] == ["0.000", "0.000"]
         assert _text_labels(svg) == ["-0.000", *names]
 
     def test_layout_without_dots_gives_header_centre_label_and_end(self):
         svg = render_svg(HelioLayout("ref", ()))
-        assert svg == DEFAULT_STYLE._header() + "ref</text>\n</svg>\n"
+        assert svg == _HEADER + "ref</text>\n</svg>\n"
         assert _text_labels(svg) == ["ref"]
+        assert render_svg(self.layout(3)).startswith(_HEADER + "Ref</text>\n")
 
     def test_percent_signs_in_labels_come_back_verbatim(self):
         names = ["100% Science", "%.3f", "%s"]
@@ -292,6 +287,11 @@ class TestRenderSvg:
         assert _text_labels(svg) == ["%d %%", *names]
         plain = render_svg(layout_map(make_result([(f"n{i}", 0.1 * i) for i in range(3)], "r")))
         assert _positions(svg) == _positions(plain)
+
+
+# Placed at 180 degrees, just past the radius fraction 400 / 290 that reaches
+# the canvas's left edge.
+_LEFT_EDGE_DOT = HelioDot("x", 180.0, math.nextafter(400 / 290, 2), 0.0)
 
 
 def _positions(svg: str) -> list[tuple]:
@@ -307,28 +307,23 @@ def _text_labels(svg: str) -> list[str]:
 
 
 class TestGoldenMaps:
-    # sha256 of Category 000's top-30 demo maps, by indicator: plain, in a
-    # prestige order, and in that order on a small canvas without rings.
+    # sha256 of Category 000's top-30 demo maps, by indicator: plain and in
+    # a prestige order.
     DIGESTS = {
         "if": ("f9582c8c2daf01ca6cf2195d1b49b3c1e355507a2461b3ffc29a2ea41c9a6f9f",
-               "f3f76068f80183d9ed5937351bddceb396a77fcf6b9c66dd5a9bcd7ac31e106e",
-               "7083948b89600ebe0c05d66674594c45a536035f58c770e5f9f8b95ac105b2f4"),
+               "f3f76068f80183d9ed5937351bddceb396a77fcf6b9c66dd5a9bcd7ac31e106e"),
         "es": ("a4fe23a84dd1aa7364cbc0f0667f9daf229e527793784b40540dbcbedd076521",
-               "fd70d9bf234208a9ec5da3f1a7a97d2beb34b5b6af136dae927d45573fa09309",
-               "500c6951373478bed0dbf56395fbd1659791c09560242f697c24c07e857dade6"),
+               "fd70d9bf234208a9ec5da3f1a7a97d2beb34b5b6af136dae927d45573fa09309"),
         "ii": ("7a3efaa4b410284f5a83bf3d48b3363fd3e0fc9a369ef0f55da9938884969db3",
-               "868c4d42b93174e15ef207975e6d48241c2ff36f0cb2537a400ce87b0fa406a0",
-               "d6438c0591e6fe601397c3a8a889b6ebd4bbb1440e2aaa36edd24790f80e24b5"),
+               "868c4d42b93174e15ef207975e6d48241c2ff36f0cb2537a400ce87b0fa406a0"),
     }
 
     def test_category_000_maps_keep_their_bytes(self, demo_csv_path):
         corpus = load_corpus(demo_csv_path)
         order = PrestigeOrder(tuple(reversed(corpus.category_names()[::3])))
-        small = MapStyle(size=400.0, ring_fractions=())
         for result in run_benchmark(corpus, BenchmarkRequest(reference="Category 000")):
             top = top_k(result, 30)
-            svgs = (render_svg(layout_map(top)), render_svg(layout_map(top, order)),
-                    render_svg(layout_map(top, order), small))
+            svgs = (render_svg(layout_map(top)), render_svg(layout_map(top, order)))
             digests = tuple(hashlib.sha256(svg.encode("utf-8")).hexdigest() for svg in svgs)
             assert digests == self.DIGESTS[result.indicator.code]
 

@@ -453,6 +453,33 @@ def test_a_zero_opposite_a_tiny_reference_bin_still_raises(tiny):
         scores[1]()
 
 
+# The kernel's rounding error relative to the two sums it subtracts:
+# |gain - kl_direct| <= KERNEL_ERROR_C * 2**-53 * (U_P(Q) + U_P(P)). The
+# worst-case bound for a pairwise sum of B terms (Higham, "Accuracy and
+# Stability of Numerical Algorithms", 2nd ed., section 4.2) is about
+# log2(B) + 2 units of 2**-53 per sum, 12 at B = 1000, but the roundings do
+# not line up: on the pairs below, the largest ratio seen for seeds 0 to 39
+# was 2.0. C is twice that. A sequential sum of the same terms reaches 5.6
+# to 12.6 at B = 1000, so C = 4 also tells numpy's pairwise row sums from it.
+KERNEL_ERROR_C = 4.0
+
+
+@pytest.mark.parametrize("bins", [20, 200, 1000])
+def test_kernel_error_is_bounded_by_the_sums_it_subtracts(bins):
+    from heliobench.infogain import _gains
+
+    rng = np.random.default_rng(bins)
+    p = rng.dirichlet(np.ones(bins))
+    self_nats = (p * -np.log(p)).sum()
+    for eps in (1e-2, 1e-5, 1e-8):
+        Q = p * (1.0 + eps * rng.standard_normal((8, bins)))
+        Q /= Q.sum(axis=1, keepdims=True)
+        for q, gain in zip(Q, _gains(p, Q)):
+            error = abs(gain - kl_direct(p, q))
+            assert error <= 1e-12
+            assert error <= KERNEL_ERROR_C * 2.0**-53 * ((p * -np.log(q)).sum() + self_nats)
+
+
 # The tolerance of both axiom properties: the oracle's 1e-12, within which
 # test_matches_oracle_on_random_pairs finds every gain, as the kernel's two
 # forms also agree within IDENTITY_TOL = 1e-12. Gains of at most 144 bins of
