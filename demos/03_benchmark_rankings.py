@@ -12,18 +12,20 @@ from heliobench import BenchmarkRequest, cross_indicator_summary, load_corpus, r
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "demo_corpus.csv"
 
-corpus = load_corpus(DATA)
-request = BenchmarkRequest(reference="Category 000", k=10)
-results = run_benchmark(corpus, request)
+K = 10
 
-for result in results:
+corpus = load_corpus(DATA)
+results = run_benchmark(corpus, BenchmarkRequest(reference="Category 000"))
+tops = [top_k(result, K) for result in results]
+
+for result in tops:
     print(f"\n=== {result.indicator.label} (alpha={result.alpha}, "
           f"{result.spec.bin_count} {result.spec.scale} bins) ===")
-    for rank, (name, gain) in enumerate(top_k(result, 10).ranking, start=1):
+    for rank, (name, gain) in enumerate(result.ranking, start=1):
         print(f"  {rank:2d}. {name}  gain={gain:.6f}")
 
-summary = cross_indicator_summary([top_k(r, request.k) for r in results])
-print("\n=== categories recurring across indicator top-10s ===")
+summary = cross_indicator_summary(tops)
+print(f"\n=== categories recurring across indicator top-{K}s ===")
 for row in summary.rows:
     ranks = "  ".join(f"{code}={row.ranks[code]}" for code in ("if", "es", "ii"))
     print(f"  {row.category}  in {row.appearances}/3 rankings   {ranks}")

@@ -25,7 +25,7 @@ OUT = Path(__file__).resolve().parent / "output"
 OUT.mkdir(exist_ok=True)
 
 corpus = load_corpus(ROOT / "data" / "demo_corpus.csv")
-results = run_benchmark(corpus, BenchmarkRequest(reference="Category 000", k=30))
+results = run_benchmark(corpus, BenchmarkRequest(reference="Category 000"))
 
 for result in results:
     layout = layout_map(top_k(result, 30))

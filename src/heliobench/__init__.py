@@ -9,8 +9,6 @@ the top-k as a heliocentric clockwise map.
 
 from .benchmark import (
     DEFAULT_ALPHA,
-    DEFAULT_BIN_COUNT,
-    DEFAULT_SCALES,
     DEFAULT_TOP_K,
     BenchmarkRequest,
     BenchmarkResult,
@@ -50,6 +48,8 @@ from .heliomap import (
     render_svg,
 )
 from .histogram import (
+    DEFAULT_BIN_COUNT,
+    DEFAULT_SCALES,
     BinSpec,
     Histogram,
     build_histogram,

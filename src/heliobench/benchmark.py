@@ -21,7 +21,7 @@ reference, so it gains nothing from this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from operator import attrgetter, itemgetter
 from typing import Mapping, Sequence
 
@@ -29,6 +29,7 @@ from .corpus import Corpus, Indicator, _csv_text, category_values
 from .errors import EmptyDataError, InvalidInputError
 from .histogram import (
     DEFAULT_BIN_COUNT,
+    DEFAULT_SCALES,  # unused here, but importable from this module too
     BinSpec,
     Scale,
     build_histogram,
@@ -41,26 +42,17 @@ from .infogain import _Rows, gains_against_reference
 DEFAULT_ALPHA = 0.5
 DEFAULT_TOP_K = 30
 
-# Eigenfactor scores cluster within a few orders of magnitude of zero, so
-# they get geometric bins by default; the other two indicators are binned
-# linearly.
-DEFAULT_SCALES: Mapping[Indicator, Scale] = {
-    Indicator.IMPACT_FACTOR: "linear",
-    Indicator.EIGENFACTOR: "log",
-    Indicator.IMMEDIACY: "linear",
-}
-
 
 @dataclass(frozen=True)
 class BenchmarkRequest:
-    """Configuration of one benchmarking run."""
+    """Configuration of one benchmarking run. A scale of None bins each
+    indicator on its DEFAULT_SCALES entry; any other scale bins them all."""
 
     reference: str
     indicators: tuple[Indicator, ...] = tuple(Indicator)
     bin_count: int = DEFAULT_BIN_COUNT
-    scales: Mapping[Indicator, Scale] = field(default_factory=lambda: dict(DEFAULT_SCALES))
+    scale: Scale | None = None
     alpha: float = DEFAULT_ALPHA
-    k: int = DEFAULT_TOP_K
 
     def __post_init__(self):
         if not self.reference:
@@ -69,12 +61,7 @@ class BenchmarkRequest:
             raise InvalidInputError("at least one indicator is required")
         if len(set(self.indicators)) != len(self.indicators):
             raise InvalidInputError("indicators must be distinct")
-        if self.k < 1:
-            raise InvalidInputError(f"k must be >= 1, got {self.k}")
         check_alpha(self.alpha)
-
-    def scale_for(self, indicator: Indicator) -> Scale:
-        return self.scales.get(indicator, DEFAULT_SCALES[indicator])
 
 
 @dataclass(frozen=True)
@@ -123,7 +110,7 @@ def run_benchmark(corpus: Corpus, request: BenchmarkRequest) -> list[BenchmarkRe
                 f"reference category {request.reference!r} has no "
                 f"{indicator.value} values"
             )
-        spec = pooled_bin_spec(corpus, indicator, request.bin_count, request.scale_for(indicator))
+        spec = pooled_bin_spec(corpus, indicator, request.bin_count, request.scale)
         # The candidate matrix is smoothed before the reference histogram, so
         # that a pseudo-count the indicator cannot take is reported by name.
         # It is deleted once scored, so at most one matrix too large for the

@@ -11,10 +11,11 @@ without a reference from the flag or the config file); 3 input that
 is well-formed but outside its domain (unknown category, empty data, --k 0,
 --bins below 2 or above histogram.MAX_BIN_COUNT, non-finite or negative
 alpha, alpha 0 without full support, hist categories whose names give one
-output filename); 4 internal errors. With several indicators, one that
-cannot be binned (no values in the corpus, or no positive ones on a log
-scale) or, for bench and map, for which the reference has no values, is
-skipped with a warning; a run that skips every indicator exits 3.
+output filename); 4 internal errors. An indicator that cannot be binned
+(no values in the corpus, or no positive ones on a log scale) or, for bench
+and map, for which the reference has no values, is skipped with a warning;
+when every indicator fails, the last one's error is printed instead of its
+warning, and the run exits 3.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from typing import Iterator, Sequence, get_args
 
 from .benchmark import (
     DEFAULT_ALPHA,
-    DEFAULT_SCALES,
     DEFAULT_TOP_K,
     BenchmarkRequest,
     cross_indicator_summary,
@@ -82,7 +82,7 @@ _OPTIONS = {
         "choices": (*(ind.code for ind in Indicator), "all"), "help": "indicator code, or all"}),
     "bins": (_BINNING, DEFAULT_BIN_COUNT, {
         "type": int, "help": f"bin count, 2 to {MAX_BIN_COUNT}"}),
-    "scale": (_BINNING, None, {  # None = per-indicator DEFAULT_SCALES
+    "scale": (_BINNING, None, {  # None = per-indicator histogram.DEFAULT_SCALES
         "choices": get_args(Scale), "help": "override binning scale for all indicators"}),
     "alpha": (_BINNING, DEFAULT_ALPHA, {"type": float, "help": "smoothing pseudo-count"}),
     "out": (("validate", *_BINNING), None, {"help": "output directory (default: stdout)"}),
@@ -164,12 +164,6 @@ def _indicators(resolved: dict) -> list[Indicator]:
     return [Indicator.from_code(code)]
 
 
-def _scales(resolved: dict) -> dict:
-    if resolved["scale"] is None:
-        return {}
-    return {ind: resolved["scale"] for ind in Indicator}
-
-
 def _slug(name: str) -> str:
     return re.sub(r"[^a-z0-9]+", "-", name.lower()).strip("-") or "unnamed"
 
@@ -227,27 +221,24 @@ def cmd_validate(corpus, resolved: dict) -> Documents:
 
 
 def _skipping_empty(indicators: Sequence[Indicator], run) -> list:
-    """[run(indicator) for indicator in indicators], but with several
-    indicators one for which run raises EmptyDataError is left out with a
-    warning; if every one is left out, the last error is raised."""
+    """[run(indicator) for indicator in indicators], but an indicator for
+    which run raises EmptyDataError is left out with a warning, unless it is
+    the last and every one before it was left out too: then its error is
+    raised, and the run reports it once, as an error."""
     done = []
     for indicator in indicators:
         try:
             done.append(run(indicator))
         except EmptyDataError as exc:
-            if len(indicators) == 1:
+            if not done and indicator is indicators[-1]:
                 raise
             print(f"warning: skipping indicator {indicator.code}: {exc}", file=sys.stderr)
-            skipped = exc
-    if not done:
-        raise skipped
     return done
 
 
 def cmd_hist(corpus, resolved: dict) -> Documents:
     def bin_spec(indicator):
-        scale = resolved["scale"] or DEFAULT_SCALES[indicator]
-        return indicator, pooled_bin_spec(corpus, indicator, resolved["bins"], scale)
+        return indicator, pooled_bin_spec(corpus, indicator, resolved["bins"], resolved["scale"])
 
     for indicator, spec in _skipping_empty(_indicators(resolved), bin_spec):
         for cat in resolved["category"] or corpus.category_names():
@@ -270,14 +261,13 @@ def _bench_results(corpus, resolved: dict):
         reference=resolved["reference"],
         indicators=tuple(_indicators(resolved)),
         bin_count=resolved["bins"],
-        scales=_scales(resolved),
+        scale=resolved["scale"],
         alpha=resolved["alpha"],
-        k=resolved["k"],
     )
 
     def rank(indicator):
         (result,) = run_benchmark(corpus, replace(request, indicators=(indicator,)))
-        return top_k(result, request.k)
+        return top_k(result, resolved["k"])
 
     return _skipping_empty(request.indicators, rank)
 

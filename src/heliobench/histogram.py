@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Literal, NamedTuple, Sequence, get_args
+from typing import Literal, Mapping, NamedTuple, Sequence, get_args
 
 import numpy as np
 
@@ -43,6 +43,15 @@ PROBABILITY_SUM_TOL = 1e-12
 MAX_BIN_COUNT = 10_000
 
 DEFAULT_BIN_COUNT = 20
+
+# Eigenfactor scores cluster within a few orders of magnitude of zero, so
+# they get geometric bins by default; the other two indicators are binned
+# linearly.
+DEFAULT_SCALES: Mapping[Indicator, Scale] = {
+    Indicator.IMPACT_FACTOR: "linear",
+    Indicator.EIGENFACTOR: "log",
+    Indicator.IMMEDIACY: "linear",
+}
 
 # Candidate values scored at once by the gain kernel; each temporary of a
 # block is then about 2 MB, whatever the number of candidates. It also caps
@@ -168,16 +177,19 @@ def pooled_bin_spec(
     corpus: Corpus,
     indicator: Indicator,
     bin_count: int = DEFAULT_BIN_COUNT,
-    scale: Scale = "linear",
+    scale: Scale | None = None,
 ) -> BinSpec:
     """One BinSpec covering every present value of an indicator corpus-wide.
 
-    Linear: [0, max * (1 + 1e-9)). Log: [smallest positive value,
-    max * (1 + 1e-9)). Raises EmptyDataError when the indicator has no
-    usable values at all. The spec is memoized on the corpus per indicator,
-    for the latest (bin_count, scale) only, together with the smoothed
-    matrix category_probabilities keeps for it.
+    A scale of None means the indicator's DEFAULT_SCALES entry. Linear:
+    [0, max * (1 + 1e-9)). Log: [smallest positive value, max * (1 + 1e-9)).
+    Raises EmptyDataError when the indicator has no usable values at all.
+    The spec is memoized on the corpus per indicator, for the latest
+    (bin_count, scale) only, together with the smoothed matrix
+    category_probabilities keeps for it.
     """
+    if scale is None:
+        scale = DEFAULT_SCALES[indicator]
     binned = corpus._binned.get(indicator)
     if binned is not None and (binned.spec.bin_count, binned.spec.scale) == (bin_count, scale):
         return binned.spec

@@ -43,6 +43,9 @@ NEGATIVE_GAIN_TEST = (
     "tests/test_infogain.py::test_a_gain_rounded_below_zero_is_reported_and_ranks_before_a_copy"
 )
 ERROR_BOUND_TEST = "tests/test_infogain.py::test_kernel_error_is_bounded_by_the_sums_it_subtracts"
+DEFAULT_SCALE_TEST = (
+    "tests/test_benchmark.py::TestOneScaleDefault::test_every_path_falls_back_to_default_scales"
+)
 
 MUTANTS = (
     Mutant(
@@ -141,6 +144,14 @@ MUTANTS = (
         "if memoized:",
         "a candidate matrix of more than BLOCK_ELEMENTS values is not kept",
         ("tests/test_benchmark.py",),
+    ),
+    Mutant(
+        "pooled-bin-spec-default-scale",
+        "src/heliobench/histogram.py",
+        "scale = DEFAULT_SCALES[indicator]",
+        'scale = "linear"',
+        "with no scale given, each indicator is binned on its DEFAULT_SCALES entry",
+        (DEFAULT_SCALE_TEST,),
     ),
     Mutant(
         "ties-by-name",

@@ -157,7 +157,7 @@ def test_criterion_5_synthetic_recovery(demo_corpus):
 
 
 def test_criterion_6_paper_structure(demo_corpus):
-    results = run_benchmark(demo_corpus, BenchmarkRequest(reference="Category 000", k=30))
+    results = run_benchmark(demo_corpus, BenchmarkRequest(reference="Category 000"))
     assert len(results[0].ranking) == 173  # full ranking retained
     for result in results:
         truncated = top_k(result, 30)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from heliobench import (
+    DEFAULT_SCALES,
     AbsoluteContinuityError,
     BenchmarkRequest,
     BenchmarkResult,
@@ -21,6 +22,7 @@ from heliobench import (
     category_values,
     cross_indicator_summary,
     gains_against_reference,
+    load_corpus,
     make_synthetic_corpus,
     parse_corpus,
     pooled_bin_spec,
@@ -216,8 +218,7 @@ class TestBinningMemo:
         for bins, scale, alpha in self.SETTINGS:
             for reference in ("C0", "C3"):
                 request = BenchmarkRequest(
-                    reference=reference, bin_count=bins, alpha=alpha,
-                    scales={indicator: scale for indicator in Indicator},
+                    reference=reference, bin_count=bins, scale=scale, alpha=alpha
                 )
                 expected = run_benchmark(loguniform_corpus(), request)
                 assert run_benchmark(warm, request) == expected
@@ -360,9 +361,7 @@ class TestRankingMatchesThePublicWrapper:
         for reference in ("Category 000", "Category 013", "Category 039"):
             request = BenchmarkRequest(reference=reference, bin_count=bin_count, alpha=0.5)
             for result in run_benchmark(corpus, request):
-                spec = pooled_bin_spec(
-                    corpus, result.indicator, bin_count, request.scale_for(result.indicator)
-                )
+                spec = pooled_bin_spec(corpus, result.indicator, bin_count, request.scale)
                 assert result.spec == spec
                 assert result.ranking == public_ranking(
                     corpus, reference, result.indicator, spec, 0.5
@@ -534,10 +533,6 @@ class TestRequestValidation:
         with pytest.raises(InvalidInputError, match="reference category must be non-empty"):
             BenchmarkRequest(reference="")
 
-    def test_k_must_be_positive(self):
-        with pytest.raises(InvalidInputError):
-            BenchmarkRequest(reference="A", k=0)
-
     def test_indicators_must_be_non_empty(self):
         with pytest.raises(InvalidInputError):
             BenchmarkRequest(reference="A", indicators=())
@@ -556,3 +551,25 @@ class TestRequestValidation:
     def test_non_finite_alpha_rejected(self, alpha):
         with pytest.raises(InvalidInputError, match="finite"):
             BenchmarkRequest(reference="A", alpha=alpha)
+
+
+class TestOneScaleDefault:
+    def test_every_path_falls_back_to_default_scales(self, demo_csv_path):
+        corpus = load_corpus(demo_csv_path)
+        assert DEFAULT_SCALES[Indicator.EIGENFACTOR] == "log"
+        for indicator in Indicator:
+            assert pooled_bin_spec(corpus, indicator) == pooled_bin_spec(
+                load_corpus(demo_csv_path), indicator, scale=DEFAULT_SCALES[indicator]
+            )
+        default = BenchmarkRequest(reference="Category 000")
+        assert hash(default) == hash(BenchmarkRequest(reference="Category 000"))
+        assert {r.indicator: r.spec.scale for r in run_benchmark(corpus, default)} == dict(
+            DEFAULT_SCALES
+        )
+        linear = BenchmarkRequest(reference="Category 000", scale="linear")
+        assert [r.spec for r in run_benchmark(corpus, linear)] == [
+            pooled_bin_spec(load_corpus(demo_csv_path), indicator, scale="linear")
+            for indicator in Indicator
+        ]
+        with pytest.raises(InvalidInputError, match="scale must be"):
+            pooled_bin_spec(corpus, Indicator.IMPACT_FACTOR, scale="")

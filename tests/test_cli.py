@@ -154,6 +154,22 @@ class TestHistCommand:
         assert [p.name for p in kept.iterdir()] == ["hist_a_if.json"]
         assert (kept / "hist_a_if.json").read_text(encoding="utf-8") == "earlier run"
 
+    def test_category_without_values_is_the_smoothed_prior_at_positive_alpha(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "partial.csv"
+        path.write_text(
+            "journal,category,impact_factor,eigenfactor,immediacy\n"
+            "j1,A,1.0,,0.5\nj2,B,2.0,0.01,0.7\n",
+            encoding="utf-8",
+        )
+        assert main(["hist", "--input", str(path), "--indicator", "es", "--category", "A"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["category"], doc["indicator"], doc["scale"]) == ("A", "es", "log")
+        assert doc["counts"] == [0] * 20
+        assert (doc["sample_count"], doc["skipped"], doc["clamped"]) == (0, 1, 0)
+        assert doc["probabilities"] == [0.05] * 20
+
     def test_indicator_that_cannot_be_binned_is_skipped(self, tmp_path, capsys):
         header = "journal,category,impact_factor,eigenfactor,immediacy\n"
         path = tmp_path / "no_es.csv"
@@ -178,13 +194,19 @@ class TestHistCommand:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.splitlines()[-1] == f"error: {why}"
+        # The last indicator of a run that skipped all others is reported
+        # once, as the error.
         path.write_text(header + "j1,A,,,\n", encoding="utf-8")
-        assert main(["hist", "--input", str(path)]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert [line.split(":")[0] for line in captured.err.splitlines()[1:]] == [
-            "warning", "warning", "warning", "error",
-        ]
+        for argv, why in (
+            (["hist"], "no immediacy values present in corpus"),
+            (["bench", "--reference", "A"], "reference category 'A' has no immediacy values"),
+        ):
+            assert main([*argv, "--input", str(path)]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            err = captured.err.splitlines()[1:]
+            assert [line.split(":")[0] for line in err] == ["warning", "warning", "error"]
+            assert err[-1] == f"error: {why}"
 
     def test_writes_files_to_out_dir(self, valid_csv, tmp_path):
         out = tmp_path / "hists"

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from heliobench import (
     BenchmarkRequest,
     Corpus,
-    Indicator,
     JournalRecord,
     build_histogram,
     category_values,
@@ -35,7 +34,6 @@ from oracle import kl_direct
 NAMES = st.text("ab,\r\"<", min_size=1, max_size=3).filter(lambda name: name.strip() == name)
 POSITIVE = st.floats(1e-3, 1e3)
 VALUES = st.one_of(st.none(), st.just(0.0), POSITIVE)
-LINEAR = {indicator: "linear" for indicator in Indicator}
 
 
 @st.composite
@@ -97,7 +95,7 @@ def test_doubling_every_value_on_linear_bins_changes_no_gain(drawn):
         ])
         for record in records
     ]
-    request = BenchmarkRequest(reference=reference, scales=LINEAR)
+    request = BenchmarkRequest(reference=reference, scale="linear")
     assert _rankings(run_benchmark(Corpus(doubled), request)) == _rankings(
         run_benchmark(Corpus(records), request)
     )
