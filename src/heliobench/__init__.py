@@ -62,7 +62,7 @@ from .infogain import (
     information_gain,
     unexpectedness,
 )
-from .synthetic import make_demo_corpus, make_synthetic_corpus, write_corpus_csv
+from .synthetic import make_synthetic_corpus, write_corpus_csv
 
 __version__ = "0.1.0"
 
@@ -101,7 +101,6 @@ __all__ = [
     "layout_map",
     "load_corpus",
     "load_prestige_order",
-    "make_demo_corpus",
     "make_synthetic_corpus",
     "parse_corpus",
     "parse_prestige_order",

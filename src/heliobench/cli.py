@@ -159,9 +159,7 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 def _indicators(resolved: dict) -> list[Indicator]:
     code = resolved["indicator"]
-    if code == "all":
-        return list(Indicator)
-    return [Indicator.from_code(code)]
+    return [ind for ind in Indicator if code in ("all", ind.code)]
 
 
 def _slug(name: str) -> str:

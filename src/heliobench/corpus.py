@@ -64,14 +64,6 @@ class Indicator(enum.Enum):
         member._value_, member.code, member.label = value, code, label
         return member
 
-    @classmethod
-    def from_code(cls, code: str) -> "Indicator":
-        for indicator in cls:
-            if indicator.code == code.strip().lower():
-                return indicator
-        *codes, last = (indicator.code for indicator in cls)
-        raise ValueError(f"unknown indicator code: {code!r} (use {', '.join(codes)} or {last})")
-
 
 CSV_COLUMNS = ("journal", "category", *(indicator.value for indicator in Indicator))
 

@@ -137,13 +137,6 @@ _HEADER = "\n".join([
 ])
 
 
-def _escape(text: str) -> str:
-    """html.escape(text, quote=False), skipped when text holds no & < or >."""
-    if "&" in text or "<" in text or ">" in text:
-        return html.escape(text, quote=False)
-    return text
-
-
 def render_svg(layout: HelioLayout) -> str:
     """Render a layout to SVG text. A pure function: identical inputs give
     byte-identical output.
@@ -172,8 +165,9 @@ def render_svg(layout: HelioLayout) -> str:
         '<text class="dot-label" x="%.3f" y="%.3f" text-anchor="middle" font-size="11.000" '
         'fill="#222222">\0'  # a NUL, which no markup holds, ends a dot's piece
     ) * len(layout.dots) % tuple(coords)).replace('"-0.000"', '"0.000"').split("\0")
-    text = "".join([_HEADER, _escape(layout.center_label), "</text>"] + [
-        shape + _escape(dot.label) + "</text>" for shape, dot in zip(shapes, layout.dots)
+    text = "".join([_HEADER, html.escape(layout.center_label, quote=False), "</text>"] + [
+        shape + html.escape(dot.label, quote=False) + "</text>"
+        for shape, dot in zip(shapes, layout.dots)
     ]) + "\n</svg>\n"
     # Only labels hold carriage returns; XML would read a raw one back as a line feed.
     return text.replace("\r", "&#13;") if "\r" in text else text

@@ -18,6 +18,7 @@ from the memo.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Literal, Mapping, NamedTuple, Sequence, get_args
@@ -59,6 +60,18 @@ DEFAULT_SCALES: Mapping[Indicator, Scale] = {
 BLOCK_ELEMENTS = 1 << 18
 
 
+def _as_bin_count(bin_count: int) -> int:
+    """bin_count as a Python int. Raises InvalidInputError unless it is an
+    integer in [2, MAX_BIN_COUNT]; a float such as 20.0 is not an integer."""
+    try:
+        count = operator.index(bin_count)
+    except TypeError:
+        raise InvalidInputError(f"bin_count must be an integer, got {bin_count!r}") from None
+    if not 2 <= count <= MAX_BIN_COUNT:
+        raise InvalidInputError(f"bin_count must be in [2, {MAX_BIN_COUNT}], got {count}")
+    return count
+
+
 @dataclass(frozen=True)
 class BinSpec:
     """Shared binning: bin_count half-open intervals [l_i, l_{i+1}) on
@@ -70,10 +83,7 @@ class BinSpec:
     scale: Scale = "linear"
 
     def __post_init__(self):
-        if not 2 <= self.bin_count <= MAX_BIN_COUNT:
-            raise InvalidInputError(
-                f"bin_count must be in [2, {MAX_BIN_COUNT}], got {self.bin_count}"
-            )
+        object.__setattr__(self, "bin_count", _as_bin_count(self.bin_count))
         if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
             raise InvalidInputError("bin bounds must be finite")
         if self.lower < 0:
@@ -104,7 +114,8 @@ class Histogram:
     """A probability vector over a BinSpec's intervals.
 
     probabilities sum to 1 (within 1e-12) and are strictly positive when
-    alpha > 0. counts is None for distributions not built from samples.
+    alpha > 0. counts is None for distributions not built from samples, else
+    bin_count integers >= 0.
     """
 
     spec: BinSpec
@@ -129,19 +140,12 @@ class Histogram:
         probs.flags.writeable = False
         object.__setattr__(self, "probabilities", probs)
         if self.counts is not None:
-            counts = np.array(self.counts, dtype=np.int64)
+            counts = np.array(self.counts)
+            if counts.shape != probs.shape or counts.dtype.kind not in "iu" or counts.min() < 0:
+                raise InvalidInputError(f"counts must be {self.spec.bin_count} integers >= 0")
+            counts = counts.astype(np.int64, copy=False)
             counts.flags.writeable = False
             object.__setattr__(self, "counts", counts)
-
-    @classmethod
-    def from_probabilities(cls, probabilities: Sequence[float], spec: BinSpec | None = None,
-                           alpha: float = 0.0) -> "Histogram":
-        """Wrap an explicit probability vector; a dummy unit-range spec is
-        synthesized when none is given."""
-        probabilities = np.asarray(probabilities, dtype=float)
-        if spec is None:
-            spec = BinSpec(0.0, 1.0, probabilities.size)
-        return cls(spec=spec, probabilities=probabilities, alpha=alpha)
 
     def to_dict(self) -> dict:
         return {
@@ -183,11 +187,13 @@ def pooled_bin_spec(
 
     A scale of None means the indicator's DEFAULT_SCALES entry. Linear:
     [0, max * (1 + 1e-9)). Log: [smallest positive value, max * (1 + 1e-9)).
-    Raises EmptyDataError when the indicator has no usable values at all.
-    The spec is memoized on the corpus per indicator, for the latest
-    (bin_count, scale) only, together with the smoothed matrix
-    category_probabilities keeps for it.
+    Raises EmptyDataError when the indicator has no usable values at all,
+    and InvalidInputError, before the memo is read, for a bin_count that is
+    not an integer in [2, MAX_BIN_COUNT]. The spec is memoized on the corpus
+    per indicator, for the latest (bin_count, scale) only, together with the
+    smoothed matrix category_probabilities keeps for it.
     """
+    bin_count = _as_bin_count(bin_count)
     if scale is None:
         scale = DEFAULT_SCALES[indicator]
     binned = corpus._binned.get(indicator)
@@ -277,11 +283,14 @@ def build_histogram(values: Sequence[float], spec: BinSpec, alpha: float = 0.0) 
     edge land in the first bin, values at or above the last edge in the
     last bin; both are tallied in `clamped`. With alpha = 0 an empty value
     list leaves the distribution undefined and raises EmptyDataError. Raises
-    InvalidInputError, naming alpha and the limit, when alpha > 0 leaves a
+    InvalidInputError for a NaN value, since a missing value is left out,
+    not binned, and, naming alpha and the limit, when alpha > 0 leaves a
     probability at 0.
     """
     check_alpha(alpha)
     values = np.asarray(values, dtype=float)
+    if np.isnan(values).any():
+        raise InvalidInputError("cannot bin NaN: leave missing values out")
     if values.size == 0 and alpha == 0:
         raise EmptyDataError("cannot build an unsmoothed histogram from zero values")
 

@@ -163,18 +163,16 @@ def _gains(
     return gains
 
 
-def information_gain(
-    p_hist: Histogram, q_hist: Histogram, reference: str = "", candidate: str = ""
-) -> GainValue:
+def information_gain(p_hist: Histogram, q_hist: Histogram) -> GainValue:
     """eps(P, Q) = U_P(Q) - U_P(P) in nats, cross-checked against the direct
-    form sum_i p_i * log(p_i / q_i).
+    form sum_i p_i * log(p_i / q_i), as an unlabelled GainValue.
 
     The two evaluations must agree within 1e-12; a discrepancy indicates a
     numerical defect and raises ArithmeticError.
     """
     _check_compatible(p_hist, q_hist)
     (value,) = _gains(p_hist.probabilities, [q_hist.probabilities])
-    return GainValue(value=value, reference=reference, candidate=candidate)
+    return GainValue(value)
 
 
 class _Rows(Mapping):

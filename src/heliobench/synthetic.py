@@ -12,6 +12,9 @@ Values are lognormal per indicator, with a fixed log-space spread: 0.4,
 and 0.8 for the eigenfactor. Shifts, from 0.5 to 1.8, are applied to the
 log-mean, so they act multiplicatively, which matches how impact
 indicators spread.
+
+make_synthetic_corpus() with its defaults is the demo corpus, committed at
+data/demo_corpus.csv by demos/generate_demo_corpus.py.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ def make_synthetic_corpus(
     missing_rate: float = 0.02,
     cross_list_every: int = 25,
 ) -> Corpus:
-    """Build a deterministic synthetic corpus.
+    """Build a deterministic synthetic corpus. The defaults give the demo
+    corpus committed at data/demo_corpus.csv.
 
     Categories 1..clones are drawn from the same distribution as category 0
     (the natural reference for demos and recovery tests); categories
@@ -82,11 +86,6 @@ def make_synthetic_corpus(
                 rows.append((None, journal, category_name((c + 1) % n_categories), *values))
 
     return Corpus._from_rows(rows)
-
-
-def make_demo_corpus() -> Corpus:
-    """The corpus committed at data/demo_corpus.csv."""
-    return make_synthetic_corpus()
 
 
 def write_corpus_csv(corpus: Corpus, path: str | os.PathLike) -> None:

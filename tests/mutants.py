@@ -46,6 +46,14 @@ ERROR_BOUND_TEST = "tests/test_infogain.py::test_kernel_error_is_bounded_by_the_
 DEFAULT_SCALE_TEST = (
     "tests/test_benchmark.py::TestOneScaleDefault::test_every_path_falls_back_to_default_scales"
 )
+INTEGER_BIN_COUNT_TEST = (
+    "tests/test_benchmark.py::TestBinningMemo::test_bin_count_must_be_an_integer_cold_or_warm"
+)
+NAN_VALUE_TEST = "tests/test_histogram.py::TestBuildHistogram::test_nan_is_refused_not_counted"
+COUNTS_TEST = (
+    "tests/test_histogram.py::TestHistogramType::"
+    "test_counts_must_be_bin_count_integers_at_least_zero"
+)
 
 MUTANTS = (
     Mutant(
@@ -152,6 +160,54 @@ MUTANTS = (
         'scale = "linear"',
         "with no scale given, each indicator is binned on its DEFAULT_SCALES entry",
         (DEFAULT_SCALE_TEST,),
+    ),
+    Mutant(
+        "bin-count-integer",
+        "src/heliobench/histogram.py",
+        "count = operator.index(bin_count)",
+        "count = bin_count",
+        "a bin_count that is not an integer is refused, and one that is is kept as an int",
+        (INTEGER_BIN_COUNT_TEST,),
+    ),
+    Mutant(
+        "bin-count-before-memo",
+        "src/heliobench/histogram.py",
+        "    bin_count = _as_bin_count(bin_count)\n",
+        "",
+        "a bin_count that is not an integer is refused on a corpus with a memoized spec too",
+        (INTEGER_BIN_COUNT_TEST,),
+    ),
+    Mutant(
+        "histogram-nan-value",
+        "src/heliobench/histogram.py",
+        "if np.isnan(values).any():",
+        "if False:",
+        "build_histogram refuses a NaN value rather than count it in the last bin",
+        (NAN_VALUE_TEST,),
+    ),
+    Mutant(
+        "histogram-counts-shape",
+        "src/heliobench/histogram.py",
+        "counts.shape != probs.shape or ",
+        "",
+        "a Histogram holds exactly one count per bin",
+        (COUNTS_TEST,),
+    ),
+    Mutant(
+        "histogram-counts-integer",
+        "src/heliobench/histogram.py",
+        'counts.dtype.kind not in "iu" or ',
+        "",
+        "a Histogram's counts are integers, not truncated floats",
+        (COUNTS_TEST,),
+    ),
+    Mutant(
+        "histogram-counts-negative",
+        "src/heliobench/histogram.py",
+        " or counts.min() < 0",
+        "",
+        "a Histogram's counts are >= 0",
+        (COUNTS_TEST,),
     ),
     Mutant(
         "ties-by-name",

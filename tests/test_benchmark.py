@@ -292,6 +292,18 @@ class TestBinningMemo:
         with pytest.raises(EmptyDataError, match="impact_factor"):
             run_benchmark(corpus, BenchmarkRequest(reference="A"))
 
+    def test_bin_count_must_be_an_integer_cold_or_warm(self):
+        corpus = loguniform_corpus()
+        request = BenchmarkRequest(reference="C0")
+        for _ in range(2):  # cold, then warm with the default spec memoized
+            with pytest.raises(InvalidInputError, match=r"^bin_count must be an integer, got 20\.0$"):
+                run_benchmark(corpus, replace(request, bin_count=20.0))
+            assert run_benchmark(corpus, request) == run_benchmark(loguniform_corpus(), request)
+        for ranked in (loguniform_corpus(), corpus):  # cold, then warm
+            results = run_benchmark(ranked, replace(request, bin_count=np.int64(20)))
+            assert {type(result.spec.bin_count) for result in results} == {int}
+            json.dumps([result.to_dict() for result in results])
+
     def test_other_bin_specs_are_binned_afresh(self):
         corpus = loguniform_corpus()
         run_benchmark(corpus, BenchmarkRequest(reference="C0"))

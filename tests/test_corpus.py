@@ -39,10 +39,6 @@ def test_each_indicator_has_its_column_code_and_label():
     assert Indicator("impact_factor") is Indicator.IMPACT_FACTOR
     assert repr(Indicator.EIGENFACTOR) == "<Indicator.EIGENFACTOR: 'eigenfactor'>"
     assert pickle.loads(pickle.dumps(Indicator.IMMEDIACY)) is Indicator.IMMEDIACY
-    assert [Indicator.from_code(code) for code in (" IF ", "es", "Ii")] == list(Indicator)
-    with pytest.raises(ValueError) as excinfo:
-        Indicator.from_code("xx")
-    assert str(excinfo.value) == "unknown indicator code: 'xx' (use if, es or ii)"
 
 
 def test_synthetic_corpus_needs_clones_plus_two_categories():

@@ -162,6 +162,12 @@ class TestBuildHistogram:
         with pytest.raises(InvalidInputError, match="finite"):
             build_histogram([1.0], BinSpec(0.0, 2.0, 2), alpha=alpha)
 
+    @pytest.mark.parametrize("values", [[0.2, math.nan], [math.nan]])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_nan_is_refused_not_counted(self, values, alpha):
+        with pytest.raises(InvalidInputError, match="NaN"):
+            build_histogram(values, BinSpec(0.0, 1.0, 4), alpha=alpha)
+
     def test_out_of_range_values_clamp_to_edge_bins(self):
         hist = build_histogram([0.5, 3.5, 1.5], BinSpec(1.0, 3.0, 2), alpha=0.0)
         assert hist.counts.tolist() == [2, 1]
@@ -282,40 +288,49 @@ class TestHistogramInvariants:
 class TestHistogramType:
     def test_probability_vector_must_match_bin_count(self):
         with pytest.raises(InvalidInputError):
-            Histogram.from_probabilities([0.5, 0.5], BinSpec(0.0, 1.0, 3))
+            Histogram(BinSpec(0.0, 1.0, 3), [0.5, 0.5])
 
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(InvalidInputError, match="sum"):
-            Histogram.from_probabilities([0.5, 0.4])
+            Histogram(BinSpec(0.0, 1.0, 2), [0.5, 0.4])
 
     def test_negative_probability_rejected(self):
         with pytest.raises(InvalidInputError):
-            Histogram.from_probabilities([1.1, -0.1])
+            Histogram(BinSpec(0.0, 1.0, 2), [1.1, -0.1])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_probability_rejected(self, bad):
         with pytest.raises(InvalidInputError, match="finite"):
-            Histogram.from_probabilities([bad, 0.5])
+            Histogram(BinSpec(0.0, 1.0, 2), [bad, 0.5])
 
     def test_alpha_positive_forbids_zero_probability(self):
         with pytest.raises(InvalidInputError):
-            Histogram.from_probabilities([1.0, 0.0], alpha=0.5)
+            Histogram(BinSpec(0.0, 1.0, 2), [1.0, 0.0], alpha=0.5)
 
     def test_probabilities_are_immutable(self):
-        hist = Histogram.from_probabilities([0.5, 0.5])
+        hist = Histogram(BinSpec(0.0, 1.0, 2), [0.5, 0.5])
         with pytest.raises(ValueError):
             hist.probabilities[0] = 0.9
 
     def test_the_callers_arrays_stay_writable_and_apart(self):
         a = np.array([0.25, 0.75])
         counts = np.array([1, 3], dtype=np.int64)
-        from_a = Histogram.from_probabilities(a)
+        from_a = Histogram(BinSpec(0.0, 1.0, 2), a)
         hist = Histogram(spec=BinSpec(0.0, 1.0, 2), probabilities=a, counts=counts)
         assert a.flags.writeable and counts.flags.writeable
         assert not hist.probabilities.flags.writeable and not hist.counts.flags.writeable
         a[0], a[1], counts[0] = 0.5, 0.5, 7
         assert from_a.probabilities.tolist() == hist.probabilities.tolist() == [0.25, 0.75]
         assert hist.counts.tolist() == [1, 3]
+
+    @pytest.mark.parametrize(
+        "counts", [[1, 2, 3], [1], [1.7, 2], [1.0, 2.0], [1, -2], [True, False], ["1", "2"]]
+    )
+    def test_counts_must_be_bin_count_integers_at_least_zero(self, counts):
+        with pytest.raises(InvalidInputError, match=r"^counts must be 2 integers >= 0$"):
+            Histogram(BinSpec(0.0, 1.0, 2), [0.5, 0.5], counts=counts)
+        hist = Histogram(BinSpec(0.0, 1.0, 2), [0.5, 0.5], counts=np.array([0, 2], np.uint8))
+        assert hist.counts.dtype == np.int64 and hist.to_dict()["counts"] == [0, 2]
 
     def test_to_dict_round_trips_through_json(self):
         import json
