@@ -56,7 +56,6 @@ from .histogram import (
     pooled_bin_spec,
 )
 from .infogain import (
-    GainValue,
     expected_unexpectedness,
     gains_against_reference,
     information_gain,
@@ -81,7 +80,6 @@ __all__ = [
     "DEFAULT_TOP_K",
     "DuplicateRecordError",
     "EmptyDataError",
-    "GainValue",
     "HelioDot",
     "HelioLayout",
     "HeliobenchError",

@@ -22,7 +22,7 @@ reference, so it gains nothing from this.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .corpus import Corpus, Indicator, _csv_text, category_values
@@ -37,7 +37,7 @@ from .histogram import (
     check_alpha,
     pooled_bin_spec,
 )
-from .infogain import _Rows, gains_against_reference
+from .infogain import gains_against_reference
 
 DEFAULT_ALPHA = 0.5
 DEFAULT_TOP_K = 30
@@ -114,16 +114,15 @@ def run_benchmark(corpus: Corpus, request: BenchmarkRequest) -> list[BenchmarkRe
         # The candidate matrix is smoothed before the reference histogram, so
         # that a pseudo-count the indicator cannot take is reported by name.
         # It is deleted once scored, so at most one matrix too large for the
-        # memo is alive at a time. It goes through gains_against_reference,
-        # not the kernel directly, because bench/tracing.py times the gain
-        # layer by that name, and bench/run.py reports infogain.pairs_per_s
-        # only when that span has run.
-        candidates = _Rows(*category_probabilities(corpus, indicator, spec, request.alpha))
+        # memo is alive at a time. The (names, matrix) pair goes through
+        # gains_against_reference, not the kernel directly, because
+        # bench/tracing.py times the gain layer by that name, and bench/run.py
+        # reports infogain.pairs_per_s only when that span has run.
+        candidates = category_probabilities(corpus, indicator, spec, request.alpha)
         ref_hist = build_histogram(ref_values, spec, request.alpha)
-        gains = gains_against_reference(ref_hist, candidates, request.reference)
+        ranking = gains_against_reference(ref_hist, candidates, request.reference)
         del candidates
-        # gains come in name order, so the stable sort breaks ties by name.
-        ranking = list(map(attrgetter("candidate", "value"), gains))
+        # The pairs come in name order, so the stable sort breaks ties by name.
         ranking.sort(key=itemgetter(1))
         results.append(
             BenchmarkResult(

@@ -84,7 +84,13 @@ class BinSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "bin_count", _as_bin_count(self.bin_count))
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+        try:
+            finite = math.isfinite(self.lower) and math.isfinite(self.upper)
+        except TypeError:
+            raise InvalidInputError(
+                f"bin bounds must be real numbers, got {self.lower!r} and {self.upper!r}"
+            ) from None
+        if not finite:
             raise InvalidInputError("bin bounds must be finite")
         if self.lower < 0:
             raise InvalidInputError(f"lower bound must be >= 0, got {self.lower}")
@@ -115,13 +121,13 @@ class Histogram:
 
     probabilities sum to 1 (within 1e-12) and are strictly positive when
     alpha > 0. counts is None for distributions not built from samples, else
-    bin_count integers >= 0.
+    bin_count integers >= 0. clamped, the number of samples that fell outside
+    the spec's bounds, is an integer in [0, sample_count].
     """
 
     spec: BinSpec
     probabilities: np.ndarray
     counts: np.ndarray | None = None
-    sample_count: int = 0
     alpha: float = 0.0
     clamped: int = 0
 
@@ -146,6 +152,20 @@ class Histogram:
             counts = counts.astype(np.int64, copy=False)
             counts.flags.writeable = False
             object.__setattr__(self, "counts", counts)
+        sample_count = self.sample_count
+        error = f"clamped must be an integer in [0, {sample_count}], got {self.clamped!r}"
+        try:
+            clamped = operator.index(self.clamped)
+        except TypeError:
+            raise InvalidInputError(error) from None
+        if not 0 <= clamped <= sample_count:
+            raise InvalidInputError(error)
+        object.__setattr__(self, "clamped", clamped)
+
+    @property
+    def sample_count(self) -> int:
+        """The number of values counted: the sum of counts, 0 without counts."""
+        return 0 if self.counts is None else int(self.counts.sum())
 
     def to_dict(self) -> dict:
         return {
@@ -161,7 +181,11 @@ class Histogram:
 
 def check_alpha(alpha: float) -> None:
     """Raise InvalidInputError unless alpha is a finite pseudo-count >= 0."""
-    if not math.isfinite(alpha) or alpha < 0:
+    try:
+        finite = math.isfinite(alpha)
+    except TypeError:
+        raise InvalidInputError(f"alpha must be a real number, got {alpha!r}") from None
+    if not finite or alpha < 0:
         raise InvalidInputError(f"alpha must be finite and >= 0, got {alpha}")
 
 
@@ -300,7 +324,6 @@ def build_histogram(values: Sequence[float], spec: BinSpec, alpha: float = 0.0) 
         spec=spec,
         probabilities=probabilities[0],
         counts=counts[0],
-        sample_count=int(values.size),
         alpha=alpha,
         clamped=clamped,
     )

@@ -13,13 +13,13 @@ by math.log(2) for bits.
 
 One vectorized kernel scores a reference against many candidate
 distributions, a block of rows at a time. information_gain is its one-row
-case, and gains_against_reference its Mapping-in, GainValue-out wrapper
-for callers with their own histograms or probability vectors. A ranking
-hands that wrapper the whole category-by-bin matrix as one _Rows mapping:
-the matrix is scored in one kernel call, without a per-candidate check or
-copy, and the reference's own row is dropped. Sums are fixed-order
-pairwise row sums, so equal candidates get equal gains and a copy of the
-reference gets exactly zero.
+case, and gains_against_reference its public wrapper, which returns
+(name, gain) pairs in name order. That wrapper takes a Mapping of
+histograms or probability vectors, or the (names, matrix) pair that
+histogram.category_probabilities returns: such a matrix is scored in one
+kernel call, without a per-candidate check or copy, and the reference's
+own row is dropped. Sums are fixed-order pairwise row sums, so equal
+candidates get equal gains and a copy of the reference gets exactly zero.
 
 Lower gain means more similar distributions; eps(P, P) = 0 and
 eps(P, Q) >= 0 whenever Q is positive wherever P is, up to rounding: a
@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
-from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -42,21 +40,6 @@ from .histogram import BLOCK_ELEMENTS, Histogram
 # Agreement required between the expectation-difference form and the direct
 # summation form of the gain.
 IDENTITY_TOL = 1e-12
-
-
-@dataclass(frozen=True, init=False)
-class GainValue:
-    """Information gain of a candidate distribution relative to a reference."""
-
-    value: float
-    reference: str = ""
-    candidate: str = ""
-
-    def __init__(self, value: float, reference: str = "", candidate: str = ""):
-        # Three dict stores instead of the generated frozen __init__'s three
-        # object.__setattr__ calls: a ranking builds one per candidate.
-        fields = self.__dict__
-        fields["value"], fields["reference"], fields["candidate"] = value, reference, candidate
 
 
 def unexpectedness(p: float) -> float:
@@ -163,64 +146,50 @@ def _gains(
     return gains
 
 
-def information_gain(p_hist: Histogram, q_hist: Histogram) -> GainValue:
+def information_gain(p_hist: Histogram, q_hist: Histogram) -> float:
     """eps(P, Q) = U_P(Q) - U_P(P) in nats, cross-checked against the direct
-    form sum_i p_i * log(p_i / q_i), as an unlabelled GainValue.
+    form sum_i p_i * log(p_i / q_i).
 
     The two evaluations must agree within 1e-12; a discrepancy indicates a
     numerical defect and raises ArithmeticError.
     """
     _check_compatible(p_hist, q_hist)
     (value,) = _gains(p_hist.probabilities, [q_hist.probabilities])
-    return GainValue(value)
-
-
-class _Rows(Mapping):
-    """Candidate probability vectors held as the rows of one matrix, keyed
-    by sorted, distinct names: the (names, probabilities) pair that
-    histogram.category_probabilities returns. The row keyed by the
-    reference's name, if there is one, must be the reference's own
-    distribution."""
-
-    def __init__(self, names: list[str], matrix: np.ndarray):
-        self.names, self.matrix = names, matrix
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        row = bisect.bisect_left(self.names, name)
-        if self.names[row:row + 1] != [name]:
-            raise KeyError(name)
-        return self.matrix[row]
-
-    def __iter__(self):
-        return iter(self.names)
-
-    def __len__(self) -> int:
-        return len(self.names)
+    return value
 
 
 def gains_against_reference(
     reference_hist: Histogram,
-    candidates: Mapping[str, Histogram | np.ndarray],
+    candidates: Mapping[str, Histogram | np.ndarray] | tuple[Sequence[str], np.ndarray],
     reference_name: str = "",
-) -> list[GainValue]:
-    """Gain of every candidate relative to the reference, one GainValue per
-    candidate in lexicographic candidate-name order: the Mapping-in,
-    GainValue-out public wrapper over the gain kernel.
+) -> list[tuple[str, float]]:
+    """Gain of every candidate relative to the reference, as (name, gain)
+    pairs in lexicographic name order, with the candidate named
+    reference_name left out.
 
-    A candidate is a Histogram on the reference's spec, or a bare vector of
-    bin_count probabilities on that spec, such as a row of
-    histogram.category_probabilities. A candidate keyed by reference_name
-    is skipped. Errors name the first offending candidate in name order,
-    whichever check it fails. A _Rows mapping, as run_benchmark passes, is
-    scored in one kernel call with no per-candidate check.
+    candidates is either a Mapping or a (names, matrix) pair. In a Mapping a
+    candidate is a Histogram on the reference's spec, or a bare vector of
+    bin_count probabilities on that spec; errors name the first offending
+    candidate in name order, whichever check it fails. A (names, matrix)
+    pair, as histogram.category_probabilities returns, holds one row of
+    bin_count probabilities per name, the names sorted and distinct, and
+    the row named reference_name, if there is one, the reference's own
+    distribution. It is scored in one kernel call; only its shape is
+    checked as a whole, raising IncompatibleSupportError unless it is
+    (len(names), bin_count).
     """
-    if isinstance(candidates, _Rows):
-        # The whole matrix in one kernel call, without a per-candidate check.
-        names, rows, error = candidates.names, candidates.matrix, None
+    spec = reference_hist.spec
+    error = None
+    if isinstance(candidates, tuple):
+        names, rows = candidates
+        if np.shape(rows) != (len(names), spec.bin_count):
+            raise IncompatibleSupportError(
+                f"expected {len(names)} rows of {spec.bin_count} probabilities, "
+                f"got shape {np.shape(rows)}"
+            )
     else:
-        spec = reference_hist.spec
         names = [name for name in sorted(candidates) if name != reference_name]
-        rows, error = [], None
+        rows = []
         for name in names:
             candidate = candidates[name]
             if isinstance(candidate, Histogram):
@@ -243,11 +212,11 @@ def gains_against_reference(
     gains = _gains(reference_hist.probabilities, rows, names)
     if error is not None:
         raise error
-    values = list(map(GainValue, gains, repeat(reference_name), names))
-    # A _Rows matrix may hold the reference's own row: it scores exactly 0
-    # and passes every check, so it is dropped here, not copied out of the
+    pairs = list(zip(names, gains))
+    # A matrix may hold the reference's own row: it scores exactly 0 and
+    # passes every check, so its pair is dropped here, not copied out of the
     # matrix. A Mapping's names already leave the reference out.
     own = bisect.bisect_left(names, reference_name)
-    if names[own:own + 1] == [reference_name]:
-        del values[own]
-    return values
+    if own < len(names) and names[own] == reference_name:
+        del pairs[own]
+    return pairs

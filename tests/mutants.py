@@ -50,6 +50,16 @@ INTEGER_BIN_COUNT_TEST = (
     "tests/test_benchmark.py::TestBinningMemo::test_bin_count_must_be_an_integer_cold_or_warm"
 )
 NAN_VALUE_TEST = "tests/test_histogram.py::TestBuildHistogram::test_nan_is_refused_not_counted"
+SHAPE_TEST = (
+    "tests/test_infogain.py::TestGainsAgainstReference::test_matrix_of_the_wrong_shape_is_refused"
+)
+CALL_COUNT_TEST = (
+    "tests/test_benchmark.py::test_python_calls_per_warm_op_do_not_grow_with_the_categories"
+)
+CLAMPED_TEST = (
+    "tests/test_histogram.py::TestHistogramType::"
+    "test_clamped_must_be_an_integer_up_to_the_sample_count"
+)
 COUNTS_TEST = (
     "tests/test_histogram.py::TestHistogramType::"
     "test_counts_must_be_bin_count_integers_at_least_zero"
@@ -104,6 +114,30 @@ MUTANTS = (
         "gain_nats = np.cumsum(work, axis=1)[:, -1] - self_nats",
         "a gain's rounding error stays within KERNEL_ERROR_C units of the sums it subtracts",
         (ERROR_BOUND_TEST,),
+    ),
+    Mutant(
+        "gains-matrix-shape",
+        "src/heliobench/infogain.py",
+        "if np.shape(rows) != (len(names), spec.bin_count):",
+        "if False:",
+        "a (names, matrix) pair whose matrix is not len(names) x bin_count is refused",
+        (SHAPE_TEST,),
+    ),
+    Mutant(
+        "gains-keep-reference-row",
+        "src/heliobench/infogain.py",
+        "        del pairs[own]\n",
+        "        pass\n",
+        "the reference's own row of a (names, matrix) pair is left out of its gains",
+        ("tests/test_infogain.py", "tests/test_benchmark.py"),
+    ),
+    Mutant(
+        "gains-object-per-candidate",
+        "src/heliobench/infogain.py",
+        "pairs = list(zip(names, gains))",
+        "pairs = list(map(lambda *pair: pair, names, gains))",
+        "the Python calls of a warm ranking do not grow with the number of categories",
+        (CALL_COUNT_TEST,),
     ),
     Mutant(
         "svg-negative-zero",
@@ -208,6 +242,14 @@ MUTANTS = (
         "",
         "a Histogram's counts are >= 0",
         (COUNTS_TEST,),
+    ),
+    Mutant(
+        "histogram-clamped-range",
+        "src/heliobench/histogram.py",
+        "if not 0 <= clamped <= sample_count:",
+        "if clamped < 0:",
+        "a Histogram's clamped count is at most its sample count",
+        (CLAMPED_TEST,),
     ),
     Mutant(
         "ties-by-name",

@@ -1,5 +1,6 @@
 import gc
 import json
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -22,10 +23,12 @@ from heliobench import (
     category_values,
     cross_indicator_summary,
     gains_against_reference,
+    layout_map,
     load_corpus,
     make_synthetic_corpus,
     parse_corpus,
     pooled_bin_spec,
+    render_svg,
     run_benchmark,
     serialize_corpus,
     top_k,
@@ -360,7 +363,7 @@ def public_ranking(corpus, reference, indicator, spec, alpha):
         if values:
             histograms[name] = build_histogram(values, spec, alpha)
     gains = gains_against_reference(histograms[reference], histograms, reference_name=reference)
-    return tuple((g.candidate, g.value) for g in sorted(gains, key=lambda g: g.value))
+    return tuple(sorted(gains, key=lambda pair: pair[1]))
 
 
 class TestRankingMatchesThePublicWrapper:
@@ -564,6 +567,11 @@ class TestRequestValidation:
         with pytest.raises(InvalidInputError, match="finite"):
             BenchmarkRequest(reference="A", alpha=alpha)
 
+    @pytest.mark.parametrize("alpha", ["0.5", None])
+    def test_alpha_that_is_not_a_number_rejected(self, alpha):
+        with pytest.raises(InvalidInputError, match=rf"^alpha must be a real number, got {alpha!r}"):
+            BenchmarkRequest(reference="A", alpha=alpha)
+
 
 class TestOneScaleDefault:
     def test_every_path_falls_back_to_default_scales(self, demo_csv_path):
@@ -585,3 +593,41 @@ class TestOneScaleDefault:
         ]
         with pytest.raises(InvalidInputError, match="scale must be"):
             pooled_bin_spec(corpus, Indicator.IMPACT_FACTOR, scale="")
+
+
+def _python_calls(op) -> int:
+    """The number of Python function calls op makes, as a profile hook sees
+    them; calls into C are not counted."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        op()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+# Python calls that a warm op on 1,000 categories may make beyond one on the
+# demo's 174. The op's Python work is per indicator and per map dot, and both
+# are fixed, so any growth with the number of categories is per-candidate
+# Python work in the ranking path.
+CALLS_GROWTH_SLACK = 16
+
+
+def test_python_calls_per_warm_op_do_not_grow_with_the_categories(demo_csv_path):
+    def op(corpus):
+        for result in run_benchmark(corpus, BenchmarkRequest(reference="Category 000")):
+            render_svg(layout_map(top_k(result, 30)))
+
+    counts = []
+    for corpus in (load_corpus(demo_csv_path), make_synthetic_corpus(n_categories=1000, seed=1)):
+        op(corpus)  # fills the binning memo
+        counts.append(_python_calls(lambda: op(corpus)))
+    demo, large = counts
+    assert large - demo <= CALLS_GROWTH_SLACK, counts

@@ -52,6 +52,8 @@ class TestBinSpec:
             dict(lower=-1.0, upper=1.0, bin_count=4),
             dict(lower=0.0, upper=float("inf"), bin_count=4),
             dict(lower=0.0, upper=1.0, bin_count=4, scale="sqrt"),
+            dict(lower="0", upper=1.0, bin_count=4),
+            dict(lower=0.0, upper=None, bin_count=4),
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
@@ -331,6 +333,28 @@ class TestHistogramType:
             Histogram(BinSpec(0.0, 1.0, 2), [0.5, 0.5], counts=counts)
         hist = Histogram(BinSpec(0.0, 1.0, 2), [0.5, 0.5], counts=np.array([0, 2], np.uint8))
         assert hist.counts.dtype == np.int64 and hist.to_dict()["counts"] == [0, 2]
+
+    @pytest.mark.parametrize(
+        "counts, clamped", [([1, 1], -7), ([1, 1], 3), (None, 1), ([1, 1], 1.0), ([1, 1], "1")]
+    )
+    def test_clamped_must_be_an_integer_up_to_the_sample_count(self, counts, clamped):
+        sample_count = 0 if counts is None else 2
+        with pytest.raises(
+            InvalidInputError,
+            match=rf"^clamped must be an integer in \[0, {sample_count}\], got {clamped!r}$",
+        ):
+            Histogram(BinSpec(0.0, 1.0, 2), [0.5, 0.5], counts=counts, clamped=clamped)
+
+    def test_sample_count_is_the_sum_of_counts(self):
+        import json
+
+        hist = Histogram(BinSpec(0.0, 1.0, 2), [0.5, 0.5], counts=[1, 3], clamped=np.int64(4))
+        assert (hist.sample_count, hist.clamped, type(hist.clamped)) == (4, 4, int)
+        doc = json.loads(json.dumps(hist.to_dict()))
+        assert (doc["sample_count"], doc["clamped"]) == (4, 4)
+        assert Histogram(BinSpec(0.0, 1.0, 2), [0.5, 0.5]).sample_count == 0
+        with pytest.raises(TypeError):
+            Histogram(BinSpec(0.0, 1.0, 2), [0.5, 0.5], counts=[1, 1], sample_count=-3)
 
     def test_to_dict_round_trips_through_json(self):
         import json

@@ -1,5 +1,5 @@
-import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from heliobench import (
     AbsoluteContinuityError,
     BinSpec,
-    GainValue,
     Histogram,
     IncompatibleSupportError,
     InvalidInputError,
@@ -88,25 +87,25 @@ class TestExpectedUnexpectedness:
 class TestInformationGain:
     def test_self_gain_is_zero(self):
         for probs in ([0.5, 0.5], [0.9, 0.1], [0.2, 0.3, 0.5]):
-            assert information_gain(hist(probs), hist(probs)).value == 0.0
+            assert information_gain(hist(probs), hist(probs)) == 0.0
 
     def test_frozen_value_mild_divergence(self):
-        gv = information_gain(hist([0.5, 0.5]), hist([0.25, 0.75]))
-        assert gv.value == pytest.approx(0.14384103622589045, abs=1e-12)
+        gain = information_gain(hist([0.5, 0.5]), hist([0.25, 0.75]))
+        assert gain == pytest.approx(0.14384103622589045, abs=1e-12)
 
     def test_frozen_value_strong_divergence(self):
-        gv = information_gain(hist([0.9, 0.1]), hist([0.1, 0.9]))
-        assert gv.value == pytest.approx(1.7577796618689756, abs=1e-12)
+        gain = information_gain(hist([0.9, 0.1]), hist([0.1, 0.9]))
+        assert gain == pytest.approx(1.7577796618689756, abs=1e-12)
 
     def test_matches_oracle_on_random_pairs(self):
         for p, q in random_positive_pairs(50, seed=5):
-            gv = information_gain(hist(p), hist(q))
-            assert gv.value == pytest.approx(kl_direct(p, q), abs=1e-12)
+            gain = information_gain(hist(p), hist(q))
+            assert gain == pytest.approx(kl_direct(p, q), abs=1e-12)
 
     def test_asymmetry_witness(self):
         p, q = hist([0.9, 0.1]), hist([0.3, 0.7])
-        forward = information_gain(p, q).value
-        backward = information_gain(q, p).value
+        forward = information_gain(p, q)
+        backward = information_gain(q, p)
         assert abs(forward - backward) > 0.1
 
     def test_absolute_continuity_violation(self):
@@ -132,7 +131,7 @@ def positive_pair(draw):
 @settings(max_examples=200, deadline=None)
 def test_gibbs_inequality_property(pair):
     p, q = pair
-    assert information_gain(hist(p), hist(q)).value >= -1e-12
+    assert information_gain(hist(p), hist(q)) >= -1e-12
 
 
 @given(positive_pair())
@@ -143,24 +142,11 @@ def test_cross_entropy_dominates_entropy_property(pair):
     assert expected_unexpectedness(hp, hq) >= expected_unexpectedness(hp, hp) - 1e-12
 
 
-class TestGainValue:
-    def test_is_a_frozen_value_object(self):
-        gv = GainValue(0.25, candidate="b")
-        assert gv == GainValue(value=0.25, reference="", candidate="b")
-        assert hash(gv) == hash(GainValue(0.25, "", "b"))
-        assert repr(gv) == "GainValue(value=0.25, reference='', candidate='b')"
-        assert dataclasses.replace(gv, reference="a") == GainValue(0.25, "a", "b")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            gv.value = 1.0
-
-
 class TestGainsAgainstReference:
     def test_reference_copy_scores_zero(self):
         ref = hist([0.4, 0.6])
         gains = gains_against_reference(ref, {"X": hist([0.4, 0.6])})
-        assert len(gains) == 1
-        assert gains[0].candidate == "X"
-        assert gains[0].value == 0.0
+        assert gains == [("X", 0.0)]
 
     def test_empty_candidates(self):
         assert gains_against_reference(hist([0.5, 0.5]), {}) == []
@@ -169,13 +155,13 @@ class TestGainsAgainstReference:
         ref = hist([0.4, 0.6])
         candidates = {name: hist([0.5, 0.5]) for name in ["zeta", "alpha", "mid"]}
         gains = gains_against_reference(ref, candidates)
-        assert [g.candidate for g in gains] == ["alpha", "mid", "zeta"]
+        assert [name for name, _ in gains] == ["alpha", "mid", "zeta"]
 
     def test_reference_name_excluded(self):
         ref = hist([0.4, 0.6])
         candidates = {"Ref": ref, "Other": hist([0.5, 0.5])}
         gains = gains_against_reference(ref, candidates, reference_name="Ref")
-        assert [g.candidate for g in gains] == ["Other"]
+        assert [name for name, _ in gains] == ["Other"]
 
     def test_per_pair_values_match_oracle(self):
         ref_probs = [0.2, 0.5, 0.3]
@@ -183,10 +169,8 @@ class TestGainsAgainstReference:
         gains = gains_against_reference(
             hist(ref_probs), {k: hist(v) for k, v in candidates.items()}
         )
-        for gv in gains:
-            assert gv.value == pytest.approx(
-                kl_direct(ref_probs, candidates[gv.candidate]), abs=1e-12
-            )
+        for name, gain in gains:
+            assert gain == pytest.approx(kl_direct(ref_probs, candidates[name]), abs=1e-12)
 
     def test_errors_name_the_candidate(self):
         ref = hist([0.5, 0.5])
@@ -208,7 +192,7 @@ class TestGainsAgainstReference:
             gains = gains_against_reference(
                 hist(p), {"copy": p.copy(), "q1": q, "q2": q.copy(), "self": p}, reference_name="self"
             )
-            values = {g.candidate: g.value for g in gains}
+            values = dict(gains)
             assert values["copy"] == 0.0
             assert values["q1"] == values["q2"] > 0.0
 
@@ -251,8 +235,8 @@ class TestGainsAgainstReference:
         whole = gains_against_reference(ref, candidates)
         monkeypatch.setattr(heliobench.infogain, "BLOCK_ELEMENTS", 3 * 16)
         assert gains_against_reference(ref, candidates) == whole
-        assert [g.value for g in whole] == [
-            information_gain(ref, hist(q)).value for _, q in sorted(candidates.items())
+        assert [gain for _, gain in whole] == [
+            information_gain(ref, hist(q)) for _, q in sorted(candidates.items())
         ]
 
     def test_incompatible_histogram_candidate_is_named(self):
@@ -275,35 +259,39 @@ class TestGainsAgainstReference:
             gains_against_reference(hist([0.5, 0.5]), {"bad": np.array(vector), "ok": [0.5, 0.5]})
 
     def test_matrix_rows_score_like_a_dict_of_their_rows(self):
-        from heliobench.infogain import _Rows
-
         matrix = np.random.default_rng(5).dirichlet(np.ones(6), size=5)
-        rows = _Rows(["a", "b", "ref", "x", "y"], matrix)
-        assert len(rows) == 5 and "ref" in rows and "c" not in rows
+        names = ["a", "b", "ref", "x", "y"]
         ref = hist(matrix[2])
         for reference_name in ("ref", "", "c"):
-            assert gains_against_reference(ref, rows, reference_name=reference_name) == (
-                gains_against_reference(ref, dict(rows), reference_name=reference_name)
+            assert gains_against_reference(ref, (names, matrix), reference_name) == (
+                gains_against_reference(ref, dict(zip(names, matrix)), reference_name)
             )
+
+    @pytest.mark.parametrize("shape", [(4, 6), (6, 6), (5, 5), (5, 7), (30,), (5, 6, 1)])
+    def test_matrix_of_the_wrong_shape_is_refused(self, shape):
+        names = ["a", "b", "ref", "x", "y"]
+        with pytest.raises(
+            IncompatibleSupportError,
+            match=rf"^expected 5 rows of 6 probabilities, got shape {re.escape(str(shape))}$",
+        ):
+            gains_against_reference(hist(np.full(6, 1 / 6)), (names, np.full(shape, 1 / 6)))
 
     @pytest.mark.parametrize("zero_bins", [0, 2])
     def test_contiguous_and_column_major_matrices_score_alike(self, zero_bins):
-        from heliobench.infogain import _Rows
-
         rng = np.random.default_rng(9)
         matrix = rng.dirichlet(np.ones(12), size=7)
         p = rng.dirichlet(np.ones(12))
         p[:zero_bins] = 0.0
         ref = hist(p / p.sum())
         names = [f"c{i}" for i in range(7)]
-        assert gains_against_reference(ref, _Rows(names, matrix)) == (
-            gains_against_reference(ref, _Rows(names, np.asfortranarray(matrix)))
+        assert gains_against_reference(ref, (names, matrix)) == (
+            gains_against_reference(ref, (names, np.asfortranarray(matrix)))
         )
 
     def test_gains_are_python_floats(self):
         gains = gains_against_reference(hist([0.2, 0.8]), {"a": hist([0.6, 0.4])})
-        assert type(gains[0].value) is float
-        assert type(information_gain(hist([0.2, 0.8]), hist([0.6, 0.4])).value) is float
+        assert type(gains[0][1]) is float
+        assert type(information_gain(hist([0.2, 0.8]), hist([0.6, 0.4]))) is float
 
 
 @pytest.mark.parametrize(
@@ -343,8 +331,6 @@ def test_bad_value_raises_alike_through_every_path(bad, reference, column):
     # the forms' agreement is the only validity check: it must raise what
     # the separate pass, still run when the bad value sits in an unscored
     # column, raises.
-    from heliobench.infogain import _Rows
-
     ref = hist(reference)
     row = [0.2, 0.3, 0.5]
     row[column] = bad
@@ -356,15 +342,15 @@ def test_bad_value_raises_alike_through_every_path(bad, reference, column):
         error, message = AbsoluteContinuityError, str(AbsoluteContinuityError(column))
     matrix = np.array([[0.2, 0.3, 0.5], row, [0.5, 0.3, 0.2]])
     named = [
-        lambda: gains_against_reference(ref, _Rows(["a", "bad", "c"], matrix)),
+        lambda: gains_against_reference(ref, (["a", "bad", "c"], matrix)),
         lambda: gains_against_reference(ref, {"c": matrix[2], "bad": matrix[1], "a": matrix[0]}),
     ]
     q = hist([0.2, 0.3, 0.5])
     object.__setattr__(q, "probabilities", matrix[1])  # past the Histogram's own check
     if error is None:
         for score in named:
-            assert [g.candidate for g in score()] == ["a", "bad", "c"]
-        assert information_gain(ref, q).value >= 0.0
+            assert [name for name, _ in score()] == ["a", "bad", "c"]
+        assert information_gain(ref, q) >= 0.0
         return
     for score in named:
         assert _named_error(score) == (error, f"candidate 'bad': {message}")
@@ -419,7 +405,7 @@ def test_a_gain_rounded_below_zero_is_reported_and_ranks_before_a_copy():
     assert _gains(p, Q) == plain
     # "copy" sorts before "near" by name, so only a negative gain puts "near" first.
     gains = gains_against_reference(hist(p), {"copy": p.copy(), "near": Q[np.argmin(plain)]})
-    assert [(g.candidate, g.value) for g in sorted(gains, key=lambda g: g.value)] == [
+    assert sorted(gains, key=lambda pair: pair[1]) == [
         ("near", min(plain)), ("copy", 0.0)
     ]
 
@@ -499,10 +485,8 @@ def test_gain_is_additive_over_independent_indicators(seed, bins1, bins2):
     sums = np.add(_gains(p1, Q1), _gains(p2, Q2))
     assert np.abs(np.subtract(_gains(p, Q), sums)).max() <= AXIOM_TOL
     for q, q1, q2 in zip(Q, Q1, Q2):
-        parts = information_gain(hist(p1), hist(q1)).value + information_gain(
-            hist(p2), hist(q2)
-        ).value
-        assert abs(information_gain(hist(p), hist(q)).value - parts) <= AXIOM_TOL
+        parts = information_gain(hist(p1), hist(q1)) + information_gain(hist(p2), hist(q2))
+        assert abs(information_gain(hist(p), hist(q)) - parts) <= AXIOM_TOL
 
 
 @st.composite
@@ -529,8 +513,8 @@ def test_merging_adjacent_bins_never_raises_the_gain(seed, merge):
     after = _gains(merged_p, merged_Q)
     assert all(a <= b + AXIOM_TOL for a, b in zip(after, before))
     for q, merged_q, gain in zip(Q, merged_Q, before):
-        assert information_gain(hist(p), hist(q)).value == gain
-        assert information_gain(hist(merged_p), hist(merged_q)).value <= gain + AXIOM_TOL
+        assert information_gain(hist(p), hist(q)) == gain
+        assert information_gain(hist(merged_p), hist(merged_q)) <= gain + AXIOM_TOL
 
 
 @pytest.mark.parametrize("bins", [5, 10, 20])
@@ -593,7 +577,7 @@ def test_gain_is_convex_in_the_candidate(seed, bins, lam):
     mixed = lam * q1 + (1.0 - lam) * q2
     g1, g2, g = _gains(p, [q1, q2, mixed])
     assert g <= lam * g1 + (1.0 - lam) * g2 + AXIOM_TOL
-    assert information_gain(hist(p), hist(mixed)).value == g
+    assert information_gain(hist(p), hist(mixed)) == g
 
 
 # A fixed-order sum of n terms errs by at most about n * 2^-53 times the sum
@@ -612,5 +596,5 @@ def test_permuting_the_bins_of_both_leaves_the_gain(seed, bins):
     permuted = _gains(p[order], Q[:, order])
     assert np.abs(np.subtract(permuted, gains)).max() <= AXIOM_TOL
     candidates = {f"c{r}": q[order] for r, q in enumerate(Q)}
-    public = [g.value for g in gains_against_reference(hist(p[order]), candidates)]
+    public = [gain for _, gain in gains_against_reference(hist(p[order]), candidates)]
     assert public == permuted
