@@ -3,12 +3,13 @@
 For each requested indicator the corpus is binned on a single pooled
 support: the reference becomes a smoothed histogram, and one pass over the
 indicator column gives every category's smoothed distribution as one
-category-by-bin matrix. That whole matrix is scored in one kernel call,
-the reference's own row is dropped, and the others' (name, gain) pairs,
-taken in name order, are ranked by one stable sort on the gain: ascending
-information gain relative to the reference (lower = more similar), ties by
-name. Rankings are always computed in full; top-k truncation is a
-presentation step. CSV tables are written by corpus._csv_text.
+category-by-bin matrix, one row per category in name order. That whole
+matrix is scored in one kernel call, the reference's own row is dropped,
+and the others' (name, gain) pairs, taken in row order, are ranked by one
+stable sort on the gain: ascending information gain relative to the
+reference (lower = more similar), ties by name. Rankings are always
+computed in full; top-k truncation is a presentation step. CSV tables are
+written by corpus._csv_text.
 
 The candidates' smoothed matrix depends on the corpus, the indicator, the
 bin spec and alpha, not on the reference, so it is memoized on the Corpus
@@ -114,15 +115,14 @@ def run_benchmark(corpus: Corpus, request: BenchmarkRequest) -> list[BenchmarkRe
         # The candidate matrix is smoothed before the reference histogram, so
         # that a pseudo-count the indicator cannot take is reported by name.
         # It is deleted once scored, so at most one matrix too large for the
-        # memo is alive at a time. The (names, matrix) pair goes through
-        # gains_against_reference, not the kernel directly, because
-        # bench/tracing.py times the gain layer by that name, and bench/run.py
-        # reports infogain.pairs_per_s only when that span has run.
-        candidates = category_probabilities(corpus, indicator, spec, request.alpha)
+        # memo is alive at a time. The reference gets a histogram of its own,
+        # not its matrix row, because bench/run.py reports
+        # histogram.build_useful_ratio only when build_histogram has run.
+        names, matrix = category_probabilities(corpus, indicator, spec, request.alpha)
         ref_hist = build_histogram(ref_values, spec, request.alpha)
-        ranking = gains_against_reference(ref_hist, candidates, request.reference)
-        del candidates
-        # The pairs come in name order, so the stable sort breaks ties by name.
+        ranking = gains_against_reference(ref_hist, names, matrix, request.reference)
+        del matrix
+        # The names come sorted, so the stable sort breaks ties by name.
         ranking.sort(key=itemgetter(1))
         results.append(
             BenchmarkResult(

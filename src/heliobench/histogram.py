@@ -119,10 +119,12 @@ class BinSpec:
 class Histogram:
     """A probability vector over a BinSpec's intervals.
 
-    probabilities sum to 1 (within 1e-12) and are strictly positive when
-    alpha > 0. counts is None for distributions not built from samples, else
-    bin_count integers >= 0. clamped, the number of samples that fell outside
-    the spec's bounds, is an integer in [0, sample_count].
+    alpha is a finite pseudo-count >= 0. probabilities sum to 1 (within
+    1e-12) and are strictly positive when alpha > 0. counts is None for
+    distributions not built from samples, else bin_count integers >= 0 that
+    give each probability, within 1e-12, as build_histogram smooths them:
+    (c_i + alpha) / (N + alpha * bin_count). clamped, the number of samples
+    that fell outside the spec's bounds, is an integer in [0, sample_count].
     """
 
     spec: BinSpec
@@ -132,6 +134,7 @@ class Histogram:
     clamped: int = 0
 
     def __post_init__(self):
+        check_alpha(self.alpha)
         probs = np.array(self.probabilities, dtype=float)
         if probs.shape != (self.spec.bin_count,):
             raise InvalidInputError(
@@ -150,6 +153,11 @@ class Histogram:
             if counts.shape != probs.shape or counts.dtype.kind not in "iu" or counts.min() < 0:
                 raise InvalidInputError(f"counts must be {self.spec.bin_count} integers >= 0")
             counts = counts.astype(np.int64, copy=False)
+            total = int(counts.sum()) + self.alpha * counts.size  # 0 only at alpha 0, no counts
+            if not total > 0 or abs(probs - (counts + self.alpha) / total).max() > PROBABILITY_SUM_TOL:
+                raise InvalidInputError(
+                    f"probabilities must be the counts smoothed with alpha {self.alpha!r}"
+                )
             counts.flags.writeable = False
             object.__setattr__(self, "counts", counts)
         sample_count = self.sample_count

@@ -13,13 +13,13 @@ by math.log(2) for bits.
 
 One vectorized kernel scores a reference against many candidate
 distributions, a block of rows at a time. information_gain is its one-row
-case, and gains_against_reference its public wrapper, which returns
-(name, gain) pairs in name order. That wrapper takes a Mapping of
-histograms or probability vectors, or the (names, matrix) pair that
-histogram.category_probabilities returns: such a matrix is scored in one
-kernel call, without a per-candidate check or copy, and the reference's
-own row is dropped. Sums are fixed-order pairwise row sums, so equal
-candidates get equal gains and a copy of the reference gets exactly zero.
+case, and gains_against_reference its public wrapper: it takes candidate
+names and a matrix of one probability row per name, as
+histogram.category_probabilities returns them, scores the matrix in one
+kernel call, without a per-candidate check or copy, and returns
+(name, gain) pairs in row order, with the reference's own row dropped.
+Sums are fixed-order pairwise row sums, so equal candidates get equal
+gains and a copy of the reference gets exactly zero.
 
 Lower gain means more similar distributions; eps(P, P) = 0 and
 eps(P, Q) >= 0 whenever Q is positive wherever P is, up to rounding: a
@@ -28,9 +28,8 @@ near-copy of P may score a few 1e-16 below 0, and so rank before a copy.
 
 from __future__ import annotations
 
-import bisect
 import math
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -73,10 +72,8 @@ def expected_unexpectedness(p_hist: Histogram, q_hist: Histogram) -> float:
     return math.fsum(terms)
 
 
-def _gains(
-    p: np.ndarray, rows: Sequence[np.ndarray], names: Sequence[str] | None = None
-) -> list[float]:
-    """eps(P, Q_j) for each probability vector Q_j in rows, in row order, as
+def _gains(p: np.ndarray, rows: np.ndarray, names: Sequence[str] | None = None) -> list[float]:
+    """eps(P, Q_j) for each row Q_j of the 2-D array rows, in row order, as
     Python floats.
 
     Bins with p_i = 0 are left out. Rows are scored in blocks of about
@@ -154,69 +151,37 @@ def information_gain(p_hist: Histogram, q_hist: Histogram) -> float:
     numerical defect and raises ArithmeticError.
     """
     _check_compatible(p_hist, q_hist)
-    (value,) = _gains(p_hist.probabilities, [q_hist.probabilities])
+    (value,) = _gains(p_hist.probabilities, q_hist.probabilities[np.newaxis])
     return value
 
 
 def gains_against_reference(
     reference_hist: Histogram,
-    candidates: Mapping[str, Histogram | np.ndarray] | tuple[Sequence[str], np.ndarray],
+    names: Sequence[str],
+    matrix: np.ndarray,
     reference_name: str = "",
 ) -> list[tuple[str, float]]:
     """Gain of every candidate relative to the reference, as (name, gain)
-    pairs in lexicographic name order, with the candidate named
-    reference_name left out.
+    pairs in row order, with the first row named reference_name, if any,
+    left out.
 
-    candidates is either a Mapping or a (names, matrix) pair. In a Mapping a
-    candidate is a Histogram on the reference's spec, or a bare vector of
-    bin_count probabilities on that spec; errors name the first offending
-    candidate in name order, whichever check it fails. A (names, matrix)
-    pair, as histogram.category_probabilities returns, holds one row of
-    bin_count probabilities per name, the names sorted and distinct, and
-    the row named reference_name, if there is one, the reference's own
-    distribution. It is scored in one kernel call; only its shape is
-    checked as a whole, raising IncompatibleSupportError unless it is
-    (len(names), bin_count).
+    matrix holds one row of bin_count probabilities on the reference's spec
+    per name, as histogram.category_probabilities returns it. It is scored in
+    one kernel call; only its shape is checked as a whole, raising
+    IncompatibleSupportError unless it is (len(names), bin_count). Errors
+    name the first offending row's candidate.
     """
-    spec = reference_hist.spec
-    error = None
-    if isinstance(candidates, tuple):
-        names, rows = candidates
-        if np.shape(rows) != (len(names), spec.bin_count):
-            raise IncompatibleSupportError(
-                f"expected {len(names)} rows of {spec.bin_count} probabilities, "
-                f"got shape {np.shape(rows)}"
-            )
-    else:
-        names = [name for name in sorted(candidates) if name != reference_name]
-        rows = []
-        for name in names:
-            candidate = candidates[name]
-            if isinstance(candidate, Histogram):
-                if candidate.spec != spec:
-                    error = IncompatibleSupportError(
-                        f"candidate {name!r}: histograms use different bin specs: "
-                        f"{spec} vs {candidate.spec}"
-                    )
-                    break
-                candidate = candidate.probabilities
-            elif np.shape(candidate) != (spec.bin_count,):
-                error = IncompatibleSupportError(
-                    f"candidate {name!r}: expected {spec.bin_count} probabilities, "
-                    f"got shape {np.shape(candidate)}"
-                )
-                break
-            rows.append(candidate)
-    # The candidates before a misfit are scored first, so that their own
-    # errors take precedence.
-    gains = _gains(reference_hist.probabilities, rows, names)
-    if error is not None:
-        raise error
-    pairs = list(zip(names, gains))
-    # A matrix may hold the reference's own row: it scores exactly 0 and
-    # passes every check, so its pair is dropped here, not copied out of the
-    # matrix. A Mapping's names already leave the reference out.
-    own = bisect.bisect_left(names, reference_name)
-    if own < len(names) and names[own] == reference_name:
-        del pairs[own]
+    bin_count = reference_hist.spec.bin_count
+    if np.shape(matrix) != (len(names), bin_count):
+        raise IncompatibleSupportError(
+            f"expected {len(names)} rows of {bin_count} probabilities, "
+            f"got shape {np.shape(matrix)}"
+        )
+    pairs = list(zip(names, _gains(reference_hist.probabilities, matrix, names)))
+    # The reference's own row is scored with the others and its pair dropped,
+    # so the matrix is not copied without it.
+    try:
+        del pairs[names.index(reference_name)]
+    except ValueError:  # no row is named reference_name
+        pass
     return pairs

@@ -64,6 +64,17 @@ COUNTS_TEST = (
     "tests/test_histogram.py::TestHistogramType::"
     "test_counts_must_be_bin_count_integers_at_least_zero"
 )
+ALPHA_TEST = (
+    "tests/test_histogram.py::TestHistogramType::"
+    "test_alpha_must_be_a_finite_pseudo_count_at_least_zero"
+)
+SMOOTHED_COUNTS_TEST = (
+    "tests/test_histogram.py::TestHistogramType::test_counts_must_give_the_probabilities"
+)
+REFERENCE_ROW_TEST = (
+    "tests/test_infogain.py::TestGainsAgainstReference::"
+    "test_reference_row_is_dropped_wherever_it_stands"
+)
 
 MUTANTS = (
     Mutant(
@@ -118,24 +129,32 @@ MUTANTS = (
     Mutant(
         "gains-matrix-shape",
         "src/heliobench/infogain.py",
-        "if np.shape(rows) != (len(names), spec.bin_count):",
+        "if np.shape(matrix) != (len(names), bin_count):",
         "if False:",
-        "a (names, matrix) pair whose matrix is not len(names) x bin_count is refused",
+        "a matrix that is not len(names) x bin_count is refused",
         (SHAPE_TEST,),
     ),
     Mutant(
         "gains-keep-reference-row",
         "src/heliobench/infogain.py",
-        "        del pairs[own]\n",
+        "        del pairs[names.index(reference_name)]\n",
         "        pass\n",
-        "the reference's own row of a (names, matrix) pair is left out of its gains",
+        "the reference's own row of the matrix is left out of its gains",
         ("tests/test_infogain.py", "tests/test_benchmark.py"),
+    ),
+    Mutant(
+        "gains-drop-row-in-name-order",
+        "src/heliobench/infogain.py",
+        "del pairs[names.index(reference_name)]",
+        "del pairs[sorted(names).index(reference_name)]",
+        "the row dropped is the one named reference_name, wherever it stands",
+        (REFERENCE_ROW_TEST,),
     ),
     Mutant(
         "gains-object-per-candidate",
         "src/heliobench/infogain.py",
-        "pairs = list(zip(names, gains))",
-        "pairs = list(map(lambda *pair: pair, names, gains))",
+        "pairs = list(zip(names, _gains(",
+        "pairs = list(map(lambda *pair: pair, names, _gains(",
         "the Python calls of a warm ranking do not grow with the number of categories",
         (CALL_COUNT_TEST,),
     ),
@@ -242,6 +261,22 @@ MUTANTS = (
         "",
         "a Histogram's counts are >= 0",
         (COUNTS_TEST,),
+    ),
+    Mutant(
+        "histogram-alpha-checked",
+        "src/heliobench/histogram.py",
+        "        check_alpha(self.alpha)\n        probs",
+        "        probs",
+        "a Histogram's alpha is a finite pseudo-count >= 0",
+        (ALPHA_TEST,),
+    ),
+    Mutant(
+        "histogram-counts-smoothed",
+        "src/heliobench/histogram.py",
+        "if not total > 0 or abs(probs - (counts + self.alpha) / total).max() > PROBABILITY_SUM_TOL:",
+        "if False:",
+        "a Histogram's probabilities are its counts smoothed with its alpha",
+        (SMOOTHED_COUNTS_TEST,),
     ),
     Mutant(
         "histogram-clamped-range",

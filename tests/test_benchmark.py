@@ -355,14 +355,17 @@ class TestBinningMemo:
 
 
 def public_ranking(corpus, reference, indicator, spec, alpha):
-    """A ranking from one Histogram per category through the public
-    gains_against_reference, sorted by gain."""
+    """A ranking from one Histogram per category, their rows stacked in name
+    order, through the public gains_against_reference, sorted by gain."""
     histograms = {}
     for name in corpus.category_names():
         values, _ = category_values(corpus, name, indicator)
         if values:
             histograms[name] = build_histogram(values, spec, alpha)
-    gains = gains_against_reference(histograms[reference], histograms, reference_name=reference)
+    matrix = np.array([hist.probabilities for hist in histograms.values()])
+    gains = gains_against_reference(
+        histograms[reference], list(histograms), matrix, reference_name=reference
+    )
     return tuple(sorted(gains, key=lambda pair: pair[1]))
 
 
@@ -405,9 +408,10 @@ class TestRankingMatchesThePublicWrapper:
             run_benchmark(corpus, request)
 
         spec = pooled_bin_spec(corpus, Indicator.IMPACT_FACTOR, 4, "linear")
-        histograms = {name: build_histogram(values, spec) for name, values in groups.items()}
+        names = sorted(groups)
+        matrix = np.array([build_histogram(groups[name], spec).probabilities for name in names])
         with pytest.raises(AbsoluteContinuityError) as public:
-            gains_against_reference(histograms["A"], histograms, reference_name="A")
+            gains_against_reference(build_histogram(groups["A"], spec), names, matrix, "A")
         assert str(ranked.value) == str(public.value)
         assert str(ranked.value).startswith("candidate 'Bottom': ")
         assert ranked.value.bin_index == public.value.bin_index == 1

@@ -331,8 +331,38 @@ class TestHistogramType:
     def test_counts_must_be_bin_count_integers_at_least_zero(self, counts):
         with pytest.raises(InvalidInputError, match=r"^counts must be 2 integers >= 0$"):
             Histogram(BinSpec(0.0, 1.0, 2), [0.5, 0.5], counts=counts)
-        hist = Histogram(BinSpec(0.0, 1.0, 2), [0.5, 0.5], counts=np.array([0, 2], np.uint8))
+        hist = Histogram(BinSpec(0.0, 1.0, 2), [0.0, 1.0], counts=np.array([0, 2], np.uint8))
         assert hist.counts.dtype == np.int64 and hist.to_dict()["counts"] == [0, 2]
+
+    @pytest.mark.parametrize("alpha", [-1.0, -math.inf, math.inf, math.nan, "x", None])
+    def test_alpha_must_be_a_finite_pseudo_count_at_least_zero(self, alpha):
+        with pytest.raises(InvalidInputError, match=r"^alpha must be "):
+            Histogram(BinSpec(0.0, 1.0, 2), [0.5, 0.5], alpha=alpha)
+
+    @pytest.mark.parametrize(
+        "probabilities, counts, alpha",
+        [
+            ([0.5, 0.5], [1, 3], 0.0),
+            ([0.5, 0.5], [0, 2], 0.0),
+            ([0.5, 0.5], [0, 0], 0.0),  # no counts give no distribution at alpha 0
+            ([0.25, 0.75], [1, 3], 0.5),
+            ([0.25 + 2e-12, 0.75 - 2e-12], [1, 3], 0.0),
+        ],
+    )
+    def test_counts_must_give_the_probabilities(self, probabilities, counts, alpha):
+        with pytest.raises(InvalidInputError, match=r"^probabilities must be the counts smoothed"):
+            Histogram(BinSpec(0.0, 1.0, 2), probabilities, counts=counts, alpha=alpha)
+
+    def test_counts_give_the_probabilities_within_the_tolerance(self):
+        # p_i = (c_i + alpha) / (N + alpha * bin_count), within 1e-12.
+        spec = BinSpec(0.0, 1.0, 2)
+        for probabilities, counts, alpha in [
+            ([0.25 + 1e-13, 0.75 - 1e-13], [1, 3], 0.0),
+            ([1.5 / 5, 3.5 / 5], [1, 3], 0.5),
+            ([0.5, 0.5], [0, 0], 1.0),
+        ]:
+            hist = Histogram(spec, probabilities, counts=counts, alpha=alpha)
+            assert hist.counts.tolist() == counts
 
     @pytest.mark.parametrize(
         "counts, clamped", [([1, 1], -7), ([1, 1], 3), (None, 1), ([1, 1], 1.0), ([1, 1], "1")]
@@ -348,7 +378,7 @@ class TestHistogramType:
     def test_sample_count_is_the_sum_of_counts(self):
         import json
 
-        hist = Histogram(BinSpec(0.0, 1.0, 2), [0.5, 0.5], counts=[1, 3], clamped=np.int64(4))
+        hist = Histogram(BinSpec(0.0, 1.0, 2), [0.25, 0.75], counts=[1, 3], clamped=np.int64(4))
         assert (hist.sample_count, hist.clamped, type(hist.clamped)) == (4, 4, int)
         doc = json.loads(json.dumps(hist.to_dict()))
         assert (doc["sample_count"], doc["clamped"]) == (4, 4)

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -145,29 +146,38 @@ def test_cross_entropy_dominates_entropy_property(pair):
 class TestGainsAgainstReference:
     def test_reference_copy_scores_zero(self):
         ref = hist([0.4, 0.6])
-        gains = gains_against_reference(ref, {"X": hist([0.4, 0.6])})
+        gains = gains_against_reference(ref, ["X"], np.array([[0.4, 0.6]]))
         assert gains == [("X", 0.0)]
 
     def test_empty_candidates(self):
-        assert gains_against_reference(hist([0.5, 0.5]), {}) == []
+        assert gains_against_reference(hist([0.5, 0.5]), [], np.empty((0, 2))) == []
 
-    def test_candidates_in_lexicographic_order(self):
+    def test_candidates_in_row_order(self):
         ref = hist([0.4, 0.6])
-        candidates = {name: hist([0.5, 0.5]) for name in ["zeta", "alpha", "mid"]}
-        gains = gains_against_reference(ref, candidates)
-        assert [name for name, _ in gains] == ["alpha", "mid", "zeta"]
+        names = ["zeta", "alpha", "mid"]
+        gains = gains_against_reference(ref, names, np.full((3, 2), 0.5))
+        assert [name for name, _ in gains] == ["zeta", "alpha", "mid"]
 
     def test_reference_name_excluded(self):
         ref = hist([0.4, 0.6])
-        candidates = {"Ref": ref, "Other": hist([0.5, 0.5])}
-        gains = gains_against_reference(ref, candidates, reference_name="Ref")
+        matrix = np.array([[0.4, 0.6], [0.5, 0.5]])
+        gains = gains_against_reference(ref, ["Ref", "Other"], matrix, reference_name="Ref")
         assert [name for name, _ in gains] == ["Other"]
+
+    def test_reference_row_is_dropped_wherever_it_stands(self):
+        # The names need not be sorted: the reference's row is found by name.
+        ref = hist([0.4, 0.6])
+        matrix = np.array([[0.5, 0.5], [0.4, 0.6]])
+        gains = gains_against_reference(ref, ["b", "a"], matrix, reference_name="a")
+        assert gains == [("b", information_gain(ref, hist([0.5, 0.5])))]
+        every_row = gains_against_reference(ref, ["b", "a"], matrix, reference_name="c")
+        assert every_row == [gains[0], ("a", 0.0)]
 
     def test_per_pair_values_match_oracle(self):
         ref_probs = [0.2, 0.5, 0.3]
         candidates = {"a": [0.1, 0.6, 0.3], "b": [0.3, 0.3, 0.4]}
         gains = gains_against_reference(
-            hist(ref_probs), {k: hist(v) for k, v in candidates.items()}
+            hist(ref_probs), list(candidates), np.array(list(candidates.values()))
         )
         for name, gain in gains:
             assert gain == pytest.approx(kl_direct(ref_probs, candidates[name]), abs=1e-12)
@@ -175,14 +185,7 @@ class TestGainsAgainstReference:
     def test_errors_name_the_candidate(self):
         ref = hist([0.5, 0.5])
         with pytest.raises(AbsoluteContinuityError, match="bad_candidate"):
-            gains_against_reference(ref, {"bad_candidate": hist([1.0, 0.0])})
-
-    def test_probability_vectors_score_like_histograms(self):
-        ref = hist([0.2, 0.5, 0.3])
-        vectors = {"a": np.array([0.1, 0.6, 0.3]), "b": np.array([0.3, 0.3, 0.4])}
-        from_vectors = gains_against_reference(ref, vectors)
-        from_hists = gains_against_reference(ref, {k: hist(v) for k, v in vectors.items()})
-        assert from_vectors == from_hists
+            gains_against_reference(ref, ["bad_candidate"], np.array([[1.0, 0.0]]))
 
     def test_identical_candidates_get_equal_gains_and_a_copy_gets_zero(self):
         rng = np.random.default_rng(7)
@@ -190,82 +193,66 @@ class TestGainsAgainstReference:
             p = rng.dirichlet(np.ones(bins))
             q = rng.dirichlet(np.ones(bins))
             gains = gains_against_reference(
-                hist(p), {"copy": p.copy(), "q1": q, "q2": q.copy(), "self": p}, reference_name="self"
+                hist(p), ["copy", "q1", "q2", "self"], np.array([p, q, q, p]), reference_name="self"
             )
             values = dict(gains)
             assert values["copy"] == 0.0
             assert values["q1"] == values["q2"] > 0.0
 
-    def test_first_offending_candidate_in_name_order_is_named(self):
+    def test_first_offending_candidate_in_row_order_is_named(self):
+        # "ant" offends too, and comes first by name.
         ref = hist([0.25, 0.25, 0.5])
-        candidates = {"zed": np.array([0.5, 0.5, 0.0]), "bee": np.array([0.0, 0.5, 0.5]),
-                      "ant": np.array([0.2, 0.3, 0.5])}
+        matrix = np.array([[0.2, 0.3, 0.5], [0.0, 0.5, 0.5], [0.5, 0.5, 0.0]])
         with pytest.raises(AbsoluteContinuityError, match="'bee'") as exc_info:
-            gains_against_reference(ref, candidates)
+            gains_against_reference(ref, ["zed", "bee", "ant"], matrix)
         assert exc_info.value.bin_index == 0
 
     @pytest.mark.parametrize(
         "first, second, error",
         [
-            ("empty_bin", "wide", AbsoluteContinuityError),
-            ("wide", "empty_bin", IncompatibleSupportError),
             ("nan", "empty_bin", InvalidInputError),
             ("empty_bin", "nan", AbsoluteContinuityError),
-            ("short", "nan", IncompatibleSupportError),
         ],
     )
     def test_first_offending_candidate_is_named_whatever_its_check(self, first, second, error):
-        spec = BinSpec(0.0, 1.0, 3)
-        misfits = {
-            "empty_bin": hist([0.5, 0.5, 0.0], spec),
-            "wide": hist([0.2, 0.3, 0.5], BinSpec(0.0, 2.0, 3)),
-            "nan": np.array([float("nan"), 0.5, 0.5]),
-            "short": np.array([0.5, 0.5]),
-        }
-        candidates = {"a": misfits[first], "b": misfits[second], "c": hist([0.2, 0.3, 0.5], spec)}
+        misfits = {"empty_bin": [0.5, 0.5, 0.0], "nan": [float("nan"), 0.5, 0.5]}
+        matrix = np.array([misfits[first], misfits[second], [0.2, 0.3, 0.5]])
         with pytest.raises(error, match="'a'"):
-            gains_against_reference(hist([0.25, 0.25, 0.5], spec), candidates)
+            gains_against_reference(hist([0.25, 0.25, 0.5]), ["a", "b", "c"], matrix)
 
     def test_scoring_in_blocks_matches_scoring_one_by_one(self, monkeypatch):
         import heliobench.infogain
 
         rng = np.random.default_rng(11)
         ref = hist(rng.dirichlet(np.ones(16)))
-        candidates = {f"c{i:02d}": rng.dirichlet(np.ones(16)) for i in range(25)}
-        whole = gains_against_reference(ref, candidates)
+        names = [f"c{i:02d}" for i in range(25)]
+        matrix = rng.dirichlet(np.ones(16), size=25)
+        whole = gains_against_reference(ref, names, matrix)
         monkeypatch.setattr(heliobench.infogain, "BLOCK_ELEMENTS", 3 * 16)
-        assert gains_against_reference(ref, candidates) == whole
-        assert [gain for _, gain in whole] == [
-            information_gain(ref, hist(q)) for _, q in sorted(candidates.items())
-        ]
-
-    def test_incompatible_histogram_candidate_is_named(self):
-        ref = hist([0.5, 0.5], BinSpec(0.0, 1.0, 2))
-        candidates = {"fine": hist([0.4, 0.6], BinSpec(0.0, 1.0, 2)),
-                      "wide": hist([0.4, 0.6], BinSpec(0.0, 2.0, 2))}
-        with pytest.raises(IncompatibleSupportError, match="'wide'"):
-            gains_against_reference(ref, candidates)
+        assert gains_against_reference(ref, names, matrix) == whole
+        assert [gain for _, gain in whole] == [information_gain(ref, hist(q)) for q in matrix]
 
     @pytest.mark.parametrize(
         "vector, error",
         [
-            ([0.5, 0.25, 0.25], IncompatibleSupportError),
             ([1.5, -0.5], InvalidInputError),
             ([float("nan"), 1.0], InvalidInputError),
         ],
     )
     def test_malformed_probability_vector_is_named(self, vector, error):
         with pytest.raises(error, match="'bad'"):
-            gains_against_reference(hist([0.5, 0.5]), {"bad": np.array(vector), "ok": [0.5, 0.5]})
+            gains_against_reference(hist([0.5, 0.5]), ["bad", "ok"], np.array([vector, [0.5, 0.5]]))
 
-    def test_matrix_rows_score_like_a_dict_of_their_rows(self):
+    def test_matrix_rows_score_like_information_gain_of_each_row(self):
         matrix = np.random.default_rng(5).dirichlet(np.ones(6), size=5)
         names = ["a", "b", "ref", "x", "y"]
         ref = hist(matrix[2])
         for reference_name in ("ref", "", "c"):
-            assert gains_against_reference(ref, (names, matrix), reference_name) == (
-                gains_against_reference(ref, dict(zip(names, matrix)), reference_name)
-            )
+            assert gains_against_reference(ref, names, matrix, reference_name) == [
+                (name, information_gain(ref, hist(q)))
+                for name, q in zip(names, matrix)
+                if name != reference_name
+            ]
 
     @pytest.mark.parametrize("shape", [(4, 6), (6, 6), (5, 5), (5, 7), (30,), (5, 6, 1)])
     def test_matrix_of_the_wrong_shape_is_refused(self, shape):
@@ -274,7 +261,7 @@ class TestGainsAgainstReference:
             IncompatibleSupportError,
             match=rf"^expected 5 rows of 6 probabilities, got shape {re.escape(str(shape))}$",
         ):
-            gains_against_reference(hist(np.full(6, 1 / 6)), (names, np.full(shape, 1 / 6)))
+            gains_against_reference(hist(np.full(6, 1 / 6)), names, np.full(shape, 1 / 6))
 
     @pytest.mark.parametrize("zero_bins", [0, 2])
     def test_contiguous_and_column_major_matrices_score_alike(self, zero_bins):
@@ -284,12 +271,12 @@ class TestGainsAgainstReference:
         p[:zero_bins] = 0.0
         ref = hist(p / p.sum())
         names = [f"c{i}" for i in range(7)]
-        assert gains_against_reference(ref, (names, matrix)) == (
-            gains_against_reference(ref, (names, np.asfortranarray(matrix)))
+        assert gains_against_reference(ref, names, matrix) == (
+            gains_against_reference(ref, names, np.asfortranarray(matrix))
         )
 
     def test_gains_are_python_floats(self):
-        gains = gains_against_reference(hist([0.2, 0.8]), {"a": hist([0.6, 0.4])})
+        gains = gains_against_reference(hist([0.2, 0.8]), ["a"], np.array([[0.6, 0.4]]))
         assert type(gains[0][1]) is float
         assert type(information_gain(hist([0.2, 0.8]), hist([0.6, 0.4]))) is float
 
@@ -307,11 +294,11 @@ def test_first_offender_in_a_later_block_is_named(monkeypatch, bad, error):
     import heliobench.infogain
 
     monkeypatch.setattr(heliobench.infogain, "BLOCK_ELEMENTS", 2 * 3)  # two rows per block
-    candidates = {f"c{i}": np.array([0.3, 0.3, 0.4]) for i in range(6)}
-    candidates["c3"] = np.array(bad)
-    candidates["c5"] = np.array([0.0, 1.0, 0.0])
+    matrix = np.full((6, 3), [0.3, 0.3, 0.4])
+    matrix[3] = bad
+    matrix[5] = [0.0, 1.0, 0.0]
     with pytest.raises(error, match="^candidate 'c3': "):
-        gains_against_reference(hist([0.5, 0.5, 0.0]), candidates)
+        gains_against_reference(hist([0.5, 0.5, 0.0]), [f"c{i}" for i in range(6)], matrix)
 
 
 def _named_error(score):
@@ -341,18 +328,17 @@ def test_bad_value_raises_alike_through_every_path(bad, reference, column):
     else:
         error, message = AbsoluteContinuityError, str(AbsoluteContinuityError(column))
     matrix = np.array([[0.2, 0.3, 0.5], row, [0.5, 0.3, 0.2]])
-    named = [
-        lambda: gains_against_reference(ref, (["a", "bad", "c"], matrix)),
-        lambda: gains_against_reference(ref, {"c": matrix[2], "bad": matrix[1], "a": matrix[0]}),
-    ]
+    # The matrix, and its rows reversed in a view with a negative stride.
+    named = [(["a", "bad", "c"], matrix), (["c", "bad", "a"], matrix[::-1])]
     q = hist([0.2, 0.3, 0.5])
     object.__setattr__(q, "probabilities", matrix[1])  # past the Histogram's own check
     if error is None:
-        for score in named:
-            assert [name for name, _ in score()] == ["a", "bad", "c"]
+        for names, rows in named:
+            assert [name for name, _ in gains_against_reference(ref, names, rows)] == names
         assert information_gain(ref, q) >= 0.0
         return
-    for score in named:
+    for names, rows in named:
+        score = functools.partial(gains_against_reference, ref, names, rows)
         assert _named_error(score) == (error, f"candidate 'bad': {message}")
     assert _named_error(lambda: information_gain(ref, q)) == (error, message)
 
@@ -403,8 +389,8 @@ def test_a_gain_rounded_below_zero_is_reported_and_ranks_before_a_copy():
     plain = _plain_gains(p, Q)
     assert min(plain) < 0.0
     assert _gains(p, Q) == plain
-    # "copy" sorts before "near" by name, so only a negative gain puts "near" first.
-    gains = gains_against_reference(hist(p), {"copy": p.copy(), "near": Q[np.argmin(plain)]})
+    # "copy" comes before "near", so only a negative gain puts "near" first.
+    gains = gains_against_reference(hist(p), ["copy", "near"], np.array([p, Q[np.argmin(plain)]]))
     assert sorted(gains, key=lambda pair: pair[1]) == [
         ("near", min(plain)), ("copy", 0.0)
     ]
@@ -421,7 +407,7 @@ def test_a_zero_opposite_a_tiny_reference_bin_still_raises(tiny):
     q = np.array([0.25, 0.0, 0.75])
     scores = [
         lambda: information_gain(hist(p), hist(q)),
-        lambda: gains_against_reference(hist(p), {"a": np.array([0.2, 0.3, 0.5]), "zero": q}),
+        lambda: gains_against_reference(hist(p), ["a", "zero"], np.array([[0.2, 0.3, 0.5], q])),
         lambda: _gains(p, [q]),
     ]
     for score in scores:
@@ -595,6 +581,6 @@ def test_permuting_the_bins_of_both_leaves_the_gain(seed, bins):
     gains = _gains(p, Q)
     permuted = _gains(p[order], Q[:, order])
     assert np.abs(np.subtract(permuted, gains)).max() <= AXIOM_TOL
-    candidates = {f"c{r}": q[order] for r, q in enumerate(Q)}
-    public = [gain for _, gain in gains_against_reference(hist(p[order]), candidates)]
+    names = [f"c{r}" for r in range(len(Q))]
+    public = [gain for _, gain in gains_against_reference(hist(p[order]), names, Q[:, order])]
     assert public == permuted
