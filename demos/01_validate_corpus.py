@@ -13,11 +13,11 @@ DATA = Path(__file__).resolve().parent.parent / "data" / "demo_corpus.csv"
 
 corpus = load_corpus(DATA)
 print(f"loaded {len(corpus)} (journal, category) records")
-print(f"categories: {len(corpus.categories)}")
+print(f"categories: {len(corpus.category_names())}")
 
 # one category up close
 name = corpus.category_names()[0]
-records = corpus.categories[name]
+records = [rec for rec in corpus.records if rec.category == name]
 print(f"\n{name}: {len(records)} journals, first three:")
 for rec in records[:3]:
     print(f"  {rec.journal}: IF={rec.impact_factor} ES={rec.eigenfactor} II={rec.immediacy}")

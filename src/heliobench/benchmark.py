@@ -12,12 +12,12 @@ computed in full; top-k truncation is a presentation step. CSV tables are
 written by corpus._csv_text.
 
 The candidates' smoothed matrix depends on the corpus, the indicator, the
-bin spec and alpha, not on the reference, so it is memoized on the Corpus
-object: ranking several references on one loaded Corpus with one setting
-bins and smooths each indicator column once. A matrix of more than
-histogram.BLOCK_ELEMENTS values is not kept, and is binned and smoothed
-again on every ranking. Each CLI process loads a fresh corpus and ranks one
-reference, so it gains nothing from this.
+bin spec and alpha, not on the reference, so the Corpus keeps each
+indicator's latest one with its spec and alpha: ranking several references
+on one loaded Corpus with one setting bins and smooths each indicator column
+once. A matrix of more than histogram.BLOCK_ELEMENTS values is not kept, and
+is binned and smoothed again on every ranking. Each CLI process loads a
+fresh corpus and ranks one reference, so it gains nothing from this.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .corpus import Corpus, Indicator, _csv_text, category_values
-from .errors import EmptyDataError, InvalidInputError
+from .errors import EmptyDataError, InvalidInputError, _as_int
 from .histogram import (
     DEFAULT_BIN_COUNT,
     DEFAULT_SCALES,  # unused here, but importable from this module too
@@ -60,6 +60,9 @@ class BenchmarkRequest:
             raise InvalidInputError("reference category must be non-empty")
         if not self.indicators:
             raise InvalidInputError("at least one indicator is required")
+        for indicator in self.indicators:
+            if not isinstance(indicator, Indicator):
+                raise InvalidInputError(f"indicators must be Indicator members, got {indicator!r}")
         if len(set(self.indicators)) != len(self.indicators):
             raise InvalidInputError("indicators must be distinct")
         check_alpha(self.alpha)
@@ -137,8 +140,8 @@ def run_benchmark(corpus: Corpus, request: BenchmarkRequest) -> list[BenchmarkRe
 
 
 def top_k(result: BenchmarkResult, k: int) -> BenchmarkResult:
-    """Truncate a ranking to its k most similar categories."""
-    if k < 1:
+    """Truncate a ranking to its k most similar categories; k is an integer."""
+    if _as_int(k, "k") < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
     return replace(result, ranking=result.ranking[:k])
 

@@ -41,12 +41,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
 from operator import itemgetter
-from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CategoryNotFoundError, CorpusFormatError, DuplicateRecordError
+from .errors import CategoryNotFoundError, CorpusFormatError, DuplicateRecordError, _as_int
 
 DEFAULT_MIN_RECORDS = 5
 
@@ -124,9 +123,12 @@ class Corpus:
         self._rows = {
             name: order[start:end] for name, start, end in zip(self._names, [0, *ends], ends)
         }
-        self._records = self._categories = None
-        # Indicator -> its pooled spec and smoothed matrix, kept by the histogram module.
-        self._binned: dict = {}
+        self._records = None
+        # Indicator -> latest spec, kept by histogram.pooled_bin_spec, and ->
+        # (spec, alpha, names, matrix), kept by category_probabilities. Entries
+        # are replaced whole, never changed, so a reader sees a consistent one.
+        self._specs: dict = {}
+        self._matrices: dict = {}
 
     def column(self, indicator: Indicator) -> np.ndarray:
         """Read-only values of one indicator per row, NaN where missing."""
@@ -142,16 +144,6 @@ class Corpus:
         if self._records is None:
             self._records = tuple(JournalRecord(*row) for row in self._plain_rows())
         return self._records
-
-    @property
-    def categories(self) -> Mapping[str, tuple[JournalRecord, ...]]:
-        """Sorted category name -> records, in input order. Built on first access."""
-        if self._categories is None:
-            records = self.records
-            self._categories = MappingProxyType(
-                {name: tuple(records[i] for i in rows.tolist()) for name, rows in self._rows.items()}
-            )
-        return self._categories
 
     def category_names(self) -> list[str]:
         return list(self._names)
@@ -499,8 +491,10 @@ class ValidationReport:
 def validate_corpus(corpus: Corpus, min_records: int = DEFAULT_MIN_RECORDS) -> ValidationReport:
     """Report per-category sizes, missing-value counts and small categories.
 
-    Report-only: never raises for under-populated categories.
+    Report-only: never raises for under-populated categories. Raises
+    InvalidInputError when min_records is not an integer.
     """
+    min_records = _as_int(min_records, "min_records")
     per_category = {name: rows.size for name, rows in corpus._rows.items()}
     missing = {ind.value: int(np.isnan(corpus.column(ind)).sum()) for ind in Indicator}
     under = tuple(cat for cat, n in per_category.items() if n < min_records)

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one integer check.
 
 Two broad families matter to callers: input/format problems (bad CSV,
 unreadable files) and domain problems (unknown category, empty data,
@@ -7,6 +7,8 @@ and the latter to exit code 3.
 """
 
 from __future__ import annotations
+
+import operator
 
 
 class HeliobenchError(Exception):
@@ -56,3 +58,14 @@ class AbsoluteContinuityError(HeliobenchError):
 
 class InvalidInputError(HeliobenchError):
     """Arguments that violate an operation's preconditions."""
+
+
+def _as_int(value, name: str) -> int:
+    """value as a Python int. Raises InvalidInputError, naming name, unless
+    value is an integer; a bool or a float such as 20.0 is not one."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise InvalidInputError(f"{name} must be an integer, got {value!r}")

@@ -7,12 +7,12 @@ probability strictly positive, which downstream divergence computations
 require of the input distribution.
 
 A Corpus memoizes, per indicator, the pooled spec of the latest
-(bin_count, scale) and the smoothed category-by-bin matrix of the latest
-alpha on it, so repeated rankings with one setting on one Corpus object
-bin and smooth each column once. The matrix is kept only while it holds
-at most BLOCK_ELEMENTS values, so what the memo keeps stays bounded at any
-bin_count. A CLI process loads a fresh corpus every time and gains nothing
-from the memo.
+(bin_count, scale) and the latest smoothed category-by-bin matrix with the
+spec and alpha it was made with, so repeated rankings with one setting on
+one Corpus object bin and smooth each column once. The matrix is kept only
+while it holds at most BLOCK_ELEMENTS values, so what the memo keeps stays
+bounded at any bin_count. A CLI process loads a fresh corpus every time
+and gains nothing from the memo.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Literal, Mapping, NamedTuple, Sequence, get_args
+from typing import Literal, Mapping, Sequence, get_args
 
 import numpy as np
 
 from .corpus import Corpus, Indicator
-from .errors import EmptyDataError, InvalidInputError
+from .errors import EmptyDataError, InvalidInputError, _as_int
 
 Scale = Literal["linear", "log"]
 
@@ -62,11 +62,8 @@ BLOCK_ELEMENTS = 1 << 18
 
 def _as_bin_count(bin_count: int) -> int:
     """bin_count as a Python int. Raises InvalidInputError unless it is an
-    integer in [2, MAX_BIN_COUNT]; a float such as 20.0 is not an integer."""
-    try:
-        count = operator.index(bin_count)
-    except TypeError:
-        raise InvalidInputError(f"bin_count must be an integer, got {bin_count!r}") from None
+    integer in [2, MAX_BIN_COUNT]; a bool or a float such as 20.0 is not one."""
+    count = _as_int(bin_count, "bin_count")
     if not 2 <= count <= MAX_BIN_COUNT:
         raise InvalidInputError(f"bin_count must be in [2, {MAX_BIN_COUNT}], got {count}")
     return count
@@ -188,25 +185,15 @@ class Histogram:
 
 
 def check_alpha(alpha: float) -> None:
-    """Raise InvalidInputError unless alpha is a finite pseudo-count >= 0."""
+    """Raise InvalidInputError unless alpha is a finite pseudo-count >= 0, not a bool."""
+    if isinstance(alpha, (bool, np.bool_)):
+        raise InvalidInputError(f"alpha must be a real number, got {alpha!r}")
     try:
         finite = math.isfinite(alpha)
     except TypeError:
         raise InvalidInputError(f"alpha must be a real number, got {alpha!r}") from None
     if not finite or alpha < 0:
         raise InvalidInputError(f"alpha must be finite and >= 0, got {alpha}")
-
-
-class _Binned(NamedTuple):
-    """An indicator's pooled spec as memoized on a Corpus and, once a ranking
-    has kept one, the names of the categories with values and their
-    read-only matrix smoothed with alpha. Entries are replaced whole, never
-    changed, so a reader always sees a consistent one."""
-
-    spec: BinSpec
-    names: tuple[str, ...] = ()
-    alpha: float = 0.0
-    probabilities: np.ndarray | None = None
 
 
 def pooled_bin_spec(
@@ -222,15 +209,14 @@ def pooled_bin_spec(
     Raises EmptyDataError when the indicator has no usable values at all,
     and InvalidInputError, before the memo is read, for a bin_count that is
     not an integer in [2, MAX_BIN_COUNT]. The spec is memoized on the corpus
-    per indicator, for the latest (bin_count, scale) only, together with the
-    smoothed matrix category_probabilities keeps for it.
+    per indicator, for the latest (bin_count, scale) only.
     """
     bin_count = _as_bin_count(bin_count)
     if scale is None:
         scale = DEFAULT_SCALES[indicator]
-    binned = corpus._binned.get(indicator)
-    if binned is not None and (binned.spec.bin_count, binned.spec.scale) == (bin_count, scale):
-        return binned.spec
+    spec = corpus._specs.get(indicator)
+    if spec is not None and (spec.bin_count, spec.scale) == (bin_count, scale):
+        return spec
     column = corpus.column(indicator)
     values = column[~np.isnan(column)]
     if not values.size:
@@ -259,7 +245,7 @@ def pooled_bin_spec(
             f"{LOG_FLOOR}: the largest is {vmax!r}"
         )
     spec = BinSpec(lower=lower, upper=upper, bin_count=bin_count, scale=scale)
-    corpus._binned[indicator] = _Binned(spec)
+    corpus._specs[indicator] = spec
     return spec
 
 
@@ -346,19 +332,17 @@ def category_probabilities(
     Returns (names, probabilities): the sorted names of the categories with
     at least one present value, and one row per name on spec. Each row
     equals build_histogram(category_values(...)).probabilities bit for bit.
-    When spec is the indicator's pooled spec memoized on the corpus, the
-    smoothed matrix is kept, read-only, if it holds at most BLOCK_ELEMENTS
-    values, and a later call with the same alpha returns it as it is. Any
-    other call bins and smooths the column afresh. Raises
+    The latest matrix of each indicator is kept on the corpus, read-only,
+    with its spec and alpha, if it holds at most BLOCK_ELEMENTS values; a
+    later call with an equal spec and alpha returns it as it is. Raises
     InvalidInputError, naming the indicator, alpha and the limit, when
     alpha > 0 leaves a probability below the smallest normal float, because
     alpha times bin_count overflows or an empty bin's share underflows.
     """
     check_alpha(alpha)
-    binned = corpus._binned.get(indicator)
-    memoized = binned is not None and binned.spec == spec
-    if memoized and binned.probabilities is not None and binned.alpha == alpha:
-        return list(binned.names), binned.probabilities
+    memo = corpus._matrices.get(indicator)
+    if memo is not None and memo[:2] == (spec, alpha):
+        return list(memo[2]), memo[3]
     names = corpus.category_names()
     column = corpus.column(indicator)
     present = ~np.isnan(column)
@@ -373,9 +357,7 @@ def category_probabilities(
     _, probabilities = _smooth(
         rows[codes] * n + bins, n, alpha, sys.float_info.min, len(kept), indicator
     )
-    if memoized and probabilities.size <= BLOCK_ELEMENTS:
+    if probabilities.size <= BLOCK_ELEMENTS:
         probabilities.flags.writeable = False
-        corpus._binned[indicator] = binned._replace(
-            names=tuple(kept), alpha=alpha, probabilities=probabilities
-        )
+        corpus._matrices[indicator] = (spec, alpha, tuple(kept), probabilities)
     return kept, probabilities

@@ -11,13 +11,15 @@ mutant's tests there on the unmutated copy, and then, one mutant at a
 time, writes the mutated file, runs `python -m pytest -x -q` on the
 mutant's tests and restores the file. A mutant is killed when pytest
 reports a failed test. The runner exits 1 when an old text does not occur
-exactly once in its file, so a refactor has to update this list, when the
-unmutated copy fails, or when a mutant not marked equivalent is not killed.
+exactly once in its file, or a named test does not resolve, so a refactor
+has to update this list, when the unmutated copy fails, or when a mutant
+not marked equivalent is not killed.
 pytest does not collect this file, since its name has no test_ prefix.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import shutil
 import subprocess
@@ -75,6 +77,10 @@ REFERENCE_ROW_TEST = (
     "tests/test_infogain.py::TestGainsAgainstReference::"
     "test_reference_row_is_dropped_wherever_it_stands"
 )
+ALTERNATING_SETTINGS_TEST = (
+    "tests/test_benchmark.py::TestBinningMemo::test_alternating_settings_match_a_fresh_corpus"
+)
+BOOL_TEST = "tests/test_histogram.py::test_a_bool_is_neither_an_alpha_nor_a_bin_count"
 
 MUTANTS = (
     Mutant(
@@ -193,16 +199,24 @@ MUTANTS = (
     Mutant(
         "memo-alpha-key",
         "src/heliobench/histogram.py",
-        "if memoized and binned.probabilities is not None and binned.alpha == alpha:",
-        "if memoized and binned.probabilities is not None:",
+        "if memo is not None and memo[:2] == (spec, alpha):",
+        "if memo is not None and memo[0] == spec:",
         "a kept candidate matrix is reused only for the alpha it was smoothed with",
         ("tests/test_benchmark.py",),
     ),
     Mutant(
+        "memo-spec-key",
+        "src/heliobench/histogram.py",
+        "if memo is not None and memo[:2] == (spec, alpha):",
+        "if memo is not None and memo[1] == alpha:",
+        "a kept candidate matrix is reused only for the bin spec it was made on",
+        (ALTERNATING_SETTINGS_TEST,),
+    ),
+    Mutant(
         "memo-size-cap",
         "src/heliobench/histogram.py",
-        "if memoized and probabilities.size <= BLOCK_ELEMENTS:",
-        "if memoized:",
+        "if probabilities.size <= BLOCK_ELEMENTS:",
+        "if True:",
         "a candidate matrix of more than BLOCK_ELEMENTS values is not kept",
         ("tests/test_benchmark.py",),
     ),
@@ -216,11 +230,54 @@ MUTANTS = (
     ),
     Mutant(
         "bin-count-integer",
-        "src/heliobench/histogram.py",
-        "count = operator.index(bin_count)",
-        "count = bin_count",
+        "src/heliobench/errors.py",
+        "return operator.index(value)",
+        "return value",
         "a bin_count that is not an integer is refused, and one that is is kept as an int",
         (INTEGER_BIN_COUNT_TEST,),
+    ),
+    Mutant(
+        "integer-not-bool",
+        "src/heliobench/errors.py",
+        "if not isinstance(value, bool):",
+        "if True:",
+        "a bool is not an integer parameter",
+        (BOOL_TEST,),
+    ),
+    Mutant(
+        "alpha-not-bool",
+        "src/heliobench/histogram.py",
+        "if isinstance(alpha, (bool, np.bool_)):",
+        "if False:",
+        "a bool, Python's or numpy's, is not an alpha",
+        (BOOL_TEST,),
+    ),
+    Mutant(
+        "top-k-integer",
+        "src/heliobench/benchmark.py",
+        'if _as_int(k, "k") < 1:',
+        "if k < 1:",
+        "top_k's k is an integer, not a bool or a float",
+        ("tests/test_benchmark.py::TestTopK::test_k_must_be_an_integer",),
+    ),
+    Mutant(
+        "request-indicator-type",
+        "src/heliobench/benchmark.py",
+        "if not isinstance(indicator, Indicator):",
+        "if False:",
+        "a BenchmarkRequest's indicators are Indicator members",
+        (
+            "tests/test_benchmark.py::TestRequestValidation::"
+            "test_indicators_must_be_indicator_members",
+        ),
+    ),
+    Mutant(
+        "min-records-integer",
+        "src/heliobench/corpus.py",
+        '    min_records = _as_int(min_records, "min_records")\n',
+        "",
+        "validate_corpus's min_records is an integer, written to the report as an int",
+        ("tests/test_corpus.py::TestValidateCorpus::test_min_records_must_be_an_integer",),
     ),
     Mutant(
         "bin-count-before-memo",
@@ -413,6 +470,29 @@ def misplaced(mutants, root: Path = ROOT) -> list[str]:
     return problems
 
 
+def unresolved(mutants, root: Path = ROOT) -> list[str]:
+    """One line per test a mutant names that does not resolve: its file is
+    missing, or a ::-separated part is no class or function of its module."""
+    problems = []
+    for mutant in mutants:
+        for test in mutant.tests:
+            path, *parts = test.split("::")
+            if not (root / path).is_file():
+                problems.append(f"{mutant.name}: no file {path}")
+                continue
+            scope = ast.parse((root / path).read_text(encoding="utf-8")).body
+            for part in parts:
+                found = [
+                    node.body for node in scope
+                    if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == part
+                ]
+                if not found:
+                    problems.append(f"{mutant.name}: {test} does not resolve")
+                    break
+                scope = found[0]
+    return problems
+
+
 def _pytest(copy: Path, tests) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
@@ -424,7 +504,7 @@ def main(names: list[str]) -> int:
     if unknown:
         print(f"unknown mutants: {', '.join(unknown)}")
         return 2
-    problems = misplaced(MUTANTS)
+    problems = misplaced(MUTANTS) + unresolved(MUTANTS)
     for problem in problems:
         print(problem)
     if problems:

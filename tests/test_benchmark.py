@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -214,7 +215,7 @@ class TestBinningMemo:
 
     SETTINGS = [(20, "linear", 0.5), (7, "log", 0.0), (20, "linear", 0.5), (7, "linear", 0.0),
                 (7, "log", 0.5), (20, "log", 0.0), (20, "log", 0.5), (20, "log", 0.0),
-                (20, "log", 0.5)]
+                (20, "log", 0.5), (7, "log", 0.5)]
 
     def test_alternating_settings_match_a_fresh_corpus(self):
         warm = loguniform_corpus()
@@ -277,11 +278,28 @@ class TestBinningMemo:
         _, first = category_probabilities(corpus, Indicator.IMPACT_FACTOR, spec, 0.5)
         _, again = category_probabilities(corpus, Indicator.IMPACT_FACTOR, spec, 0.5)
         assert np.array_equal(again, first)
-        kept = corpus._binned[Indicator.IMPACT_FACTOR].probabilities
+        memo = corpus._matrices.get(Indicator.IMPACT_FACTOR)
         if spare == 0:
-            assert again is first and kept is first
+            assert again is first and memo[3] is first
         else:
-            assert again is not first and first.flags.writeable and kept is None
+            assert again is not first and first.flags.writeable and memo is None
+
+    def test_latest_matrix_is_kept_whatever_its_spec(self):
+        corpus = loguniform_corpus()
+        pooled = pooled_bin_spec(corpus, Indicator.IMPACT_FACTOR)
+        _, first_pooled = category_probabilities(corpus, Indicator.IMPACT_FACTOR, pooled, 0.5)
+        spec = BinSpec(0.5, 3.0, 20)
+        names, first = category_probabilities(corpus, Indicator.IMPACT_FACTOR, spec, 0.5)
+        again_names, again = category_probabilities(
+            corpus, Indicator.IMPACT_FACTOR, BinSpec(0.5, 3.0, 20), 0.5
+        )
+        assert again is first and again_names == names
+        _, pooled_again = category_probabilities(corpus, Indicator.IMPACT_FACTOR, pooled, 0.5)
+        assert pooled_again is not first_pooled
+        fresh = loguniform_corpus()
+        fresh_spec = pooled_bin_spec(fresh, Indicator.IMPACT_FACTOR)
+        _, expected = category_probabilities(fresh, Indicator.IMPACT_FACTOR, fresh_spec, 0.5)
+        assert np.array_equal(pooled_again, expected)
 
     def test_reference_without_values_still_raises_on_a_warm_corpus(self):
         corpus = Corpus(
@@ -452,6 +470,14 @@ class TestTopK:
         with pytest.raises(InvalidInputError):
             top_k(result, 0)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, False, "2", None])
+    def test_k_must_be_an_integer(self, k):
+        result = self.make_result(5)
+        message = rf"^k must be an integer, got {re.escape(repr(k))}$"
+        with pytest.raises(InvalidInputError, match=message):
+            top_k(result, k)
+        assert top_k(result, np.int64(2)).ranking == result.ranking[:2]
+
     def test_other_fields_preserved(self):
         result = self.make_result(10)
         truncated = top_k(result, 3)
@@ -555,6 +581,12 @@ class TestRequestValidation:
     def test_indicators_must_be_non_empty(self):
         with pytest.raises(InvalidInputError):
             BenchmarkRequest(reference="A", indicators=())
+
+    @pytest.mark.parametrize("indicator", ["if", "impact_factor", None, 0])
+    def test_indicators_must_be_indicator_members(self, indicator):
+        message = rf"^indicators must be Indicator members, got {re.escape(repr(indicator))}$"
+        with pytest.raises(InvalidInputError, match=message):
+            BenchmarkRequest(reference="A", indicators=(Indicator.EIGENFACTOR, indicator))
 
     def test_indicators_must_be_distinct(self):
         with pytest.raises(InvalidInputError):

@@ -416,6 +416,12 @@ class TestBenchCommand:
         assert resolved["reference"] == "A"
         assert resolved["k"] == 30
 
+    @pytest.mark.parametrize("command", ["bench", "map"])
+    def test_k_zero_exits_three(self, valid_csv, capsys, command):
+        assert main([command, "--input", valid_csv, "--reference", "A", "--k", "0"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines()[-1] == "error: k must be >= 1, got 0"
+
 
 class TestMapCommand:
     def test_byte_identical_re_runs(self, synthetic_csv, tmp_path):

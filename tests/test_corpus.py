@@ -1,8 +1,12 @@
 import csv
+import json
 import math
 import pickle
+import re
 import sys
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -145,7 +149,8 @@ class TestCategoryValues:
             expected = [(j, v) for j, c, v in rows if c == name]
             values, _ = category_values(corpus, name, Indicator.IMPACT_FACTOR)
             assert values == [v for _, v in expected]
-            assert [(r.journal, r.impact_factor) for r in corpus.categories[name]] == expected
+            records = [r for r in corpus.records if r.category == name]
+            assert [(r.journal, r.impact_factor) for r in records] == expected
 
     def test_pipeline_builds_no_records(self, monkeypatch):
         def forbidden(*args):
@@ -183,9 +188,16 @@ class TestValidateCorpus:
         assert report.category_count == 174
         assert len(report.records_per_category) == 174
 
-    def test_report_is_json_friendly(self, small_corpus):
-        import json
+    @pytest.mark.parametrize("min_records", [2.5, 5.0, True, "5", None])
+    def test_min_records_must_be_an_integer(self, small_corpus, min_records):
+        message = rf"^min_records must be an integer, got {re.escape(repr(min_records))}$"
+        with pytest.raises(InvalidInputError, match=message):
+            validate_corpus(small_corpus, min_records=min_records)
+        report = validate_corpus(small_corpus, min_records=np.int64(5))
+        assert type(report.min_records) is int
+        assert json.loads(json.dumps(report.to_dict()))["min_records"] == 5
 
+    def test_report_is_json_friendly(self, small_corpus):
         report = validate_corpus(small_corpus)
         parsed = json.loads(json.dumps(report.to_dict()))
         assert parsed["record_count"] == len(small_corpus)
@@ -219,9 +231,10 @@ def test_serialize_parse_round_trip(raw):
 @settings(max_examples=100, deadline=None)
 def test_values_plus_skipped_equals_record_count(raw, indicator):
     corpus = Corpus(JournalRecord(*t) for t in raw)
-    for cat, recs in corpus.categories.items():
+    sizes = Counter(r.category for r in corpus.records)
+    for cat in corpus.category_names():
         values, skipped = category_values(corpus, cat, indicator)
-        assert len(values) + skipped == len(recs)
+        assert len(values) + skipped == sizes[cat]
 
 
 class TestRoundTrip:

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from heliobench import (
     DEFAULT_SCALES,
+    BenchmarkRequest,
     BinSpec,
     EmptyDataError,
     Histogram,
@@ -21,7 +23,7 @@ from heliobench import (
     parse_corpus,
     pooled_bin_spec,
 )
-from heliobench.histogram import LOG_FLOOR, MAX_BIN_COUNT, category_probabilities
+from heliobench.histogram import LOG_FLOOR, MAX_BIN_COUNT, category_probabilities, check_alpha
 
 from oracle import brute_force_counts, exact_frequencies
 
@@ -394,3 +396,27 @@ class TestHistogramType:
         assert doc["sample_count"] == 2
         assert len(doc["edges"]) == 5
         assert doc["counts"] == [0, 1, 1, 0]
+
+
+@pytest.mark.parametrize(
+    "flag", [True, False, np.True_, np.False_], ids=["True", "False", "np.True_", "np.False_"]
+)
+def test_a_bool_is_neither_an_alpha_nor_a_bin_count(flag):
+    spec = BinSpec(0.0, 1.0, 2)
+    corpus = parse_corpus(HEADER + "A,C,1.0,0.1,0.2\n")
+    got = re.escape(repr(flag))
+    for call in (
+        lambda: check_alpha(flag),
+        lambda: Histogram(spec, [0.5, 0.5], counts=[0, 0], alpha=flag),
+        lambda: build_histogram([0.2], spec, flag),
+        lambda: category_probabilities(corpus, Indicator.IMPACT_FACTOR, spec, flag),
+        lambda: BenchmarkRequest(reference="A", alpha=flag),
+    ):
+        with pytest.raises(InvalidInputError, match=rf"^alpha must be a real number, got {got}$"):
+            call()
+    for call in (
+        lambda: BinSpec(0.0, 1.0, flag),
+        lambda: pooled_bin_spec(corpus, Indicator.IMPACT_FACTOR, flag),
+    ):
+        with pytest.raises(InvalidInputError, match=rf"^bin_count must be an integer, got {got}$"):
+            call()
