@@ -27,6 +27,7 @@ from .corpus import (
     parse_corpus,
     serialize_corpus,
     validate_corpus,
+    write_corpus_csv,
 )
 from .errors import (
     AbsoluteContinuityError,
@@ -61,7 +62,7 @@ from .infogain import (
     information_gain,
     unexpectedness,
 )
-from .synthetic import make_synthetic_corpus, write_corpus_csv
+from .synthetic import make_synthetic_corpus
 
 __version__ = "0.1.0"
 

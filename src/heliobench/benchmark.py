@@ -46,7 +46,8 @@ DEFAULT_TOP_K = 30
 
 @dataclass(frozen=True)
 class BenchmarkRequest:
-    """Configuration of one benchmarking run. A scale of None bins each
+    """Configuration of one benchmarking run. indicators, any iterable of
+    distinct Indicator members, is kept as a tuple. A scale of None bins each
     indicator on its DEFAULT_SCALES entry; any other scale bins them all."""
 
     reference: str
@@ -58,6 +59,12 @@ class BenchmarkRequest:
     def __post_init__(self):
         if not self.reference:
             raise InvalidInputError("reference category must be non-empty")
+        try:
+            object.__setattr__(self, "indicators", tuple(self.indicators))
+        except TypeError:
+            raise InvalidInputError(
+                f"indicators must be an iterable of Indicator members, got {self.indicators!r}"
+            ) from None
         if not self.indicators:
             raise InvalidInputError("at least one indicator is required")
         for indicator in self.indicators:

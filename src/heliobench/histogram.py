@@ -18,7 +18,6 @@ and gains nothing from the memo.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from typing import Literal, Mapping, Sequence, get_args
@@ -160,8 +159,8 @@ class Histogram:
         sample_count = self.sample_count
         error = f"clamped must be an integer in [0, {sample_count}], got {self.clamped!r}"
         try:
-            clamped = operator.index(self.clamped)
-        except TypeError:
+            clamped = _as_int(self.clamped, "clamped")
+        except InvalidInputError:
             raise InvalidInputError(error) from None
         if not 0 <= clamped <= sample_count:
             raise InvalidInputError(error)

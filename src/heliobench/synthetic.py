@@ -13,18 +13,20 @@ and 0.8 for the eigenfactor. Shifts, from 0.5 to 1.8, are applied to the
 log-mean, so they act multiplicatively, which matches how impact
 indicators spread.
 
-make_synthetic_corpus() with its defaults is the demo corpus, committed at
-data/demo_corpus.csv by demos/generate_demo_corpus.py.
+Each row becomes a JournalRecord, and the corpus is built with
+Corpus(records), so every row passes the check any other caller's rows
+pass. make_synthetic_corpus() with its defaults is the demo corpus,
+committed at data/demo_corpus.csv by demos/generate_demo_corpus.py; write
+a corpus to a file with corpus.write_corpus_csv.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-from .corpus import Corpus, serialize_corpus
+from .corpus import Corpus, JournalRecord
 from .errors import InvalidInputError
 
 DEMO_SEED = 2010
@@ -65,8 +67,7 @@ def make_synthetic_corpus(
     n_shifted = n_categories - clones - 1
     shifts[clones + 1:] = np.linspace(0.5, 1.8, n_shifted)
 
-    # (line, journal, category, impact_factor, eigenfactor, immediacy) rows.
-    rows: list[tuple] = []
+    records: list[JournalRecord] = []
     journal_counter = 0
     for c in range(n_categories):
         cat = category_name(c)
@@ -79,15 +80,12 @@ def make_synthetic_corpus(
                 for log_mean, sigma, decimals in _PARAMETERS
             ]
             values = [None if rng.random() < missing_rate else v for v in values]
-            rows.append((None, journal, cat, *values))
+            records.append(JournalRecord(journal, cat, *values))
             # Cross-list an occasional journal in the next category with
             # identical values, as citation indexes do.
             if cross_list_every and j % cross_list_every == cross_list_every - 1:
-                rows.append((None, journal, category_name((c + 1) % n_categories), *values))
+                records.append(
+                    JournalRecord(journal, category_name((c + 1) % n_categories), *values)
+                )
 
-    return Corpus._from_rows(rows)
-
-
-def write_corpus_csv(corpus: Corpus, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_corpus(corpus))
+    return Corpus(records)

@@ -81,6 +81,9 @@ ALTERNATING_SETTINGS_TEST = (
     "tests/test_benchmark.py::TestBinningMemo::test_alternating_settings_match_a_fresh_corpus"
 )
 BOOL_TEST = "tests/test_histogram.py::test_a_bool_is_neither_an_alpha_nor_a_bin_count"
+ROW_CHECK_TEST = (
+    "tests/test_corpus.py::TestParseCorpus::test_direct_construction_checks_rows_like_the_parser"
+)
 
 MUTANTS = (
     Mutant(
@@ -272,6 +275,25 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "request-indicators-tuple",
+        "src/heliobench/benchmark.py",
+        'object.__setattr__(self, "indicators", tuple(self.indicators))',
+        "tuple(self.indicators)",
+        "a BenchmarkRequest keeps its indicators as a tuple, so a list of them hashes",
+        (
+            "tests/test_benchmark.py::TestRequestValidation::"
+            "test_indicators_of_any_iterable_are_kept_as_a_tuple",
+        ),
+    ),
+    Mutant(
+        "min-records-at-least-zero",
+        "src/heliobench/corpus.py",
+        "if min_records < 0:",
+        "if False:",
+        "validate_corpus's min_records is >= 0",
+        ("tests/test_corpus.py::TestValidateCorpus::test_min_records_must_be_at_least_zero",),
+    ),
+    Mutant(
         "min-records-integer",
         "src/heliobench/corpus.py",
         '    min_records = _as_int(min_records, "min_records")\n',
@@ -344,6 +366,14 @@ MUTANTS = (
         (CLAMPED_TEST,),
     ),
     Mutant(
+        "histogram-clamped-not-bool",
+        "src/heliobench/histogram.py",
+        'clamped = _as_int(self.clamped, "clamped")',
+        'clamped = _as_int(int(self.clamped) if self.clamped is True else self.clamped, "clamped")',
+        "a Histogram's clamped count is not a bool",
+        (CLAMPED_TEST,),
+    ),
+    Mutant(
         "ties-by-name",
         "src/heliobench/benchmark.py",
         "ranking.sort(key=itemgetter(1))",
@@ -390,6 +420,30 @@ MUTANTS = (
         "forbidden = None",
         "a category holding a character XML 1.0 forbids is refused, with its line",
         ("tests/test_corpus.py",),
+    ),
+    Mutant(
+        "checked-name-str",
+        "src/heliobench/corpus.py",
+        "if not (isinstance(journal, str) and isinstance(category, str)):",
+        "if False:",
+        "a journal or category that is not a str is refused, naming its field and key",
+        (ROW_CHECK_TEST,),
+    ),
+    Mutant(
+        "checked-value-not-bool",
+        "src/heliobench/corpus.py",
+        "isinstance(value, bool) or not isinstance(value, Real)",
+        "not isinstance(value, Real)",
+        "a bool indicator value is refused, not stored as 0.0 or 1.0",
+        (ROW_CHECK_TEST,),
+    ),
+    Mutant(
+        "checked-value-real",
+        "src/heliobench/corpus.py",
+        "isinstance(value, bool) or not isinstance(value, Real)",
+        "isinstance(value, bool)",
+        "an indicator value that is not a numbers.Real is refused with a CorpusFormatError",
+        (ROW_CHECK_TEST,),
     ),
     Mutant(
         "block-xml-forbidden",

@@ -588,6 +588,18 @@ class TestRequestValidation:
         with pytest.raises(InvalidInputError, match=message):
             BenchmarkRequest(reference="A", indicators=(Indicator.EIGENFACTOR, indicator))
 
+    def test_indicators_of_any_iterable_are_kept_as_a_tuple(self):
+        pair = (Indicator.IMPACT_FACTOR, Indicator.IMMEDIACY)
+        request = BenchmarkRequest(reference="A", indicators=pair)
+        for indicators in (list(pair), iter(pair), (i for i in pair)):
+            same = BenchmarkRequest(reference="A", indicators=indicators)
+            assert same.indicators == pair
+            assert same == request
+            assert hash(same) == hash(request)
+        message = r"^indicators must be an iterable of Indicator members, got <Indicator\.IMMEDIACY"
+        with pytest.raises(InvalidInputError, match=message):
+            BenchmarkRequest(reference="A", indicators=Indicator.IMMEDIACY)
+
     def test_indicators_must_be_distinct(self):
         with pytest.raises(InvalidInputError):
             BenchmarkRequest(

@@ -54,7 +54,7 @@ OPTIONS = {
     "format": (["json", "csv"], ["xml"]),
     "summary": (["true"], []),
     "category": (["A", "C"], ["Z"]),
-    "min_records": (["0", "2"], ["x"]),
+    "min_records": (["0", "2"], ["-3", "x"]),
     "prestige": ([TMP + "/prestige.txt"], [TMP + "/missing.txt"]),
 }
 RANKING = ["indicator", "bins", "scale", "alpha", "reference", "k"]

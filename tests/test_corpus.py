@@ -115,6 +115,11 @@ class TestParseCorpus:
             (("A", "Cat", 1.0, 0.1, math.inf), "immediacy .* finite and >= 0"),
             (("", "Cat", 1.0, 0.1, 0.2), "journal is empty"),
             (("A", "", 1.0, 0.1, 0.2), "category is empty"),
+            (("A", "Cat", True, 0.1, 0.2), r"^impact_factor for \('A', 'Cat'\) must be a real"),
+            (("A", "Cat", 1.0, 0.1, np.True_), "^immediacy .* must be a real number, got np.True_$"),
+            (("A", "Cat", 1.0, "0.1", 0.2), "^eigenfactor .* must be a real number, got '0.1'$"),
+            ((5, "Cat", 1.0, 0.1, 0.2), r"^journal for \(5, 'Cat'\) must be a str$"),
+            (("A", None, 1.0, 0.1, 0.2), r"^category for \('A', None\) must be a str$"),
         ],
     )
     def test_direct_construction_checks_rows_like_the_parser(self, fields, match):
@@ -196,6 +201,13 @@ class TestValidateCorpus:
         report = validate_corpus(small_corpus, min_records=np.int64(5))
         assert type(report.min_records) is int
         assert json.loads(json.dumps(report.to_dict()))["min_records"] == 5
+
+    def test_min_records_must_be_at_least_zero(self, small_corpus):
+        for min_records in (-1, -3):
+            message = rf"^min_records must be >= 0, got {min_records}$"
+            with pytest.raises(InvalidInputError, match=message):
+                validate_corpus(small_corpus, min_records=min_records)
+        assert validate_corpus(small_corpus, min_records=0).under_populated == ()
 
     def test_report_is_json_friendly(self, small_corpus):
         report = validate_corpus(small_corpus)

@@ -367,7 +367,8 @@ class TestHistogramType:
             assert hist.counts.tolist() == counts
 
     @pytest.mark.parametrize(
-        "counts, clamped", [([1, 1], -7), ([1, 1], 3), (None, 1), ([1, 1], 1.0), ([1, 1], "1")]
+        "counts, clamped",
+        [([1, 1], -7), ([1, 1], 3), (None, 1), ([1, 1], 1.0), ([1, 1], "1"), ([1, 1], True)],
     )
     def test_clamped_must_be_an_integer_up_to_the_sample_count(self, counts, clamped):
         sample_count = 0 if counts is None else 2

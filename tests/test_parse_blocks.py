@@ -44,7 +44,9 @@ def parse_row_by_row(text: str) -> Corpus:
         except csv.Error as exc:
             raise CorpusFormatError(str(exc), line=reader.line_num) from None
 
-    return Corpus._from_rows(rows())
+    corpus = Corpus.__new__(Corpus)
+    corpus._finish(*corpus_module._checked(rows()))
+    return corpus
 
 
 def outcome(parse, text: str):
@@ -136,8 +138,9 @@ def test_block_parse_matches_the_row_by_row_parse(table, block_rows):
 
 
 def test_blocks_of_a_large_file_match_the_row_by_row_parse(tmp_path):
-    text = serialize_corpus(Corpus._from_rows(
-        (None, f"j{i}", f"c{i % 7}", float(i), None if i % 5 else 0.5, i / 3) for i in range(5000)
+    text = serialize_corpus(Corpus(
+        JournalRecord(f"j{i}", f"c{i % 7}", float(i), None if i % 5 else 0.5, i / 3)
+        for i in range(5000)
     ))
     path = tmp_path / "large.csv"
     path.write_text(text, encoding="utf-8")
