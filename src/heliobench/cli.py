@@ -7,15 +7,20 @@ resolved configuration to stderr so results can be reproduced.
 Exit codes are a stable scripting contract: 0 success; 2 input that cannot
 be parsed (bad CSV or config file, unreadable file, a file that is not
 valid UTF-8, unknown flag or a flag value of the wrong type, bench or map
-without a reference from the flag or the config file); 3 input that
-is well-formed but outside its domain (unknown category, empty data, --k 0,
---bins below 2 or above histogram.MAX_BIN_COUNT, non-finite or negative
-alpha, alpha 0 without full support, hist categories whose names give one
-output filename); 4 internal errors. An indicator that cannot be binned
-(no values in the corpus, or no positive ones on a log scale) or, for bench
-and map, for which the reference has no values, is skipped with a warning;
-when every indicator fails, the last one's error is printed instead of its
-warning, and the run exits 3.
+without a reference from the flag or the config file) or output that
+cannot be written (a closed or full stdout, an --out that cannot be made
+or written); 3 input that is well-formed but outside its domain (unknown
+category, empty data, --k 0, --bins below 2 or above
+histogram.MAX_BIN_COUNT, non-finite or negative alpha, alpha 0 without
+full support, an alpha that leaves a probability below the smallest normal
+float, hist categories whose names give one output filename); 4 internal
+errors. Diagnostics go to stderr or nowhere, so a closed stderr changes
+neither the exit code nor stdout. An option's value may be "--" in the
+--opt=-- form. An indicator that cannot be binned (no values in the
+corpus, or no positive ones on a log scale) or, for bench and map, for
+which the reference has no values, is skipped with a warning; when every
+indicator fails, the last one's error is printed instead of its warning,
+and the run exits 3.
 """
 
 from __future__ import annotations
@@ -166,6 +171,14 @@ def _slug(name: str) -> str:
     return re.sub(r"[^a-z0-9]+", "-", name.lower()).strip("-") or "unnamed"
 
 
+def _report(line: str) -> None:
+    """Write one diagnostic line to stderr, or nowhere when stderr is missing
+    or cannot be written: print(file=None) would write it to stdout."""
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError, ValueError):  # ValueError: a closed file
+            print(line, file=sys.stderr, flush=True)
+
+
 def _json(obj, indent: int | None = None) -> str:
     """Sorted-key JSON that raises ValueError rather than write NaN or Infinity."""
     return json.dumps(obj, indent=indent, sort_keys=True, allow_nan=False)
@@ -180,6 +193,8 @@ def _emit(documents: Documents, out_dir: str | None) -> None:
     memory whole. Two documents with one filename are an InvalidInputError.
     """
     if out_dir is None:
+        if sys.stdout is None:  # Python's stdout when fd 1 is closed
+            raise OSError("standard output is closed")
         with tempfile.SpooledTemporaryFile(
             STAGED_CHARS, mode="w+", encoding="utf-8", newline=""
         ) as staged:
@@ -230,7 +245,7 @@ def _skipping_empty(indicators: Sequence[Indicator], run) -> list:
         except EmptyDataError as exc:
             if not done and indicator is indicators[-1]:
                 raise
-            print(f"warning: skipping indicator {indicator.code}: {exc}", file=sys.stderr)
+            _report(f"warning: skipping indicator {indicator.code}: {exc}")
     return done
 
 
@@ -299,8 +314,24 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def _get_values(self, action, arg_strings):
+        # Before Python 3.13 argparse drops the "--" of --opt=-- and stores
+        # [] unchecked; an option's value "--" is kept here as 3.13 keeps it.
+        if action.option_strings and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
+    def error(self, message):
+        # ArgumentParser.error prints its usage to stdout when sys.stderr is None.
+        _report(f"{self.format_usage()}{self.prog}: error: {message}")
+        sys.exit(EXIT_INPUT)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="heliobench",
         description="Benchmark journal categories by impact-indicator histograms "
         "and Kullback-Leibler information gain.",
@@ -328,18 +359,18 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         resolved = _resolve(args)
-        print(f"resolved-config: {_json(resolved)}", file=sys.stderr)
+        _report(f"resolved-config: {_json(resolved)}")
         corpus = load_corpus(resolved["input"])
         _emit(_COMMANDS[args.command][1](corpus, resolved), resolved["out"])
         return EXIT_OK
     except (CorpusFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return EXIT_INPUT
     except HeliobenchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return EXIT_DOMAIN
     except Exception:
-        traceback.print_exc()
+        _report(traceback.format_exc().rstrip("\n"))
         return EXIT_INTERNAL
 
 

@@ -264,7 +264,6 @@ def _smooth(
     index: np.ndarray,
     bin_count: int,
     alpha: float,
-    limit: float,
     rows: int = 1,
     indicator: Indicator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -273,13 +272,15 @@ def _smooth(
 
     Returns (counts, probabilities). Every row must hold a value unless
     alpha > 0. Raises InvalidInputError, naming alpha, the indicator when
-    given and the limit, when alpha > 0 leaves a probability below limit:
-    alpha times bin_count overflows, or an empty bin's share underflows.
+    given and the limit, when alpha > 0 leaves a probability below the
+    smallest normal float: alpha times bin_count overflows, or an empty
+    bin's share underflows.
     """
     counts = np.bincount(index, minlength=rows * bin_count).reshape(rows, bin_count)
     probabilities = counts + float(alpha)
     probabilities /= counts.sum(axis=1, keepdims=True) + alpha * bin_count
-    if alpha > 0 and probabilities.min(initial=math.inf) < limit:  # no rows: no error
+    # The gain kernel divides by these: a subnormal one can overflow p / q.
+    if alpha > 0 and probabilities.min(initial=math.inf) < sys.float_info.min:  # no rows: no error
         where = "" if indicator is None else f" for {indicator.value}"
         if math.isinf(alpha * bin_count):
             raise InvalidInputError(
@@ -288,7 +289,7 @@ def _smooth(
             )
         raise InvalidInputError(
             f"alpha {alpha!r} is too small{where} on {bin_count} bins: an empty "
-            f"bin's probability falls below {limit!r}"
+            f"bin's probability falls below {sys.float_info.min!r}"
         )
     return counts, probabilities
 
@@ -302,7 +303,7 @@ def build_histogram(values: Sequence[float], spec: BinSpec, alpha: float = 0.0) 
     list leaves the distribution undefined and raises EmptyDataError. Raises
     InvalidInputError for a NaN value, since a missing value is left out,
     not binned, and, naming alpha and the limit, when alpha > 0 leaves a
-    probability at 0.
+    probability below the smallest normal float.
     """
     check_alpha(alpha)
     values = np.asarray(values, dtype=float)
@@ -312,7 +313,7 @@ def build_histogram(values: Sequence[float], spec: BinSpec, alpha: float = 0.0) 
         raise EmptyDataError("cannot build an unsmoothed histogram from zero values")
 
     bins, clamped = _bin_index(values, spec)
-    counts, probabilities = _smooth(bins, spec.bin_count, alpha, math.ulp(0.0))
+    counts, probabilities = _smooth(bins, spec.bin_count, alpha)
     return Histogram(
         spec=spec,
         probabilities=probabilities[0],
@@ -352,10 +353,7 @@ def category_probabilities(
     bins, _ = _bin_index(column[present], spec)
     kept = [name for name, keep in zip(names, has_values.tolist()) if keep]
     n = spec.bin_count
-    # The gain kernel divides by these: a subnormal one can overflow p / q.
-    _, probabilities = _smooth(
-        rows[codes] * n + bins, n, alpha, sys.float_info.min, len(kept), indicator
-    )
+    _, probabilities = _smooth(rows[codes] * n + bins, n, alpha, len(kept), indicator)
     if probabilities.size <= BLOCK_ELEMENTS:
         probabilities.flags.writeable = False
         corpus._matrices[indicator] = (spec, alpha, tuple(kept), probabilities)

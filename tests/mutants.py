@@ -13,7 +13,7 @@ mutant's tests and restores the file. A mutant is killed when pytest
 reports a failed test. The runner exits 1 when an old text does not occur
 exactly once in its file, or a named test does not resolve, so a refactor
 has to update this list, when the unmutated copy fails, or when a mutant
-not marked equivalent is not killed.
+is not killed.
 pytest does not collect this file, since its name has no test_ prefix.
 """
 
@@ -38,7 +38,6 @@ class Mutant(NamedTuple):
     new: str
     contract: str  # what the mutant breaks
     tests: tuple[str, ...]  # pytest arguments, relative to the repository root
-    equivalent: str = ""  # why no test can kill it, and on which Python versions
 
 
 NEGATIVE_GAIN_TEST = (
@@ -81,6 +80,9 @@ ALTERNATING_SETTINGS_TEST = (
     "tests/test_benchmark.py::TestBinningMemo::test_alternating_settings_match_a_fresh_corpus"
 )
 BOOL_TEST = "tests/test_histogram.py::test_a_bool_is_neither_an_alpha_nor_a_bin_count"
+XML_FORBIDDEN_TEST = (
+    "tests/test_parse_blocks.py::test_category_with_a_character_xml_forbids_is_rejected"
+)
 ROW_CHECK_TEST = (
     "tests/test_corpus.py::TestParseCorpus::test_direct_construction_checks_rows_like_the_parser"
 )
@@ -92,7 +94,7 @@ MUTANTS = (
         "valid = full or ((Q >= 0) & (Q < math.inf)).all()",
         "valid = True",
         "a NaN, negative or infinite candidate value where the reference is zero is rejected",
-        ("tests/test_infogain.py",),
+        ("tests/test_infogain.py::test_bad_value_raises_alike_through_every_path",),
     ),
     Mutant(
         "kernel-cross-check",
@@ -101,7 +103,7 @@ MUTANTS = (
         "agree = np.abs(gain_nats - direct_nats) >= -math.inf",
         "the two forms of the gain agree within IDENTITY_TOL, and a zero where the "
         "reference is positive is rejected",
-        ("tests/test_infogain.py",),
+        ("tests/test_infogain.py::test_first_offender_in_a_later_block_is_named",),
     ),
     Mutant(
         "kernel-contiguous-rows",
@@ -109,7 +111,10 @@ MUTANTS = (
         "Q = np.ascontiguousarray(Q) if full else Q.take(support, axis=1)",
         "Q = Q if full else Q.take(support, axis=1)",
         "a column-major candidate matrix scores bit for bit like a row-major one",
-        ("tests/test_infogain.py",),
+        (
+            "tests/test_infogain.py::TestGainsAgainstReference::"
+            "test_contiguous_and_column_major_matrices_score_alike",
+        ),
     ),
     Mutant(
         "kernel-gain-clipped",
@@ -149,7 +154,7 @@ MUTANTS = (
         "        del pairs[names.index(reference_name)]\n",
         "        pass\n",
         "the reference's own row of the matrix is left out of its gains",
-        ("tests/test_infogain.py", "tests/test_benchmark.py"),
+        ("tests/test_infogain.py::TestGainsAgainstReference::test_reference_name_excluded",),
     ),
     Mutant(
         "gains-drop-row-in-name-order",
@@ -173,7 +178,7 @@ MUTANTS = (
         """.replace('"-0.000"', '"0.000"').split("\\0")""",
         """.split("\\0")""",
         'no SVG coordinate is written "-0.000"',
-        ("tests/test_heliomap.py",),
+        ("tests/test_heliomap.py::TestRenderSvg::test_negative_zero_coordinate_prints_as_zero",),
     ),
     Mutant(
         "histogram-empty-bin",
@@ -181,23 +186,37 @@ MUTANTS = (
         "probs.min() >= 0 and",
         "probs.min() > 0 and",
         "an unsmoothed histogram may hold an empty bin",
-        ("tests/test_histogram.py",),
+        ("tests/test_histogram.py::TestBuildHistogram::test_interior_edges_are_left_closed",),
     ),
     Mutant(
         "smoothed-limit-inclusive",
         "src/heliobench/histogram.py",
-        "probabilities.min(initial=math.inf) < limit",
-        "probabilities.min(initial=math.inf) <= limit",
+        "probabilities.min(initial=math.inf) < sys.float_info.min",
+        "probabilities.min(initial=math.inf) <= sys.float_info.min",
         "a smoothed probability equal to the limit is kept",
-        ("tests/test_histogram.py",),
+        (
+            "tests/test_histogram.py::TestCategoryProbabilities::"
+            "test_probability_equal_to_the_limit_is_kept",
+        ),
     ),
     Mutant(
         "smoothed-no-rows",
         "src/heliobench/histogram.py",
-        "probabilities.min(initial=math.inf) < limit",
-        "probabilities.min() < limit",
+        "probabilities.min(initial=math.inf) < sys.float_info.min",
+        "probabilities.min() < sys.float_info.min",
         "an indicator without values gives a matrix of no rows, not an error",
-        ("tests/test_histogram.py",),
+        (
+            "tests/test_histogram.py::TestCategoryProbabilities::"
+            "test_indicator_without_values_gives_no_rows",
+        ),
+    ),
+    Mutant(
+        "smoothed-subnormal-floor",
+        "src/heliobench/histogram.py",
+        "probabilities.min(initial=math.inf) < sys.float_info.min",
+        "probabilities.min(initial=math.inf) < math.ulp(0.0)",
+        "hist, like bench and map, refuses an alpha that leaves a subnormal probability",
+        ("tests/test_cli.py::test_hist_refuses_an_alpha_that_leaves_a_subnormal_probability",),
     ),
     Mutant(
         "memo-alpha-key",
@@ -205,7 +224,7 @@ MUTANTS = (
         "if memo is not None and memo[:2] == (spec, alpha):",
         "if memo is not None and memo[0] == spec:",
         "a kept candidate matrix is reused only for the alpha it was smoothed with",
-        ("tests/test_benchmark.py",),
+        (ALTERNATING_SETTINGS_TEST,),
     ),
     Mutant(
         "memo-spec-key",
@@ -221,7 +240,7 @@ MUTANTS = (
         "if probabilities.size <= BLOCK_ELEMENTS:",
         "if True:",
         "a candidate matrix of more than BLOCK_ELEMENTS values is not kept",
-        ("tests/test_benchmark.py",),
+        ("tests/test_benchmark.py::TestBinningMemo::test_matrix_above_the_cap_is_not_kept",),
     ),
     Mutant(
         "pooled-bin-spec-default-scale",
@@ -379,7 +398,10 @@ MUTANTS = (
         "ranking.sort(key=itemgetter(1))",
         "ranking.reverse()\n        ranking.sort(key=itemgetter(1))",
         "candidates with equal gains are ranked by name",
-        ("tests/test_benchmark.py",),
+        (
+            "tests/test_benchmark.py::TestRunBenchmark::"
+            "test_ranking_sorted_ascending_with_lexicographic_ties",
+        ),
     ),
     Mutant(
         "codes-stable-order",
@@ -387,7 +409,7 @@ MUTANTS = (
         'order = np.argsort(self._codes, kind="stable")',
         "order = np.argsort(self._codes)",
         "a category's values and records come in input order",
-        ("tests/test_corpus.py",),
+        ("tests/test_corpus.py::TestCategoryValues::test_values_in_input_order",),
     ),
     Mutant(
         "config-line-equals",
@@ -395,7 +417,10 @@ MUTANTS = (
         'if "=" not in line:',
         "if False:",
         "a config line without = is refused as not key=value",
-        ("tests/test_cli.py",),
+        (
+            "tests/test_cli.py::TestBenchCommand::"
+            "test_config_line_without_equals_sign_exits_two",
+        ),
     ),
     Mutant(
         "plain-line-end-positions",
@@ -403,7 +428,10 @@ MUTANTS = (
         ' or cells[width - 1::width].count("\\n") != len(block)',
         "",
         "a block whose short lines balance a long one's field count is not split as plain",
-        ("tests/test_parse_blocks.py",),
+        (
+            "tests/test_parse_blocks.py::"
+            "test_short_lines_that_balance_a_long_one_in_its_block_are_not_split",
+        ),
     ),
     Mutant(
         "csv-lone-cr-quoting",
@@ -411,7 +439,10 @@ MUTANTS = (
         '(quoted if any("\\r" in cell for cell in row) else writer).writerow(row)',
         "writer.writerow(row)",
         "a row with a lone carriage return in a cell is written with every field quoted",
-        ("tests/test_corpus.py",),
+        (
+            "tests/test_corpus.py::TestRoundTrip::"
+            "test_name_with_a_lone_carriage_return_is_quoted",
+        ),
     ),
     Mutant(
         "checked-xml-forbidden",
@@ -419,7 +450,7 @@ MUTANTS = (
         "forbidden = _XML_FORBIDDEN.search(category)",
         "forbidden = None",
         "a category holding a character XML 1.0 forbids is refused, with its line",
-        ("tests/test_corpus.py",),
+        ("tests/test_cli.py::test_category_that_xml_forbids_exits_two_naming_its_line",),
     ),
     Mutant(
         "checked-name-str",
@@ -451,7 +482,7 @@ MUTANTS = (
         '        and not _XML_FORBIDDEN.search("".join(set(categories)))\n',
         "",
         "a block holding a category XML 1.0 forbids is checked row by row and refused",
-        ("tests/test_parse_blocks.py",),
+        (XML_FORBIDDEN_TEST,),
     ),
     Mutant(
         "hist-skips-unbinnable",
@@ -467,7 +498,7 @@ MUTANTS = (
         "if filename in written:",
         "if False:",
         "two documents with one file name are refused, and nothing is written",
-        ("tests/test_cli.py",),
+        ("tests/test_cli.py::test_hist_filename_collision_exits_three_and_writes_nothing",),
     ),
     Mutant(
         "stdout-staged",
@@ -475,7 +506,10 @@ MUTANTS = (
         "staged.write(text if",
         "sys.stdout.write(text if",
         "stdout is written only once the last document is built",
-        ("tests/test_cli.py",),
+        (
+            "tests/test_cli.py::TestHistCommand::"
+            "test_failure_writes_nothing_and_names_category_and_indicator",
+        ),
     ),
     Mutant(
         "exit-input-code",
@@ -483,7 +517,7 @@ MUTANTS = (
         "        return EXIT_INPUT\n    except HeliobenchError",
         "        return EXIT_DOMAIN\n    except HeliobenchError",
         "a malformed corpus or an unreadable file exits 2",
-        ("tests/test_cli.py",),
+        ("tests/test_cli.py::TestValidateCommand::test_missing_file_exits_two",),
     ),
     Mutant(
         "exit-domain-code",
@@ -491,7 +525,7 @@ MUTANTS = (
         "        return EXIT_DOMAIN\n    except Exception",
         "        return EXIT_INPUT\n    except Exception",
         "a domain error exits 3",
-        ("tests/test_cli.py",),
+        ("tests/test_cli.py::TestHistCommand::test_unknown_category_exits_three",),
     ),
     Mutant(
         "exit-internal-code",
@@ -499,7 +533,7 @@ MUTANTS = (
         "        return EXIT_INTERNAL\n",
         "        return EXIT_DOMAIN\n",
         "an internal error exits 4",
-        ("tests/test_cli.py",),
+        ("tests/test_cli.py::test_internal_error_exits_four_with_the_traceback_on_stderr",),
     ),
     Mutant(
         "plain-block-nul",
@@ -507,9 +541,10 @@ MUTANTS = (
         '        or "\\0" in text\n',
         "",
         "a line holding NUL is read by csv.reader, not split as a plain line",
-        ("tests/test_parse_blocks.py", "tests/test_corpus.py"),
-        equivalent="Python 3.11 and later: csv.reader reads NUL as str.split does; "
-        "only 3.10's csv.reader rejects it",
+        (
+            "tests/test_parse_blocks.py::"
+            "test_lines_that_csv_reader_may_read_otherwise_are_not_plain",
+        ),
     ),
 )
 
@@ -582,10 +617,7 @@ def main(names: list[str]) -> int:
             finally:
                 path.write_text(original, encoding="utf-8")
             verdict = {0: "survived", 1: "killed"}.get(code, f"pytest exited {code}")
-            if mutant.equivalent:
-                verdict += f" (equivalent: {mutant.equivalent})"
-            elif code != 1:
-                failed += 1
+            failed += code != 1
             print(f"{mutant.name}: {verdict}; breaks: {mutant.contract}", flush=True)
     print(f"{len(selected)} mutants, {failed} not killed")
     return 1 if failed else 0

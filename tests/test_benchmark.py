@@ -337,23 +337,6 @@ class TestBinningMemo:
             loguniform_corpus(), BenchmarkRequest(reference="C1")
         )
 
-    def test_retained_memory_is_one_small_int_per_present_value(self):
-        corpus = loguniform_corpus(n_categories=60, journals=1700, seed=3)
-        present = sum(int(np.count_nonzero(~np.isnan(corpus.column(i)))) for i in Indicator)
-        request = BenchmarkRequest(reference="C0", bin_count=MAX_BIN_COUNT)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            results = run_benchmark(corpus, request)
-            del results
-            gc.collect()
-            after, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # One candidate matrix of one indicator would be 60 x 10^4 floats.
-        assert after - before < present * np.dtype(np.intp).itemsize
-
     def test_above_the_cap_only_the_bin_edges_are_kept(self):
         corpus = loguniform_corpus(n_categories=60, journals=1700, seed=3)
         request = BenchmarkRequest(reference="C0", bin_count=MAX_BIN_COUNT)

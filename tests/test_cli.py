@@ -1,4 +1,6 @@
 import csv
+import errno
+import io
 import json
 import os
 import subprocess
@@ -685,6 +687,24 @@ def test_names_that_start_with_a_dash_take_the_equals_form(tmp_path, capsys):
     assert "argument --reference: expected one argument" in capsys.readouterr().err
 
 
+def test_two_dashes_in_the_equals_form_are_a_value(tmp_path, monkeypatch, capsys):
+    # argparse before Python 3.13 drops the value of --reference=-- and keeps [].
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "dashes.csv"
+    path.write_text(VALID_CSV.replace(",A,", ",--,"), encoding="utf-8")
+    assert main(["bench", "--input", str(path), "--indicator", "if", "--reference=--"]) == 0
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert (doc["reference"], [e["category"] for e in doc["ranking"]]) == ("--", ["B"])
+    assert json.loads(captured.err.removeprefix("resolved-config: "))["reference"] == "--"
+    assert main(["hist", "--input", str(path), "--indicator", "if", "--category=--"]) == 0
+    assert json.loads(capsys.readouterr().out)["category"] == "--"
+    assert main(["validate", "--input", str(path), "--out=--"]) == 0
+    assert os.listdir("--") == ["validation.json"]
+    assert main(["hist", "--input", str(path), "--bins=--"]) == 2
+    assert "argument --bins: invalid int value: '--'" in capsys.readouterr().err
+
+
 CSV_HEADER = "journal,category,impact_factor,eigenfactor,immediacy\n"
 
 
@@ -734,7 +754,7 @@ def test_alpha_leaving_a_subnormal_probability_exits_three(command, alpha, demo_
                  id="alpha-overflow"),
     pytest.param(["--alpha", "5e-324", "--bins", "10000"],
                  "alpha 5e-324 is too small on 10000 bins: an empty bin's probability falls "
-                 "below 5e-324",
+                 "below 2.2250738585072014e-308",
                  id="alpha-underflow"),
 ])
 def test_hist_alpha_beyond_float_range_names_category_indicator_and_limit(
@@ -746,11 +766,16 @@ def test_hist_alpha_beyond_float_range_names_category_indicator_and_limit(
     assert captured.err.splitlines()[-1] == f"error: category 'A', eigenfactor: {expected}"
 
 
-def test_hist_keeps_a_subnormal_probability(valid_csv, capsys):
-    assert main(["hist", "--input", valid_csv, "--alpha", "1e-320", "--bins", "10"]) == 0
-    docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    smallest = min(p for doc in docs for p in doc["probabilities"])
-    assert 0.0 < smallest < 2.2250738585072014e-308
+def test_hist_refuses_an_alpha_that_leaves_a_subnormal_probability(demo_csv_path, capsys):
+    # hist has the floor that bench and map have.
+    argv = ["hist", "--input", str(demo_csv_path), "--alpha", "1e-320", "--bins", "10"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "error: category 'Category 000', impact_factor: alpha 1e-320 is too small on 10 bins: "
+        "an empty bin's probability falls below 2.2250738585072014e-308"
+    )
 
 
 def test_internal_error_exits_four_with_the_traceback_on_stderr(demo_csv_path, monkeypatch, capsys):
@@ -765,6 +790,81 @@ def test_internal_error_exits_four_with_the_traceback_on_stderr(demo_csv_path, m
     traceback = err[err.index("Traceback (most recent call last):\n"):]
     assert traceback.endswith("RuntimeError: injected fault\n")
     assert "in fail\n" in traceback
+
+
+def test_a_closed_stdout_exits_two_with_one_error_line(demo_csv_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", None)  # what Python sets when fd 1 is closed
+    assert main(["validate", "--input", str(demo_csv_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("resolved-config: ")
+    assert err[1:] == ["error: standard output is closed"]
+
+
+class _BadDescriptor:
+    def write(self, *args):
+        raise OSError(errno.EBADF, "Bad file descriptor")
+
+    flush = write
+
+
+def _closed_stream():
+    stream = io.StringIO()
+    stream.close()  # write raises ValueError
+    return stream
+
+
+@pytest.mark.parametrize("stderr", [
+    pytest.param(None, id="missing"),
+    pytest.param(_BadDescriptor(), id="ebadf"),
+    pytest.param(_closed_stream(), id="closed"),
+])
+def test_an_unwritable_stderr_changes_neither_exit_code_nor_stdout(
+    stderr, demo_csv_path, tmp_path, monkeypatch, capsys
+):
+    # print(file=None) writes to stdout: no diagnostic may end up there.
+    monkeypatch.setattr(sys, "stderr", stderr)
+    demo = str(demo_csv_path)
+    assert main(["validate", "--input", demo]) == 0
+    assert json.loads(capsys.readouterr().out)["category_count"] == 174
+    argv = ["bench", "--input", demo, "--reference", "Category 000", "--indicator", "if"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["reference"] == "Category 000"
+    empty = tmp_path / "empty.csv"
+    empty.write_text(CSV_HEADER + "a1,A,1.0,,0.2\nb1,B,2.0,,1.0\n", encoding="utf-8")
+    for argv, code in [
+        (["validate", "--input", str(tmp_path / "missing.csv")], 2),
+        (["validate", "--bogus"], 2),
+        (["bench", "--input", demo, "--reference", "nope"], 3),
+        (["hist", "--input", str(empty)], 0),  # warns that it skips eigenfactor
+    ]:
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        assert (out.count('"category": ') == 4) if code == 0 else (out == "")
+    monkeypatch.setattr("heliobench.cli.validate_corpus", None)
+    assert main(["validate", "--input", demo]) == 4
+    assert capsys.readouterr().out == ""
+
+
+def _run_with(redirect, *args):
+    """python -m heliobench ARGS in a shell that applies redirect, such as 2>&-."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run(
+        ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "heliobench", *args],
+        env=env, capture_output=True, text=True,
+    )
+
+
+def test_closed_standard_streams_exit_with_the_documented_codes(demo_csv_path):
+    demo = str(demo_csv_path)
+    run = _run_with(">&-", "validate", "--input", demo)
+    assert (run.returncode, run.stderr.splitlines()[-1]) == (2, "error: standard output is closed")
+    run = _run_with("2>&-", "validate", "--input", demo)
+    assert (run.returncode, json.loads(run.stdout)["category_count"]) == (0, 174)
+    run = _run_with("2>&-", "bench", "--input", demo, "--reference", "Category 000",
+                    "--indicator", "if")
+    assert (run.returncode, json.loads(run.stdout)["reference"]) == (0, "Category 000")
+    run = _run_with("2>&-", "bench", "--input", demo, "--reference", "nope")
+    assert (run.returncode, run.stdout) == (3, "")
 
 
 def test_cli_import_loads_neither_pathlib_nor_urllib_parse():

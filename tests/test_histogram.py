@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heliobench import (
@@ -226,8 +226,8 @@ class TestCategoryProbabilities:
     def test_probability_equal_to_the_limit_is_kept(self):
         # One value per category and alpha at the limit leave each empty
         # bin's probability exactly at the limit, which is allowed.
-        hist = build_histogram([0.5], BinSpec(0.0, 1.0, 4), alpha=math.ulp(0.0))
-        assert hist.probabilities.min() == math.ulp(0.0)
+        hist = build_histogram([0.5], BinSpec(0.0, 1.0, 4), alpha=sys.float_info.min)
+        assert hist.probabilities.min() == sys.float_info.min
         corpus = parse_corpus(HEADER + "a,A,1.0,0.1,0.2\nb,B,3.0,0.1,0.2\n")
         spec = pooled_bin_spec(corpus, Indicator.IMPACT_FACTOR, 4)
         _, probabilities = category_probabilities(
@@ -253,13 +253,20 @@ class TestHistogramInvariants:
         st.integers(min_value=2, max_value=40),
         st.floats(min_value=0, max_value=10, allow_nan=False, allow_subnormal=False),
     )
+    @example([0.0, 0.0], 2, sys.float_info.min)  # leaves an empty bin below the floor
     @settings(max_examples=150, deadline=None)
     def test_probabilities_sum_to_one(self, values, bins, alpha):
         import math
 
-        hist = build_histogram(values, BinSpec(0.0, 101.0, bins), alpha=alpha)
+        try:
+            hist = build_histogram(values, BinSpec(0.0, 101.0, bins), alpha=alpha)
+        except InvalidInputError:
+            # Refused only where an empty bin's share would fall below the floor.
+            assert 0 < alpha / (len(values) + alpha * bins) < sys.float_info.min
+            return
         assert abs(math.fsum(hist.probabilities.tolist()) - 1.0) < 1e-12
         assert np.all(hist.probabilities >= 0)
+        assert alpha == 0 or hist.probabilities.min() >= sys.float_info.min
 
     @pytest.mark.parametrize("factor", [0.25, 0.5, 2.0, 4.0, 1024.0, 2.0**-20])
     def test_scale_equivariance_power_of_two(self, factor):

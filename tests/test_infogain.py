@@ -13,6 +13,7 @@ from heliobench import (
     Histogram,
     IncompatibleSupportError,
     InvalidInputError,
+    build_histogram,
     expected_unexpectedness,
     gains_against_reference,
     information_gain,
@@ -112,6 +113,17 @@ class TestInformationGain:
     def test_absolute_continuity_violation(self):
         with pytest.raises(AbsoluteContinuityError):
             information_gain(hist([0.5, 0.5]), hist([1.0, 0.0]))
+
+    def test_smoothed_histograms_give_a_finite_gain_or_are_refused(self):
+        # Smoothing keeps every probability at or above the smallest normal
+        # float, so p / q cannot overflow; an alpha too small for that is
+        # refused when the histogram is built, not when the gain is taken.
+        spec = BinSpec(0.0, 1.0, 10)
+        p = build_histogram([0.05, 0.15, 0.95], spec, 1e-300)
+        q = build_histogram([0.05, 0.25], spec, 1e-300)
+        assert 0 < information_gain(p, q) < math.inf
+        with pytest.raises(InvalidInputError, match="below 2.2250738585072014e-308"):
+            build_histogram([0.05, 0.25], spec, 1e-320)
 
 
 @st.composite

@@ -479,6 +479,7 @@ BALANCED = ["a,C1,1,2,3,x,b,C2,4,5,6\n", "p,q\n", "7,8\n"]
     pytest.param(["a,C1,1,2,3\r\r\n"], id="carriage-return-before-crlf"),
     pytest.param(["a,C1,1,2,3,x,b,C2,4,5,6\n"], id="eleven-fields"),
     pytest.param(BALANCED, id="eleven-fields-balanced-by-short-lines"),
+    pytest.param(["jour\0nal,C1,1,2,3\n"], id="nul"),  # Python 3.10's csv.reader rejects it
 ])
 def test_lines_that_csv_reader_may_read_otherwise_are_not_plain(block):
     assert corpus_module._plain(block) is None
