@@ -57,6 +57,8 @@ class BenchmarkRequest:
     alpha: float = DEFAULT_ALPHA
 
     def __post_init__(self):
+        if not isinstance(self.reference, str):
+            raise InvalidInputError(f"reference category must be a str, got {self.reference!r}")
         if not self.reference:
             raise InvalidInputError("reference category must be non-empty")
         try:

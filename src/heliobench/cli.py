@@ -8,19 +8,20 @@ Exit codes are a stable scripting contract: 0 success; 2 input that cannot
 be parsed (bad CSV or config file, unreadable file, a file that is not
 valid UTF-8, unknown flag or a flag value of the wrong type, bench or map
 without a reference from the flag or the config file) or output that
-cannot be written (a closed or full stdout, an --out that cannot be made
-or written); 3 input that is well-formed but outside its domain (unknown
-category, empty data, --k 0, --bins below 2 or above
-histogram.MAX_BIN_COUNT, non-finite or negative alpha, alpha 0 without
-full support, an alpha that leaves a probability below the smallest normal
-float, hist categories whose names give one output filename); 4 internal
-errors. Diagnostics go to stderr or nowhere, so a closed stderr changes
-neither the exit code nor stdout. An option's value may be "--" in the
---opt=-- form. An indicator that cannot be binned (no values in the
-corpus, or no positive ones on a log scale) or, for bench and map, for
-which the reference has no values, is skipped with a warning; when every
-indicator fails, the last one's error is printed instead of its warning,
-and the run exits 3.
+cannot be written (a closed or full stdout, a stdout whose reader stops
+early, as `| head` does, or an --out that cannot be made or written, such
+as a path that names a file or lies under one); 3 input that is
+well-formed but outside its domain (unknown category, empty data, --k 0,
+--bins below 2 or above histogram.MAX_BIN_COUNT, non-finite or negative
+alpha, alpha 0 without full support, an alpha that leaves a probability
+below the smallest normal float, hist categories whose names give one
+output filename); 4 internal errors. Diagnostics go to stderr or nowhere,
+so a closed stderr changes neither the exit code nor stdout. An option's
+value may be "--" in the --opt=-- form. An indicator that cannot be binned
+(no values in the corpus, or no positive ones on a log scale) or, for
+bench and map, for which the reference has no values, is skipped with a
+warning; when every indicator fails, the last one's error is printed
+instead of its warning, and the run exits 3.
 """
 
 from __future__ import annotations

@@ -20,12 +20,11 @@ before its line feed, is split with str.split. Any other block is read by a
 csv.reader of its own, up to the end of the row its last line is part of,
 so the next block starts on a row. Either way each block is checked column
 by column; whether a (journal, category) pair repeats is checked once per
-category after the last block. These checks only decide pass or fail. Every
-error comes from the per-row checker that Corpus(records) uses, run over
-every row read so far, so its message and line are those the first
-offending row in the file gives on its own. A plain block's line numbers
-are kept as one range, and a csv.reader block's as one array of its own;
-they are expanded row by row only when a check fails.
+category after the last block. These checks only decide pass or fail, so
+no line numbers are kept. When one fails, the input is read again from
+where parsing started, by one csv.reader, and each row goes through the
+per-row checker that Corpus(records) uses, so the error's message and line
+are those the first offending row in the file gives on its own.
 """
 
 from __future__ import annotations
@@ -39,10 +38,10 @@ import os
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, count, islice, repeat
+from itertools import chain, count, islice
 from numbers import Real
 from operator import itemgetter
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -336,9 +335,16 @@ def parse_corpus(source: IO[str] | str) -> Corpus:
     XML 1.0 forbids, or a row the csv module cannot read (such as a field
     over csv.field_size_limit()); DuplicateRecordError on a repeated
     (journal, category) pair. The error is the one of the first offending
-    row in file order.
+    row in file order, found by reading the input again from where the
+    stream stood; lines are counted from there, the header being line 1.
+    A stream that cannot tell its position, such as a pipe, is read whole
+    into memory first.
     """
     stream = io.StringIO(source) if isinstance(source, str) else source
+    try:
+        start = stream.tell()
+    except OSError:  # a pipe, or a file the caller iterated with next()
+        stream, start = io.StringIO(stream.read()), 0
     reader = csv.reader(stream)
 
     try:
@@ -356,54 +362,39 @@ def parse_corpus(source: IO[str] | str) -> Corpus:
     codes = [np.empty(0, np.intp)]  # so that a header-only file concatenates
     code = defaultdict(count().__next__)  # category name -> first-seen code
     columns = [[np.empty(0)] for _ in Indicator]
-    lines = []  # a range or array("q") of each block's row lines, for fail
 
-    def fail(rows: Iterable = ()) -> None:
-        """Check every row read so far one at a time: the rows added, whose
-        cells passed, then rows, whose line numbers are the last in lines.
-        This raises the error of the first offending row in the file, if
-        there is one."""
-        names = list(code)
-        numbers = chain.from_iterable(lines)
-        _checked(chain(
-            zip(
-                islice(numbers, len(journals)),
-                journals,
-                map(names.__getitem__, chain.from_iterable(codes)),
-                *[repeat(None)] * len(Indicator),
-            ),
-            _parsed(rows, numbers),
-        ))
+    def fail() -> NoReturn:
+        """Read the input again from start, one row at a time, and check
+        each row as Corpus(records) does, raising the error of the first
+        offending row in the file."""
+        stream.seek(start)
+        reader = csv.reader(stream)
+        try:
+            next(reader)  # the header
+            _checked(_parsed(filter(None, reader), iter(lambda: reader.line_num, None)))
+        except csv.Error as exc:
+            raise CorpusFormatError(str(exc), line=reader.line_num) from None
+        raise AssertionError("rows that failed the block check passed the row check")
 
-    offset = reader.line_num  # lines read so far
     while block := list(islice(stream, _BLOCK_ROWS)):
         cells = _plain(block)
-        if cells is not None:
-            rows = zip(*cells)
-            lines.append(range(offset + 1, offset + len(block) + 1))
-            offset += len(block)
-        else:  # read up to the first row that ends on or past the block's last line
-            reader, rows, block_lines = csv.reader(chain(block, stream)), [], array("q")
-            lines.append(block_lines)
+        if cells is None:  # read up to the first row that ends on or past the block's last line
+            reader, rows = csv.reader(chain(block, stream)), []
             try:
                 for row in reader:
                     if row:  # blank lines come through as []
                         rows.append(row)
-                        block_lines.append(offset + reader.line_num)
                     if reader.line_num >= len(block):
                         break
-            except csv.Error as exc:
-                fail(rows)  # the rows read before it come first
-                raise CorpusFormatError(str(exc), line=offset + reader.line_num) from None
-            offset += reader.line_num
+            except csv.Error:
+                fail()
             if not rows:
                 continue
             if set(map(len, rows)) == {len(CSV_COLUMNS)}:
                 cells = list(zip(*rows))
         checked = cells and _block(cells)
-        if checked is None:  # raise the error of rows, whose lines are in lines
-            fail(rows)
-            raise AssertionError("rows that failed the column check passed the row check")
+        if checked is None:
+            fail()
         block_journals, block_categories, block_columns = checked
         journals.extend(block_journals)
         codes.append(
@@ -417,7 +408,6 @@ def parse_corpus(source: IO[str] | str) -> Corpus:
     )
     if _repeats_a_pair(corpus):
         fail()
-        raise AssertionError("a repeated (journal, category) pair passed the row check")
     return corpus
 
 

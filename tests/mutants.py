@@ -86,6 +86,9 @@ XML_FORBIDDEN_TEST = (
 ROW_CHECK_TEST = (
     "tests/test_corpus.py::TestParseCorpus::test_direct_construction_checks_rows_like_the_parser"
 )
+STREAM_TEST = (
+    "tests/test_parse_blocks.py::test_a_stream_gives_the_outcome_of_its_text_from_where_it_stood"
+)
 
 MUTANTS = (
     Mutant(
@@ -545,6 +548,22 @@ MUTANTS = (
             "tests/test_parse_blocks.py::"
             "test_lines_that_csv_reader_may_read_otherwise_are_not_plain",
         ),
+    ),
+    Mutant(
+        "fail-seeks-to-start",
+        "src/heliobench/corpus.py",
+        "        stream.seek(start)\n",
+        "        stream.seek(0)\n",
+        "a failed parse reads the stream again from where it stood, not from its beginning",
+        (STREAM_TEST,),
+    ),
+    Mutant(
+        "fail-skips-header",
+        "src/heliobench/corpus.py",
+        "            next(reader)  # the header\n",
+        "",
+        "a failed parse reads its header again as the header, not as a data row",
+        (STREAM_TEST,),
     ),
 )
 

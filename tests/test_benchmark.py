@@ -561,6 +561,13 @@ class TestRequestValidation:
         with pytest.raises(InvalidInputError, match="reference category must be non-empty"):
             BenchmarkRequest(reference="")
 
+    @pytest.mark.parametrize("reference", [["x"], 5, None, b"A", ("A",)])
+    def test_reference_must_be_a_str(self, small_corpus, reference):
+        # Not an unhashable-type TypeError from the corpus, nor an unknown category.
+        message = rf"^reference category must be a str, got {re.escape(repr(reference))}$"
+        with pytest.raises(InvalidInputError, match=message):
+            run_benchmark(small_corpus, BenchmarkRequest(reference=reference))
+
     def test_indicators_must_be_non_empty(self):
         with pytest.raises(InvalidInputError):
             BenchmarkRequest(reference="A", indicators=())

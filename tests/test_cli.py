@@ -800,6 +800,49 @@ def test_a_closed_stdout_exits_two_with_one_error_line(demo_csv_path, monkeypatc
     assert err[1:] == ["error: standard output is closed"]
 
 
+class _Unwritable(io.StringIO):
+    """A stdout whose every write raises error."""
+
+    def __init__(self, error: OSError):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+@pytest.mark.parametrize("error", [
+    pytest.param(BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)), id="reader-stopped"),
+    pytest.param(OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), id="full"),
+])
+def test_stdout_that_cannot_be_written_exits_two_with_one_error_line(
+    error, demo_csv_path, monkeypatch, capsys
+):
+    # A reader that stops early, as `| head -c 10` does, makes a write raise
+    # BrokenPipeError: an output that cannot be written, like a full device.
+    monkeypatch.setattr(sys, "stdout", _Unwritable(error))
+    for command in ["validate", "hist"]:
+        assert main([command, "--input", str(demo_csv_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("resolved-config: ")
+        assert err[1:] == [f"error: [Errno {error.errno}] {os.strerror(error.errno)}"]
+
+
+def test_out_that_is_a_file_or_under_one_exits_two_and_makes_nothing(valid_csv, tmp_path, capsys):
+    file = tmp_path / "file"
+    file.write_text("kept\n", encoding="utf-8")
+    for out, code in [(file, errno.EEXIST), (file / "sub" / "dir", errno.ENOTDIR)]:
+        argv = ["bench", "--input", valid_csv, "--reference", "A", "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith(
+            f"error: [Errno {code}] {os.strerror(code)}: "
+        )
+    assert sorted(os.listdir(tmp_path)) == ["corpus.csv", "file"]
+    assert file.read_text(encoding="utf-8") == "kept\n"
+
+
 class _BadDescriptor:
     def write(self, *args):
         raise OSError(errno.EBADF, "Bad file descriptor")
@@ -865,6 +908,14 @@ def test_closed_standard_streams_exit_with_the_documented_codes(demo_csv_path):
     assert (run.returncode, json.loads(run.stdout)["reference"]) == (0, "Category 000")
     run = _run_with("2>&-", "bench", "--input", demo, "--reference", "nope")
     assert (run.returncode, run.stdout) == (3, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_stdout_on_a_full_device_exits_two_with_one_error_line(demo_csv_path):
+    run = _run_with(">/dev/full", "validate", "--input", str(demo_csv_path))
+    assert (run.returncode, run.stderr.splitlines()[-1]) == (
+        2, f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    )
 
 
 def test_cli_import_loads_neither_pathlib_nor_urllib_parse():

@@ -1,5 +1,5 @@
 """parse_corpus reads rows in blocks and checks each block column by column;
-when a check fails, every row read so far is checked one row at a time.
+when a check fails, the input is read again and checked one row at a time.
 These tests hold the block path to the row-at-a-time path on random CSV
 text."""
 
@@ -229,6 +229,55 @@ def test_repeat_of_a_row_thousands_of_rows_earlier_is_named(text, line, message)
         parse_corpus(text)
     assert (exc_info.value.line, str(exc_info.value)) == (line, f"line {line}: {message}")
     assert outcome(parse_corpus, text) == outcome(parse_row_by_row, text)
+
+
+class _Unseekable(io.BytesIO):
+    """Bytes that can be read but not sought, as from a pipe."""
+
+    def seekable(self):
+        return False
+
+
+def _from_a_pipe(path, text):
+    return parse_corpus(io.TextIOWrapper(_Unseekable(text.encode()), "utf-8", newline=""))
+
+
+def _from_a_file_with_a_bom(path, text):
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    return load_corpus(path)
+
+
+def _after_a_preamble(advance):
+    """Parse of a file whose first line, before the header, the caller read."""
+    def parse(path, text):
+        path.write_bytes(b"preamble\n" + text.encode())
+        with open(path, encoding="utf-8", newline="") as fh:
+            advance(fh)  # next() disables fh.tell(); readline() does not
+            return parse_corpus(fh)
+    return parse
+
+
+@pytest.mark.parametrize("parse", [
+    pytest.param(_from_a_pipe, id="pipe"),
+    pytest.param(_from_a_file_with_a_bom, id="bom"),
+    pytest.param(_after_a_preamble(next), id="after-next"),
+    pytest.param(_after_a_preamble(io.TextIOWrapper.readline), id="after-readline"),
+])
+@pytest.mark.parametrize("text, line", [
+    pytest.param(HEADER + numbered_rows(3000) + BAD_CELL + numbered_rows(2000, 3000), 3002,
+                 id="bad-cell-in-a-later-block"),
+    pytest.param(HEADER + numbered_rows(5000) + REPEAT, 5002, id="duplicate-on-the-last-line"),
+    pytest.param(HEADER + numbered_rows(3000) + LONG_FIELD + numbered_rows(10, 3000), 3002,
+                 id="field-over-the-limit"),
+    pytest.param(HEADER + numbered_rows(3000), None, id="valid"),
+])
+def test_a_stream_gives_the_outcome_of_its_text_from_where_it_stood(tmp_path, parse, text, line):
+    # The error of a failed parse comes from reading the stream again from
+    # where it stood, or from a copy of it when it cannot be sought.
+    got = outcome(lambda text: parse(tmp_path / "corpus.csv", text), text)
+    want = outcome(parse_corpus, text)
+    assert (want[2] if isinstance(want, tuple) else None) == line
+    assert_same_outcome(got, want)
 
 
 @pytest.mark.parametrize("header, message", [
@@ -466,7 +515,10 @@ def test_lines_ending_in_crlf_are_split_as_plain_lines(monkeypatch, text):
         csv, "reader", lambda lines: reader(map(lambda x: read.append(x) or x, lines))
     )
     assert_same_outcome(outcome(parse_corpus, text), want)
-    assert read == [text.splitlines(keepends=True)[0]]
+    # Only the header is read by csv.reader, unless the parse fails: then
+    # the whole input is read once more to find the first bad row.
+    lines = text.splitlines(keepends=True)
+    assert read == lines[:1] + (lines if isinstance(want, tuple) else [])
 
 
 # An eleven-field line and two short ones: fifteen fields in all.
@@ -535,7 +587,7 @@ def test_codes_index_sorted_names_whatever_order_the_names_are_first_seen_in(
         assert corpus_module.category_values(corpus, "a", Indicator.IMPACT_FACTOR) == ([2.0, 5.0], 0)
         assert corpus_module.category_values(corpus, "b", Indicator.EIGENFACTOR) == ([1.0, 4.0], 0)
         assert [r.category for r in corpus.records] == list("bacba")
-    # The row check of a failed parse reads each row's name back from its code.
+    # A failed parse names the line of the first bad row.
     with pytest.raises(CorpusFormatError) as exc_info:
         parse_corpus(text + "j1,a,6,6,6\n")
     assert str(exc_info.value) == "line 7: duplicate (journal, category) pair: ('j1', 'a')"
