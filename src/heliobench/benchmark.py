@@ -74,7 +74,7 @@ class BenchmarkRequest:
                 raise InvalidInputError(f"indicators must be Indicator members, got {indicator!r}")
         if len(set(self.indicators)) != len(self.indicators):
             raise InvalidInputError("indicators must be distinct")
-        check_alpha(self.alpha)
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
 
 
 @dataclass(frozen=True)

@@ -123,7 +123,10 @@ class Corpus:
         self._matrices: dict = {}
 
     def column(self, indicator: Indicator) -> np.ndarray:
-        """Read-only values of one indicator per row, NaN where missing."""
+        """Read-only values of one indicator per row, NaN where missing.
+        Raises InvalidInputError for anything but an Indicator member."""
+        if not isinstance(indicator, Indicator):
+            raise InvalidInputError(f"indicators must be Indicator members, got {indicator!r}")
         return self._columns[indicator]
 
     def category_codes(self) -> np.ndarray:

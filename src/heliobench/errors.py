@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and the one integer check.
+"""Exception hierarchy shared across the package, and its integer and real-number checks.
 
 Two broad families matter to callers: input/format problems (bad CSV,
 unreadable files) and domain problems (unknown category, empty data,
@@ -8,7 +8,9 @@ and the latter to exit code 3.
 
 from __future__ import annotations
 
+import contextlib
 import operator
+from numbers import Real
 
 
 class HeliobenchError(Exception):
@@ -63,9 +65,16 @@ class InvalidInputError(HeliobenchError):
 def _as_int(value, name: str) -> int:
     """value as a Python int. Raises InvalidInputError, naming name, unless
     value is an integer; a bool or a float such as 20.0 is not one."""
-    try:
+    with contextlib.suppress(TypeError):
         if not isinstance(value, bool):
             return operator.index(value)
-    except TypeError:
-        pass
     raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+
+
+def _as_real(value, name: str) -> float:
+    """value as a Python float. Raises InvalidInputError, naming name, unless
+    value is a real number; a bool, an np.bool_ or a Decimal is not one."""
+    if isinstance(value, Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int too large for a float
+            return float(value)
+    raise InvalidInputError(f"{name} must be a real number, got {value!r}")

@@ -40,7 +40,8 @@ class PrestigeOrder:
         positions = {name: i for i, name in enumerate(self.names)}
         if len(positions) != len(self.names):
             raise InvalidInputError("prestige order contains duplicate names")
-        # layout_map asks for a rank several times per dot.
+        # layout_map's sort asks for one rank per entry; the dict also finds
+        # the duplicates above.
         object.__setattr__(self, "_positions", positions)
 
     def rank(self, name: str) -> int | None:
@@ -91,10 +92,14 @@ def layout_map(result: BenchmarkResult, order: PrestigeOrder | None = None) -> H
 
     Dot i of n sits at 90 - i * 360/n degrees, i.e. clockwise from the top.
     Radius encodes gain affinely between INNER_RADIUS and OUTER_RADIUS;
-    when all gains are equal every dot sits at INNER_RADIUS.
+    when all gains are equal every dot sits at INNER_RADIUS. A gain that is
+    not finite has no radius and raises InvalidInputError naming its category.
     """
     if not result.ranking:
         raise InvalidInputError("cannot lay out an empty ranking")
+    for name, gain in result.ranking:
+        if not math.isfinite(gain):
+            raise InvalidInputError(f"cannot place {name!r}: its gain {gain!r} is not finite")
 
     entries = result.ranking
     if order is not None:
@@ -141,16 +146,16 @@ def render_svg(layout: HelioLayout) -> str:
     """Render a layout to SVG text. A pure function: identical inputs give
     byte-identical output.
 
-    Every dot's coordinates go through one % format of a per-dot template,
-    with 3 decimals, and a "-0.000" in that label-free text is written
-    "0.000": a hand-built layout may put a dot a hair left of or below the
-    centre. Each escaped label is then appended to its piece.
+    Each dot is formatted where it is placed: its coordinates go through one
+    % format, with 3 decimals, a "-0.000" in that label-free text is written
+    "0.000" (a hand-built layout may put a dot a hair left of or below the
+    centre), and its escaped label is appended.
     """
     mid, plot_radius = _MID, _PLOT_RADIUS  # as locals, read five times per dot
     reach = 5.0 + 12.0  # dot radius plus label offset
     lift = 11.0 / 3.0  # a third of the label font size
 
-    coords = []
+    pieces = [_HEADER, html.escape(layout.center_label, quote=False), "</text>"]
     for i, dot in enumerate(layout.dots):
         theta = math.radians(dot.angle_degrees)
         cos, sin = math.cos(theta), math.sin(theta)
@@ -158,16 +163,13 @@ def render_svg(layout: HelioLayout) -> str:
         # Labels alternate outward/inward of the dot by index parity to
         # reduce collisions between angular neighbours.
         label_r = r_px + reach if i % 2 == 0 else r_px - reach
-        coords += (mid + r_px * cos, mid - r_px * sin,
-                   mid + label_r * cos, mid - label_r * sin + lift)
-    shapes = ((
-        '\n<circle class="dot" cx="%.3f" cy="%.3f" r="5.000" fill="#1f5fa8"/>\n'
-        '<text class="dot-label" x="%.3f" y="%.3f" text-anchor="middle" font-size="11.000" '
-        'fill="#222222">\0'  # a NUL, which no markup holds, ends a dot's piece
-    ) * len(layout.dots) % tuple(coords)).replace('"-0.000"', '"0.000"').split("\0")
-    text = "".join([_HEADER, html.escape(layout.center_label, quote=False), "</text>"] + [
-        shape + html.escape(dot.label, quote=False) + "</text>"
-        for shape, dot in zip(shapes, layout.dots)
-    ]) + "\n</svg>\n"
+        shape = (
+            '\n<circle class="dot" cx="%.3f" cy="%.3f" r="5.000" fill="#1f5fa8"/>\n'
+            '<text class="dot-label" x="%.3f" y="%.3f" text-anchor="middle" font-size="11.000" '
+            'fill="#222222">'
+            % (mid + r_px * cos, mid - r_px * sin, mid + label_r * cos, mid - label_r * sin + lift)
+        ).replace('"-0.000"', '"0.000"')
+        pieces += shape, html.escape(dot.label, quote=False), "</text>"
+    text = "".join(pieces) + "\n</svg>\n"
     # Only labels hold carriage returns; XML would read a raw one back as a line feed.
     return text.replace("\r", "&#13;") if "\r" in text else text

@@ -25,7 +25,7 @@ from typing import Literal, Mapping, Sequence, get_args
 import numpy as np
 
 from .corpus import Corpus, Indicator
-from .errors import EmptyDataError, InvalidInputError, _as_int
+from .errors import EmptyDataError, InvalidInputError, _as_int, _as_real
 
 Scale = Literal["linear", "log"]
 
@@ -68,10 +68,21 @@ def _as_bin_count(bin_count: int) -> int:
     return count
 
 
+def _as_floats(values, name: str) -> np.ndarray:
+    """values as a float64 array, not copied if it is one. Raises
+    InvalidInputError, naming name, when numpy cannot read them as numbers.
+    A bool among floats is read as 0.0 or 1.0: numpy converts the list
+    before any check can see it."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{name} must be real numbers") from None
+
+
 @dataclass(frozen=True)
 class BinSpec:
     """Shared binning: bin_count half-open intervals [l_i, l_{i+1}) on
-    [lower, upper), spaced linearly or geometrically."""
+    [lower, upper), spaced linearly or geometrically; lower and upper are kept as floats."""
 
     lower: float
     upper: float
@@ -80,13 +91,9 @@ class BinSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "bin_count", _as_bin_count(self.bin_count))
-        try:
-            finite = math.isfinite(self.lower) and math.isfinite(self.upper)
-        except TypeError:
-            raise InvalidInputError(
-                f"bin bounds must be real numbers, got {self.lower!r} and {self.upper!r}"
-            ) from None
-        if not finite:
+        object.__setattr__(self, "lower", _as_real(self.lower, "lower bound"))
+        object.__setattr__(self, "upper", _as_real(self.upper, "upper bound"))
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
             raise InvalidInputError("bin bounds must be finite")
         if self.lower < 0:
             raise InvalidInputError(f"lower bound must be >= 0, got {self.lower}")
@@ -115,12 +122,14 @@ class BinSpec:
 class Histogram:
     """A probability vector over a BinSpec's intervals.
 
-    alpha is a finite pseudo-count >= 0. probabilities sum to 1 (within
-    1e-12) and are strictly positive when alpha > 0. counts is None for
-    distributions not built from samples, else bin_count integers >= 0 that
-    give each probability, within 1e-12, as build_histogram smooths them:
-    (c_i + alpha) / (N + alpha * bin_count). clamped, the number of samples
-    that fell outside the spec's bounds, is an integer in [0, sample_count].
+    alpha is a finite pseudo-count >= 0, kept as a float. probabilities are
+    numbers that sum to 1 (within 1e-12) and are strictly positive when
+    alpha > 0. counts is None for distributions not built from samples, else
+    bin_count integers >= 0 that give each probability, within 1e-12, as
+    build_histogram smooths them: (c_i + alpha) / (N + alpha * bin_count).
+    clamped, the number of samples that fell outside the spec's bounds, is
+    an integer in [0, sample_count]. Each is refused with InvalidInputError
+    otherwise.
     """
 
     spec: BinSpec
@@ -130,8 +139,8 @@ class Histogram:
     clamped: int = 0
 
     def __post_init__(self):
-        check_alpha(self.alpha)
-        probs = np.array(self.probabilities, dtype=float)
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
+        probs = _as_floats(self.probabilities, "probabilities").copy()
         if probs.shape != (self.spec.bin_count,):
             raise InvalidInputError(
                 f"expected {self.spec.bin_count} probabilities, got shape {probs.shape}"
@@ -183,16 +192,12 @@ class Histogram:
         }
 
 
-def check_alpha(alpha: float) -> None:
-    """Raise InvalidInputError unless alpha is a finite pseudo-count >= 0, not a bool."""
-    if isinstance(alpha, (bool, np.bool_)):
-        raise InvalidInputError(f"alpha must be a real number, got {alpha!r}")
-    try:
-        finite = math.isfinite(alpha)
-    except TypeError:
-        raise InvalidInputError(f"alpha must be a real number, got {alpha!r}") from None
-    if not finite or alpha < 0:
+def check_alpha(alpha: float) -> float:
+    """alpha as a Python float. Raises InvalidInputError unless it is a finite real number >= 0."""
+    alpha = _as_real(alpha, "alpha")
+    if not 0 <= alpha < math.inf:
         raise InvalidInputError(f"alpha must be finite and >= 0, got {alpha}")
+    return alpha
 
 
 def pooled_bin_spec(
@@ -207,16 +212,17 @@ def pooled_bin_spec(
     [0, max * (1 + 1e-9)). Log: [smallest positive value, max * (1 + 1e-9)).
     Raises EmptyDataError when the indicator has no usable values at all,
     and InvalidInputError, before the memo is read, for a bin_count that is
-    not an integer in [2, MAX_BIN_COUNT]. The spec is memoized on the corpus
+    not an integer in [2, MAX_BIN_COUNT] or an indicator that is not an
+    Indicator member. The spec is memoized on the corpus
     per indicator, for the latest (bin_count, scale) only.
     """
     bin_count = _as_bin_count(bin_count)
+    column = corpus.column(indicator)
     if scale is None:
         scale = DEFAULT_SCALES[indicator]
     spec = corpus._specs.get(indicator)
     if spec is not None and (spec.bin_count, spec.scale) == (bin_count, scale):
         return spec
-    column = corpus.column(indicator)
     values = column[~np.isnan(column)]
     if not values.size:
         raise EmptyDataError(f"no {indicator.value} values present in corpus")
@@ -277,7 +283,7 @@ def _smooth(
     bin's share underflows.
     """
     counts = np.bincount(index, minlength=rows * bin_count).reshape(rows, bin_count)
-    probabilities = counts + float(alpha)
+    probabilities = counts + alpha
     probabilities /= counts.sum(axis=1, keepdims=True) + alpha * bin_count
     # The gain kernel divides by these: a subnormal one can overflow p / q.
     if alpha > 0 and probabilities.min(initial=math.inf) < sys.float_info.min:  # no rows: no error
@@ -301,12 +307,15 @@ def build_histogram(values: Sequence[float], spec: BinSpec, alpha: float = 0.0) 
     edge land in the first bin, values at or above the last edge in the
     last bin; both are tallied in `clamped`. With alpha = 0 an empty value
     list leaves the distribution undefined and raises EmptyDataError. Raises
-    InvalidInputError for a NaN value, since a missing value is left out,
-    not binned, and, naming alpha and the limit, when alpha > 0 leaves a
-    probability below the smallest normal float.
+    InvalidInputError for values numpy cannot read as one flat sequence of
+    numbers (a bool among floats is read as 0.0 or 1.0), for a NaN value,
+    since a missing value is left out, not binned, and, naming alpha and the
+    limit, when alpha > 0 leaves a probability below the smallest normal float.
     """
-    check_alpha(alpha)
-    values = np.asarray(values, dtype=float)
+    alpha = check_alpha(alpha)
+    values = _as_floats(values, "values")
+    if values.ndim != 1:
+        raise InvalidInputError(f"values must be a 1-D sequence, got shape {values.shape}")
     if np.isnan(values).any():
         raise InvalidInputError("cannot bin NaN: leave missing values out")
     if values.size == 0 and alpha == 0:
@@ -339,12 +348,12 @@ def category_probabilities(
     alpha > 0 leaves a probability below the smallest normal float, because
     alpha times bin_count overflows or an empty bin's share underflows.
     """
-    check_alpha(alpha)
+    alpha = check_alpha(alpha)
+    column = corpus.column(indicator)
     memo = corpus._matrices.get(indicator)
     if memo is not None and memo[:2] == (spec, alpha):
         return list(memo[2]), memo[3]
     names = corpus.category_names()
-    column = corpus.column(indicator)
     present = ~np.isnan(column)
     codes = corpus.category_codes()[present]
     # Number the categories that have values 0..k-1, so that no row is empty.

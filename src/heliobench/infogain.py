@@ -33,8 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AbsoluteContinuityError, IncompatibleSupportError, InvalidInputError
-from .histogram import BLOCK_ELEMENTS, Histogram
+from .errors import AbsoluteContinuityError, IncompatibleSupportError, InvalidInputError, _as_real
+from .histogram import BLOCK_ELEMENTS, Histogram, _as_floats
 
 # Agreement required between the expectation-difference form and the direct
 # summation form of the gain.
@@ -43,6 +43,7 @@ IDENTITY_TOL = 1e-12
 
 def unexpectedness(p: float) -> float:
     """h(p) = -log p for a single event probability p in (0, 1]."""
+    p = _as_real(p, "probability")
     if not 0.0 < p <= 1.0:
         raise InvalidInputError(f"probability must be in (0, 1], got {p}")
     return -math.log(p)
@@ -104,7 +105,7 @@ def _gains(p: np.ndarray, rows: np.ndarray, names: Sequence[str] | None = None) 
     self_nats = (p * -np.log(p)).sum()  # U_P(P), reduced like every row
     gains = []
     for start in range(0, len(rows), block):
-        Q = np.asarray(rows[start:start + block], dtype=float)
+        Q = _as_floats(rows[start:start + block], "candidate probabilities")
         valid = full or ((Q >= 0) & (Q < math.inf)).all()
         # Each row is reduced from contiguous memory. Q[:, support] would be
         # column-major, and its sequential row sums drift past IDENTITY_TOL
@@ -168,8 +169,10 @@ def gains_against_reference(
     matrix holds one row of bin_count probabilities on the reference's spec
     per name, as histogram.category_probabilities returns it. It is scored in
     one kernel call; only its shape is checked as a whole, raising
-    IncompatibleSupportError unless it is (len(names), bin_count). Errors
-    name the first offending row's candidate.
+    IncompatibleSupportError unless it is (len(names), bin_count). Values
+    numpy cannot read as numbers raise InvalidInputError; a bool among
+    floats is read as 0.0 or 1.0. Other errors name the first offending
+    row's candidate.
     """
     bin_count = reference_hist.spec.bin_count
     if np.shape(matrix) != (len(names), bin_count):

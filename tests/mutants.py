@@ -89,6 +89,9 @@ ROW_CHECK_TEST = (
 STREAM_TEST = (
     "tests/test_parse_blocks.py::test_a_stream_gives_the_outcome_of_its_text_from_where_it_stood"
 )
+NOT_REAL_TEST = (
+    "tests/test_histogram.py::test_what_is_not_a_real_number_is_refused_by_every_real_argument"
+)
 
 MUTANTS = (
     Mutant(
@@ -178,8 +181,8 @@ MUTANTS = (
     Mutant(
         "svg-negative-zero",
         "src/heliobench/heliomap.py",
-        """.replace('"-0.000"', '"0.000"').split("\\0")""",
-        """.split("\\0")""",
+        """).replace('"-0.000"', '"0.000"')""",
+        ")",
         'no SVG coordinate is written "-0.000"',
         ("tests/test_heliomap.py::TestRenderSvg::test_negative_zero_coordinate_prints_as_zero",),
     ),
@@ -272,8 +275,8 @@ MUTANTS = (
     Mutant(
         "alpha-not-bool",
         "src/heliobench/histogram.py",
-        "if isinstance(alpha, (bool, np.bool_)):",
-        "if False:",
+        'alpha = _as_real(alpha, "alpha")',
+        "alpha = float(alpha)",
         "a bool, Python's or numpy's, is not an alpha",
         (BOOL_TEST,),
     ),
@@ -366,8 +369,8 @@ MUTANTS = (
     Mutant(
         "histogram-alpha-checked",
         "src/heliobench/histogram.py",
-        "        check_alpha(self.alpha)\n        probs",
-        "        probs",
+        '        object.__setattr__(self, "alpha", check_alpha(self.alpha))\n',
+        "",
         "a Histogram's alpha is a finite pseudo-count >= 0",
         (ALPHA_TEST,),
     ),
@@ -564,6 +567,50 @@ MUTANTS = (
         "",
         "a failed parse reads its header again as the header, not as a data row",
         (STREAM_TEST,),
+    ),
+    Mutant(
+        "real-not-bool",
+        "src/heliobench/errors.py",
+        "if isinstance(value, Real) and not isinstance(value, bool):",
+        "if isinstance(value, Real):",
+        "a bool is not a real-number argument, so bin bounds of False and True are refused",
+        (NOT_REAL_TEST,),
+    ),
+    Mutant(
+        "real-kept-as-float",
+        "src/heliobench/errors.py",
+        "return float(value)",
+        "return value",
+        "a real-number argument is kept as a Python float, so an np.float32 alpha or bound "
+        "is written by json",
+        ("tests/test_histogram.py::test_real_arguments_are_kept_as_python_floats",),
+    ),
+    Mutant(
+        "column-indicator-checked",
+        "src/heliobench/corpus.py",
+        "if not isinstance(indicator, Indicator):",
+        "if False:",
+        "an indicator that is not an Indicator member is refused where a column is read",
+        ("tests/test_corpus.py::test_an_indicator_must_be_a_member_wherever_a_column_is_read",),
+    ),
+    Mutant(
+        "map-gain-finite",
+        "src/heliobench/heliomap.py",
+        "if not math.isfinite(gain):",
+        "if False:",
+        "a map refuses a gain that is not finite, naming its category",
+        (
+            "tests/test_heliomap.py::TestLayoutMap::"
+            "test_a_gain_that_is_not_finite_is_refused_by_name",
+        ),
+    ),
+    Mutant(
+        "array-conversion-checked",
+        "src/heliobench/histogram.py",
+        "except (TypeError, ValueError):",
+        "except ():",
+        "an array argument numpy cannot read as numbers raises InvalidInputError",
+        ("tests/test_histogram.py::test_arrays_numpy_cannot_read_as_numbers_are_refused",),
     ),
 )
 

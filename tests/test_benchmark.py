@@ -568,6 +568,14 @@ class TestRequestValidation:
         with pytest.raises(InvalidInputError, match=message):
             run_benchmark(small_corpus, BenchmarkRequest(reference=reference))
 
+    def test_a_numpy_alpha_is_kept_as_a_float_that_json_writes(self, small_corpus):
+        request = BenchmarkRequest(reference="Biology", alpha=np.float32(0.5))
+        assert type(request.alpha) is float
+        for result in run_benchmark(small_corpus, request):
+            spec = result.spec
+            assert {type(x) for x in (result.alpha, spec.lower, spec.upper)} == {float}
+            assert json.loads(json.dumps(top_k(result, 2).to_dict()))["alpha"] == 0.5
+
     def test_indicators_must_be_non_empty(self):
         with pytest.raises(InvalidInputError):
             BenchmarkRequest(reference="A", indicators=())

@@ -5,6 +5,8 @@ import pickle
 import re
 import sys
 from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 import heliobench.corpus
 from heliobench import (
     BenchmarkRequest,
+    BinSpec,
     CategoryNotFoundError,
     Corpus,
     CorpusFormatError,
@@ -29,6 +32,8 @@ from heliobench import (
     serialize_corpus,
     validate_corpus,
 )
+from heliobench.errors import _as_real
+from heliobench.histogram import category_probabilities, pooled_bin_spec
 
 HEADER = "journal,category,impact_factor,eigenfactor,immediacy\n"
 
@@ -125,6 +130,39 @@ class TestParseCorpus:
     def test_direct_construction_checks_rows_like_the_parser(self, fields, match):
         with pytest.raises(CorpusFormatError, match=match):
             Corpus([JournalRecord("B", "Cat", 1.0, 0.1, 0.2), JournalRecord(*fields)])
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, np.True_, "0.5", Decimal("0.5"), Fraction(1, 2), np.float32(0.5)],
+        ids=["True", "np.True_", "str", "Decimal", "Fraction", "np.float32"],
+    )
+    def test_the_row_check_and_as_real_agree_on_what_a_real_number_is(self, value):
+        records = [JournalRecord("A", "Cat", value)]
+        if isinstance(value, (Fraction, np.float32)):
+            kept = Corpus(records).column(Indicator.IMPACT_FACTOR).tolist()
+            assert kept == [_as_real(value, "impact_factor")] == [0.5]
+            return
+        refused = rf"must be a real number, got {re.escape(repr(value))}$"
+        with pytest.raises(InvalidInputError, match=rf"^impact_factor {refused}"):
+            _as_real(value, "impact_factor")
+        with pytest.raises(CorpusFormatError, match=rf"^impact_factor for .* {refused}"):
+            Corpus(records)
+
+
+@pytest.mark.parametrize("indicator", ["if", None, ["if"]], ids=["str", "None", "list"])
+def test_an_indicator_must_be_a_member_wherever_a_column_is_read(small_corpus, indicator):
+    # Not a bare KeyError, or a TypeError for the unhashable list.
+    spec = BinSpec(0.0, 10.0, 4)
+    pooled_bin_spec(small_corpus, Indicator.IMPACT_FACTOR)  # a memo entry is kept
+    message = rf"^indicators must be Indicator members, got {re.escape(repr(indicator))}$"
+    for call in (
+        lambda: small_corpus.column(indicator),
+        lambda: category_values(small_corpus, "Biology", indicator),
+        lambda: category_probabilities(small_corpus, indicator, spec, 0.5),
+        lambda: pooled_bin_spec(small_corpus, indicator),
+    ):
+        with pytest.raises(InvalidInputError, match=message):
+            call()
 
 
 class TestCategoryValues:

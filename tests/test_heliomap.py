@@ -59,6 +59,24 @@ class TestLayoutMap:
         with pytest.raises(InvalidInputError):
             layout_map(make_result([]))
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [("bad", math.nan), ("a", 0.1), ("b", 0.2)],
+            [("a", 0.1), ("b", 0.2), ("bad", math.nan)],
+            [("a", 0.1), ("bad", math.inf)],
+            [("bad", -math.inf), ("a", 0.1)],
+        ],
+        ids=["nan-first", "nan-last", "inf", "minus-inf"],
+    )
+    def test_a_gain_that_is_not_finite_is_refused_by_name(self, entries):
+        # Not x="nan" in the SVG, nor a NaN radius for the finite gains.
+        for order in (None, PrestigeOrder(("b", "bad"))):
+            with pytest.raises(
+                InvalidInputError, match=r"^cannot place 'bad': its gain -?(nan|inf) is not finite$"
+            ):
+                layout_map(make_result(entries), order)
+
     def test_center_label_is_reference(self):
         layout = layout_map(make_result([("a", 0.1)], reference="Cell Biology"))
         assert layout.center_label == "Cell Biology"

@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -19,9 +20,11 @@ from heliobench import (
     InvalidInputError,
     build_histogram,
     category_values,
+    gains_against_reference,
     load_corpus,
     parse_corpus,
     pooled_bin_spec,
+    unexpectedness,
 )
 from heliobench.histogram import LOG_FLOOR, MAX_BIN_COUNT, category_probabilities, check_alpha
 
@@ -427,4 +430,61 @@ def test_a_bool_is_neither_an_alpha_nor_a_bin_count(flag):
         lambda: pooled_bin_spec(corpus, Indicator.IMPACT_FACTOR, flag),
     ):
         with pytest.raises(InvalidInputError, match=rf"^bin_count must be an integer, got {got}$"):
+            call()
+
+
+def test_real_arguments_are_kept_as_python_floats():
+    import json
+
+    spec = BinSpec(np.float32(0.0), np.float32(1.0), 2)
+    hist = build_histogram([0.2], spec, np.float32(0.5))
+    assert [type(x) for x in (spec.lower, spec.upper, hist.alpha)] == [float] * 3
+    doc = json.loads(json.dumps(hist.to_dict()))
+    assert (doc["alpha"], doc["edges"]) == (0.5, [0.0, 0.5, 1.0])
+    for alpha in (1, Fraction(1, 2), np.int64(2)):
+        for kept in (
+            check_alpha(alpha),
+            Histogram(BinSpec(0, 1, 2), [0.5, 0.5], counts=[1, 1], alpha=alpha).alpha,
+            build_histogram([0.2], BinSpec(0, 1, 2), alpha).to_dict()["alpha"],
+        ):
+            assert (type(kept), kept) == (float, float(alpha))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Decimal("0.5"), 10**400, True, np.True_, "0.5", None],
+    ids=["Decimal", "10**400", "True", "np.True_", "str", "None"],
+)
+def test_what_is_not_a_real_number_is_refused_by_every_real_argument(value):
+    spec = BinSpec(0.0, 1.0, 2)
+    got = re.escape(repr(value))
+    for name, call in (
+        ("alpha", lambda: check_alpha(value)),
+        ("alpha", lambda: build_histogram([0.2], spec, value)),
+        ("alpha", lambda: BenchmarkRequest(reference="A", alpha=value)),
+        ("lower bound", lambda: BinSpec(value, 1.0, 2)),
+        ("upper bound", lambda: BinSpec(0.0, value, 2)),
+        ("probability", lambda: unexpectedness(value)),
+    ):
+        with pytest.raises(InvalidInputError, match=rf"^{name} must be a real number, got {got}$"):
+            call()
+
+
+def test_arrays_numpy_cannot_read_as_numbers_are_refused():
+    # Not numpy's ValueError. A bool among floats is not refused: numpy
+    # reads it as 0.0 or 1.0 before any check sees it.
+    spec = BinSpec(0.0, 1.0, 2)
+    reference = build_histogram([0.2, 0.7], spec, 0.5)
+    for call, message in (
+        (lambda: build_histogram(["a"], spec), r"values must be real numbers"),
+        (lambda: build_histogram([[0.2], [0.3, 0.4]], spec), r"values must be real numbers"),
+        (lambda: build_histogram([[0.2, 0.3]], spec), r"values must be a 1-D .* \(1, 2\)"),
+        (lambda: build_histogram(0.5, spec), r"values must be a 1-D sequence, got shape \(\)"),
+        (lambda: Histogram(spec, ["a", "b"]), r"probabilities must be real numbers"),
+        (
+            lambda: gains_against_reference(reference, ["a"], [["x", "y"]]),
+            r"candidate probabilities must be real numbers",
+        ),
+    ):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
             call()
