@@ -39,7 +39,6 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, count, islice
-from numbers import Real
 from operator import itemgetter
 from typing import IO, Iterable, Iterator, Mapping, NoReturn, Sequence
 
@@ -51,6 +50,7 @@ from .errors import (
     DuplicateRecordError,
     InvalidInputError,
     _as_int,
+    _as_real,
 )
 
 DEFAULT_MIN_RECORDS = 5
@@ -171,7 +171,8 @@ def _checked(rows: Iterable[tuple]) -> tuple[list, np.ndarray, list, list]:
 
     Values are real numbers or None. Raises on the first bad row, with its
     line. A journal or category that is not a str is bad, and so is a value
-    that is a bool or not a numbers.Real. A name with whitespace that
+    that errors._as_real refuses, such as a bool or an int too large for a
+    float, or one that is not finite and >= 0. A name with whitespace that
     str.strip() removes is bad, since the CSV parser would strip it. Returns
     journals, each row's category code, the category names in first-seen
     order, which the codes index, and one float64 column per indicator
@@ -205,20 +206,17 @@ def _checked(rows: Iterable[tuple]) -> tuple[list, np.ndarray, list, list]:
             raise DuplicateRecordError(f"duplicate (journal, category) pair: {key!r}", line=line)
         seen.add(key)
         for name, value, column in zip(CSV_COLUMNS[2:], values, columns):
-            if value is None:
-                value = math.nan
-            # A float is a Real; the ABC check alone costs about 0.5 us a value.
-            elif not isinstance(value, float) and (
-                isinstance(value, bool) or not isinstance(value, Real)
-            ):
+            try:
+                real = math.nan if value is None else _as_real(value, name)
+            except InvalidInputError:
                 raise CorpusFormatError(
                     f"{name} for {key!r} must be a real number, got {value!r}", line=line
-                )
-            elif not 0 <= value < math.inf:
+                ) from None
+            if not (value is None or 0 <= real < math.inf):
                 raise CorpusFormatError(
                     f"{name} for {key!r} must be finite and >= 0, got {value!r}", line=line
                 )
-            column.append(value)
+            column.append(real)
         journals.append(journal)
         codes.append(code[category])
     return journals, np.array(codes, np.intp), list(code), [np.array(column) for column in columns]
@@ -352,8 +350,8 @@ def parse_corpus(source: IO[str] | str) -> Corpus:
 
     try:
         header = next(reader, None)
-    except csv.Error as exc:
-        raise CorpusFormatError(str(exc), line=reader.line_num) from None
+    except csv.Error as exc:  # line_num is 0 when the first line could not be read
+        raise CorpusFormatError(str(exc), line=max(reader.line_num, 1)) from None
     if header is None:
         raise CorpusFormatError("empty input, expected a header row", line=1)
     if [h.strip() for h in header] != list(CSV_COLUMNS):
@@ -464,8 +462,11 @@ def category_values(
     """All present values of an indicator for one category, in input order.
 
     Returns (values, skipped) where skipped counts records whose indicator
-    cell was missing. Raises CategoryNotFoundError for an unknown category.
+    cell was missing. Raises InvalidInputError for a category that is not a
+    str and CategoryNotFoundError for an unknown one.
     """
+    if not isinstance(category, str):
+        raise InvalidInputError(f"category must be a str, got {category!r}")
     if category not in corpus:
         raise CategoryNotFoundError(category)
     column = corpus.column(indicator)[corpus._rows[category]]

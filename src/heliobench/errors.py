@@ -73,7 +73,11 @@ def _as_int(value, name: str) -> int:
 
 def _as_real(value, name: str) -> float:
     """value as a Python float. Raises InvalidInputError, naming name, unless
-    value is a real number; a bool, an np.bool_ or a Decimal is not one."""
+    value is a real number; a bool, an np.bool_, a Decimal or an int too
+    large for a float is not one. A float is returned as it is, before the
+    numbers.Real check, which alone costs about 0.5 us a call."""
+    if type(value) is float:
+        return value
     if isinstance(value, Real) and not isinstance(value, bool):
         with contextlib.suppress(OverflowError):  # an int too large for a float
             return float(value)

@@ -129,7 +129,8 @@ class Histogram:
     build_histogram smooths them: (c_i + alpha) / (N + alpha * bin_count).
     clamped, the number of samples that fell outside the spec's bounds, is
     an integer in [0, sample_count]. Each is refused with InvalidInputError
-    otherwise.
+    otherwise, and so are probabilities or counts numpy cannot read as one
+    array, such as rows of different lengths.
     """
 
     spec: BinSpec
@@ -154,9 +155,13 @@ class Histogram:
         probs.flags.writeable = False
         object.__setattr__(self, "probabilities", probs)
         if self.counts is not None:
-            counts = np.array(self.counts)
+            error = f"counts must be {self.spec.bin_count} integers >= 0"
+            try:
+                counts = np.array(self.counts)
+            except ValueError:  # rows of different lengths, such as [[1], [1, 2]]
+                raise InvalidInputError(error) from None
             if counts.shape != probs.shape or counts.dtype.kind not in "iu" or counts.min() < 0:
-                raise InvalidInputError(f"counts must be {self.spec.bin_count} integers >= 0")
+                raise InvalidInputError(error)
             counts = counts.astype(np.int64, copy=False)
             total = int(counts.sum()) + self.alpha * counts.size  # 0 only at alpha 0, no counts
             if not total > 0 or abs(probs - (counts + self.alpha) / total).max() > PROBABILITY_SUM_TOL:

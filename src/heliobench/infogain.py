@@ -169,16 +169,19 @@ def gains_against_reference(
     matrix holds one row of bin_count probabilities on the reference's spec
     per name, as histogram.category_probabilities returns it. It is scored in
     one kernel call; only its shape is checked as a whole, raising
-    IncompatibleSupportError unless it is (len(names), bin_count). Values
-    numpy cannot read as numbers raise InvalidInputError; a bool among
-    floats is read as 0.0 or 1.0. Other errors name the first offending
-    row's candidate.
+    IncompatibleSupportError unless it is (len(names), bin_count). Rows of
+    different lengths, and values numpy cannot read as numbers, raise
+    InvalidInputError; a bool among floats is read as 0.0 or 1.0. Other
+    errors name the first offending row's candidate.
     """
     bin_count = reference_hist.spec.bin_count
-    if np.shape(matrix) != (len(names), bin_count):
+    try:
+        shape = np.shape(matrix)
+    except ValueError:  # rows of different lengths
+        raise InvalidInputError("candidate probabilities must be real numbers") from None
+    if shape != (len(names), bin_count):
         raise IncompatibleSupportError(
-            f"expected {len(names)} rows of {bin_count} probabilities, "
-            f"got shape {np.shape(matrix)}"
+            f"expected {len(names)} rows of {bin_count} probabilities, got shape {shape}"
         )
     pairs = list(zip(names, _gains(reference_hist.probabilities, matrix, names)))
     # The reference's own row is scored with the others and its pair dropped,

@@ -92,6 +92,7 @@ STREAM_TEST = (
 NOT_REAL_TEST = (
     "tests/test_histogram.py::test_what_is_not_a_real_number_is_refused_by_every_real_argument"
 )
+ARRAYS_TEST = "tests/test_histogram.py::test_arrays_numpy_cannot_read_as_numbers_are_refused"
 
 MUTANTS = (
     Mutant(
@@ -149,7 +150,7 @@ MUTANTS = (
     Mutant(
         "gains-matrix-shape",
         "src/heliobench/infogain.py",
-        "if np.shape(matrix) != (len(names), bin_count):",
+        "if shape != (len(names), bin_count):",
         "if False:",
         "a matrix that is not len(names) x bin_count is refused",
         (SHAPE_TEST,),
@@ -469,17 +470,17 @@ MUTANTS = (
     Mutant(
         "checked-value-not-bool",
         "src/heliobench/corpus.py",
-        "isinstance(value, bool) or not isinstance(value, Real)",
-        "not isinstance(value, Real)",
+        "_as_real(value, name)",
+        "(float(value) if isinstance(value, bool) else _as_real(value, name))",
         "a bool indicator value is refused, not stored as 0.0 or 1.0",
         (ROW_CHECK_TEST,),
     ),
     Mutant(
         "checked-value-real",
         "src/heliobench/corpus.py",
-        "isinstance(value, bool) or not isinstance(value, Real)",
-        "isinstance(value, bool)",
-        "an indicator value that is not a numbers.Real is refused with a CorpusFormatError",
+        "_as_real(value, name)",
+        "float(value)",
+        "an indicator value that errors._as_real refuses is refused with a CorpusFormatError",
         (ROW_CHECK_TEST,),
     ),
     Mutant(
@@ -610,7 +611,47 @@ MUTANTS = (
         "except (TypeError, ValueError):",
         "except ():",
         "an array argument numpy cannot read as numbers raises InvalidInputError",
-        ("tests/test_histogram.py::test_arrays_numpy_cannot_read_as_numbers_are_refused",),
+        (ARRAYS_TEST,),
+    ),
+    Mutant(
+        "real-float-fast-path",
+        "src/heliobench/errors.py",
+        "if type(value) is float:",
+        "if False:",
+        "a float is returned before the numbers.Real check and contextlib.suppress",
+        ("tests/test_histogram.py::test_a_float_is_returned_before_the_real_number_check",),
+    ),
+    Mutant(
+        "matrix-ragged-refused",
+        "src/heliobench/infogain.py",
+        "except ValueError:  # rows of different lengths",
+        "except ():",
+        "a candidate matrix with rows of different lengths raises InvalidInputError",
+        (ARRAYS_TEST,),
+    ),
+    Mutant(
+        "counts-ragged-refused",
+        "src/heliobench/histogram.py",
+        "except ValueError:  # rows of different lengths, such as [[1], [1, 2]]",
+        "except ():",
+        "counts with rows of different lengths raise InvalidInputError",
+        (ARRAYS_TEST,),
+    ),
+    Mutant(
+        "category-values-str",
+        "src/heliobench/corpus.py",
+        "if not isinstance(category, str):",
+        "if False:",
+        "category_values refuses a category that is not a str with InvalidInputError",
+        ("tests/test_corpus.py::TestCategoryValues::test_a_category_that_is_not_a_str_is_refused",),
+    ),
+    Mutant(
+        "header-line-floor",
+        "src/heliobench/corpus.py",
+        "line=max(reader.line_num, 1)",
+        "line=reader.line_num",
+        "a header that csv cannot read is reported on line 1, not line 0",
+        ("tests/test_parse_blocks.py::test_header_that_csv_reader_reads_no_line_of_names_line_1",),
     ),
 )
 

@@ -133,8 +133,8 @@ class TestParseCorpus:
 
     @pytest.mark.parametrize(
         "value",
-        [True, np.True_, "0.5", Decimal("0.5"), Fraction(1, 2), np.float32(0.5)],
-        ids=["True", "np.True_", "str", "Decimal", "Fraction", "np.float32"],
+        [True, np.True_, "0.5", Decimal("0.5"), 10**400, Fraction(1, 2), np.float32(0.5)],
+        ids=["True", "np.True_", "str", "Decimal", "10**400", "Fraction", "np.float32"],
     )
     def test_the_row_check_and_as_real_agree_on_what_a_real_number_is(self, value):
         records = [JournalRecord("A", "Cat", value)]
@@ -174,6 +174,13 @@ class TestCategoryValues:
     def test_unknown_category(self, small_corpus):
         with pytest.raises(CategoryNotFoundError):
             category_values(small_corpus, "Astrology", Indicator.IMPACT_FACTOR)
+
+    @pytest.mark.parametrize("category", [["Biology"], 5, None], ids=["list", "int", "None"])
+    def test_a_category_that_is_not_a_str_is_refused(self, small_corpus, category):
+        # Not a TypeError for the unhashable list, nor an unknown category.
+        message = rf"^category must be a str, got {re.escape(repr(category))}$"
+        with pytest.raises(InvalidInputError, match=message):
+            category_values(small_corpus, category, Indicator.IMPACT_FACTOR)
 
     def test_all_missing(self):
         corpus = parse_corpus(HEADER + "A,Cat,,0.1,0.2\nB,Cat,,0.2,0.3\n")

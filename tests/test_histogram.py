@@ -26,6 +26,7 @@ from heliobench import (
     pooled_bin_spec,
     unexpectedness,
 )
+from heliobench.errors import _as_real
 from heliobench.histogram import LOG_FLOOR, MAX_BIN_COUNT, category_probabilities, check_alpha
 
 from oracle import brute_force_counts, exact_frequencies
@@ -433,6 +434,19 @@ def test_a_bool_is_neither_an_alpha_nor_a_bin_count(flag):
             call()
 
 
+def test_a_float_is_returned_before_the_real_number_check():
+    # isinstance(value, numbers.Real) runs ABCMeta.__instancecheck__ and
+    # contextlib.suppress runs three methods, Python calls that a float,
+    # such as every corpus cell that parse_corpus reads, does without.
+    calls = []
+    sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(frame.f_code.co_name))
+    try:
+        value = _as_real(0.5, "alpha")
+    finally:
+        sys.setprofile(None)
+    assert (calls, value) == (["_as_real"], 0.5)
+
+
 def test_real_arguments_are_kept_as_python_floats():
     import json
 
@@ -482,7 +496,15 @@ def test_arrays_numpy_cannot_read_as_numbers_are_refused():
         (lambda: build_histogram(0.5, spec), r"values must be a 1-D sequence, got shape \(\)"),
         (lambda: Histogram(spec, ["a", "b"]), r"probabilities must be real numbers"),
         (
+            lambda: Histogram(spec, [0.5, 0.5], counts=[[1], [1, 2]]),
+            r"counts must be 2 integers >= 0",
+        ),
+        (
             lambda: gains_against_reference(reference, ["a"], [["x", "y"]]),
+            r"candidate probabilities must be real numbers",
+        ),
+        (
+            lambda: gains_against_reference(reference, ["a", "b"], [[0.1, 0.9], [1.0]]),
             r"candidate probabilities must be real numbers",
         ),
     ):

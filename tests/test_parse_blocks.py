@@ -295,6 +295,12 @@ def test_header_that_csv_reader_cannot_read_names_line_1(header, message):
     assert str(exc_info.value).startswith(f"line 1: {message}")
 
 
+def test_header_that_csv_reader_reads_no_line_of_names_line_1():
+    # csv.reader counts no line when it cannot read the first one.
+    with pytest.raises(CorpusFormatError, match="^line 1: iterator should return strings"):
+        parse_corpus(io.BytesIO(HEADER.encode()))
+
+
 def test_parse_holds_less_in_flight_than_the_corpus_it_returns(tmp_path):
     # A key set of every row, or one category string per row, would hold
     # about twice what the returned corpus keeps.
