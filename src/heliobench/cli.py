@@ -255,7 +255,7 @@ def cmd_hist(corpus, resolved: dict) -> Documents:
         return indicator, pooled_bin_spec(corpus, indicator, resolved["bins"], resolved["scale"])
 
     for indicator, spec in _skipping_empty(_indicators(resolved), bin_spec):
-        for cat in resolved["category"] or corpus.category_names():
+        for cat in dict.fromkeys(resolved["category"] or corpus.category_names()):  # each once
             values, skipped = category_values(corpus, cat, indicator)
             try:
                 hist = build_histogram(values, spec, resolved["alpha"])

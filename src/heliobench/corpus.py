@@ -14,9 +14,11 @@ names are coded as they are read, each distinct name getting the next
 integer the first time it is seen; the distinct names are sorted once at
 the end and the codes remapped to sorted order in one array lookup.
 
-parse_corpus reads the CSV body in blocks of lines. A block whose lines are
+parse_corpus reads the CSV body in chunks of characters, each finished with
+readline() so that a block ends on a line end. A block whose lines are
 plain, with five fields, no quote or NUL, and no carriage return but one
-before its line feed, is split with str.split. Any other block is read by a
+before its line feed, is split with str.split. Any other block is read
+again from where it began, in lines as the stream splits them, by a
 csv.reader of its own, up to the end of the row its last line is part of,
 so the next block starts on a row. Either way each block is checked column
 by column; whether a (journal, category) pair repeats is checked once per
@@ -38,7 +40,7 @@ import os
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, count, islice
+from itertools import chain, count
 from operator import itemgetter
 from typing import IO, Iterable, Iterator, Mapping, NoReturn, Sequence
 
@@ -73,7 +75,7 @@ class Indicator(enum.Enum):
 CSV_COLUMNS = ("journal", "category", *(indicator.value for indicator in Indicator))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JournalRecord:
     """One journal's membership in one category plus its indicator values.
 
@@ -155,10 +157,12 @@ class Corpus:
         return zip(self._journals, [self._names[c] for c in self._codes.tolist()], *cells)
 
 
-# Rows that parse_corpus reads and checks together: enough to spread the
-# per-block cost, few enough that a block's row lists add little to peak
-# memory (16,384-row blocks raised it by 6 MiB on a 100k-row corpus).
-_BLOCK_ROWS = 1024
+# Characters that parse_corpus reads and checks together, up to the end of a
+# line: enough to spread the per-block cost, few enough that a block adds
+# little to peak memory. A block of the 103k-row ladder-1000 corpus holds
+# 775 rows, and its text, cells and checked columns about 0.3 MiB (0.6 MiB
+# at 64 KiB). Past csv.field_size_limit() characters _plain measures lines.
+_BLOCK_CHARS = 1 << 15
 
 # What XML 1.0 forbids in a document: C0 controls other than tab, line feed
 # and carriage return, surrogates, U+FFFE and U+FFFF. A category name becomes
@@ -281,7 +285,7 @@ def _block(cells: list) -> tuple[list, list, list] | None:
     return None
 
 
-def _plain(block: list[str]) -> list[list] | None:
+def _plain(text: str) -> list[list] | None:
     """The five columns of CSV lines that csv.reader splits exactly as
     str.split(","), or None when a line may be read otherwise.
 
@@ -290,7 +294,6 @@ def _plain(block: list[str]) -> list[list] | None:
     no other carriage return, and are no longer than csv.field_size_limit(),
     so no field can be longer.
     """
-    text = "".join(block)
     if "\r" in text:
         text = text.replace("\r\n", "\n")
     limit = csv.field_size_limit()
@@ -298,19 +301,17 @@ def _plain(block: list[str]) -> list[list] | None:
         '"' in text
         or "\r" in text
         or "\0" in text
-        or len(text) > limit and max(map(len, block)) > limit
+        or len(text) > limit and max(map(len, text.split("\n"))) > limit
     ):
         return None
     if not text.endswith("\n"):  # the last line of a file may have no line end
         text += "\n"
-    if text.count("\n") != len(block):  # a line feed inside a line
-        return None
     # Each line end becomes a cell of its own, so each line has five fields
     # when there are six cells a line and every sixth cell is a line end.
-    width = len(CSV_COLUMNS) + 1
+    width, lines = len(CSV_COLUMNS) + 1, text.count("\n")
     cells = text.replace("\n", ",\n,").split(",")
     cells.pop()  # the empty one after the last line end
-    if len(cells) != width * len(block) or cells[width - 1::width].count("\n") != len(block):
+    if len(cells) != width * lines or cells[width - 1::width].count("\n") != lines:
         return None
     return [cells[k::width] for k in range(len(CSV_COLUMNS))]
 
@@ -346,7 +347,7 @@ def parse_corpus(source: IO[str] | str) -> Corpus:
         start = stream.tell()
     except OSError:  # a pipe, or a file the caller iterated with next()
         stream, start = io.StringIO(stream.read()), 0
-    reader = csv.reader(stream)
+    reader = csv.reader(iter(stream.readline, ""))  # next() would disable a file's tell()
 
     try:
         header = next(reader, None)
@@ -377,10 +378,18 @@ def parse_corpus(source: IO[str] | str) -> Corpus:
             raise CorpusFormatError(str(exc), line=reader.line_num) from None
         raise AssertionError("rows that failed the block check passed the row check")
 
-    while block := list(islice(stream, _BLOCK_ROWS)):
-        cells = _plain(block)
+    for at in iter(stream.tell, None):  # where each block starts
+        # Read on to a line end, so that a CRLF the chunk cut in two is whole again.
+        if not (text := stream.read(_BLOCK_CHARS) + stream.readline()):
+            break
+        cells = _plain(text)
         if cells is None:  # read up to the first row that ends on or past the block's last line
-            reader, rows = csv.reader(chain(block, stream)), []
+            stream.seek(at)  # in lines as the stream splits them, a lone CR ending one or not
+            lines, block, size = iter(stream.readline, ""), [], 0
+            while size < len(text):
+                block.append(next(lines))
+                size += len(block[-1])
+            reader, rows = csv.reader(chain(block, lines)), []
             try:
                 for row in reader:
                     if row:  # blank lines come through as []

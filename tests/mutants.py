@@ -3,7 +3,7 @@ the tests it names must fail on it.
 
 Run from anywhere, on every mutant or on the named ones:
 
-    python tests/mutants.py [NAME ...]
+    python tests/mutants.py [--jobs N] [NAME ...]
 
 Each mutant replaces one exact text of one file. The runner copies the
 repository, without .git, to a temporary directory, runs every selected
@@ -14,17 +14,28 @@ reports a failed test. The runner exits 1 when an old text does not occur
 exactly once in its file, or a named test does not resolve, so a refactor
 has to update this list, when the unmutated copy fails, or when a mutant
 is not killed.
+
+With --jobs N (by default the CPU count, at most one per selected mutant)
+N workers run mutants side by side, each in a copy of its own, taking the
+next mutant when one is done. Verdicts are printed in list order, so the
+output and exit code are those of --jobs 1. pytest runs with
+PYTHONDONTWRITEBYTECODE=1: a mutant of the same length as its original,
+written within the same second, would otherwise run the original's cached
+bytecode.
 pytest does not collect this file, since its name has no test_ prefix.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -432,7 +443,7 @@ MUTANTS = (
     Mutant(
         "plain-line-end-positions",
         "src/heliobench/corpus.py",
-        ' or cells[width - 1::width].count("\\n") != len(block)',
+        ' or cells[width - 1::width].count("\\n") != lines',
         "",
         "a block whose short lines balance a long one's field count is not split as plain",
         (
@@ -498,6 +509,14 @@ MUTANTS = (
         "for indicator, spec in map(bin_spec, _indicators(resolved)):",
         "with several indicators, hist skips one it cannot bin, with a warning",
         ("tests/test_cli.py::TestHistCommand::test_indicator_that_cannot_be_binned_is_skipped",),
+    ),
+    Mutant(
+        "hist-category-once",
+        "src/heliobench/cli.py",
+        'dict.fromkeys(resolved["category"] or corpus.category_names())',
+        '(resolved["category"] or corpus.category_names())',
+        "a category named more than once is exported once, to stdout and under --out",
+        ("tests/test_cli.py::test_a_category_named_twice_is_exported_once_to_stdout_and_to_out",),
     ),
     Mutant(
         "output-duplicate-names",
@@ -646,6 +665,32 @@ MUTANTS = (
         ("tests/test_corpus.py::TestCategoryValues::test_a_category_that_is_not_a_str_is_refused",),
     ),
     Mutant(
+        "chunk-ends-on-a-line-end",
+        "src/heliobench/corpus.py",
+        "text := stream.read(_BLOCK_CHARS) + stream.readline()",
+        "text := stream.read(_BLOCK_CHARS)",
+        "a chunk is finished with readline(), so a block ends on a line end and a CRLF that "
+        "the chunk cut is whole again",
+        ("tests/test_parse_blocks.py::test_lines_ending_in_crlf_are_split_as_plain_lines",),
+    ),
+    Mutant(
+        "refused-block-split-by-its-stream",
+        "src/heliobench/corpus.py",
+        "lines, block, size = iter(stream.readline, \"\"), [], 0\n"
+        "            while size < len(text):\n"
+        "                block.append(next(lines))\n"
+        "                size += len(block[-1])\n",
+        'block = io.StringIO(text, newline="").readlines()\n'
+        "            stream.read(len(text))\n"
+        '            lines = iter(stream.readline, "")\n',
+        "a refused block is split into lines by its own stream, so text input does not end "
+        "a line at a lone carriage return",
+        (
+            "tests/test_parse_blocks.py::"
+            "test_a_lone_carriage_return_ends_a_line_of_a_file_but_not_of_text",
+        ),
+    ),
+    Mutant(
         "header-line-floor",
         "src/heliobench/corpus.py",
         "line=max(reader.line_num, 1)",
@@ -695,7 +740,7 @@ def _pytest(copy: Path, tests) -> subprocess.CompletedProcess:
     return subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True)
 
 
-def main(names: list[str]) -> int:
+def main(names: list[str], jobs: int | None = None) -> int:
     unknown = sorted(set(names) - {mutant.name for mutant in MUTANTS})
     if unknown:
         print(f"unknown mutants: {', '.join(unknown)}")
@@ -706,29 +751,48 @@ def main(names: list[str]) -> int:
     if problems:
         return 1
     selected = [mutant for mutant in MUTANTS if not names or mutant.name in names]
+    jobs = min(jobs or os.cpu_count() or 1, len(selected))
     with tempfile.TemporaryDirectory() as tmp:
-        copy = Path(tmp) / "repo"
-        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
-            ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_*", "output"))
-        baseline = _pytest(copy, sorted({test for mutant in selected for test in mutant.tests}))
+        copies = queue.SimpleQueue()  # each worker takes one, runs a mutant and gives it back
+        for k in range(jobs):
+            copy = Path(tmp) / f"repo{k}"
+            shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+                ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_*", "output"))
+            copies.put(copy)
+        baseline = _pytest(
+            Path(tmp) / "repo0", sorted({test for mutant in selected for test in mutant.tests})
+        )
         if baseline.returncode != 0:
             print(baseline.stdout + baseline.stderr + "the unmutated copy fails its tests")
             return 1
-        failed = 0
-        for mutant in selected:
+
+        def run(mutant: Mutant) -> int:
+            """pytest's exit code on the mutant's tests, in a copy no other worker uses."""
+            copy = copies.get()
             path = copy / mutant.path
             original = path.read_text(encoding="utf-8")
             path.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
             try:
-                code = _pytest(copy, mutant.tests).returncode
+                return _pytest(copy, mutant.tests).returncode
             finally:
                 path.write_text(original, encoding="utf-8")
-            verdict = {0: "survived", 1: "killed"}.get(code, f"pytest exited {code}")
-            failed += code != 1
-            print(f"{mutant.name}: {verdict}; breaks: {mutant.contract}", flush=True)
+                copies.put(copy)
+
+        failed = 0
+        with ThreadPoolExecutor(jobs) as pool:
+            for mutant, code in zip(selected, pool.map(run, selected)):  # in list order
+                verdict = {0: "survived", 1: "killed"}.get(code, f"pytest exited {code}")
+                failed += code != 1
+                print(f"{mutant.name}: {verdict}; breaks: {mutant.contract}", flush=True)
     print(f"{len(selected)} mutants, {failed} not killed")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    parser = argparse.ArgumentParser(description="Mutation check of src/heliobench.")
+    parser.add_argument("--jobs", type=int, help="mutants run side by side (default: CPU count)")
+    parser.add_argument("names", nargs="*", metavar="NAME", help="mutants to run (default: all)")
+    args = parser.parse_args()
+    if args.jobs is not None and args.jobs < 1:
+        parser.error("--jobs must be at least 1")
+    sys.exit(main(args.names, args.jobs))

@@ -550,12 +550,42 @@ def test_hist_filename_collision_exits_three_and_writes_nothing(tmp_path, capsys
         "j1,A B,1.0,0.01,0.2\nj2,A-B,2.0,0.02,0.4\n",
         encoding="utf-8",
     )
-    out = tmp_path / "new" / "out"
-    assert main(["hist", "--input", str(path), "--out", str(out)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "hist_a-b_if.json" in captured.err
-    assert not (tmp_path / "new").exists()
+    named = ["--category", "A B", "--category", "A-B"]
+    for categories in [[], named]:  # every category, or the two named
+        out = tmp_path / "new" / "out"
+        assert main(["hist", "--input", str(path), *categories, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "hist_a-b_if.json" in captured.err
+        assert not (tmp_path / "new").exists()
+    # Without --out both documents are printed.
+    assert main(["hist", "--input", str(path), "--indicator", "if", *named]) == 0
+    docs = capsys.readouterr().out.splitlines()
+    assert [json.loads(doc)["category"] for doc in docs] == ["A B", "A-B"]
+
+
+def test_a_category_named_twice_is_exported_once_to_stdout_and_to_out(
+    demo_csv_path, tmp_path, capsys
+):
+    config = tmp_path / "config.txt"
+    config.write_text("category=Category 001\ncategory=Category 000\n", encoding="utf-8")
+    named = ["Category 001", "Category 000"]
+    for args in [
+        ["--category", "Category 001", "--category", "Category 000", "--category", "Category 001"],
+        ["--config", str(config), "--config", str(config)],  # the last --config is read
+        ["--config", str(config)],
+    ]:
+        args = ["hist", "--input", str(demo_csv_path), "--indicator", "if", *args]
+        assert main(args) == 0
+        docs = capsys.readouterr().out.splitlines()
+        assert [json.loads(doc)["category"] for doc in docs] == named
+        out = tmp_path / "out"
+        assert main([*args, "--out", str(out)]) == 0
+        files = [out / f"hist_category-{name[-3:]}_if.json" for name in named]
+        assert sorted(os.listdir(out)) == sorted(path.name for path in files)
+        assert [path.read_text(encoding="utf-8") for path in files] == docs
+        for path in files:
+            path.unlink()
 
 
 def test_field_over_the_csv_size_limit_exits_two_naming_its_line(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import copy
 import csv
+import dataclasses
 import json
 import math
 import pickle
@@ -303,6 +305,22 @@ class TestRoundTrip:
         ]:
             with pytest.raises(CorpusFormatError, match="starts or ends with whitespace"):
                 Corpus(records)
+
+    def test_records_have_slots_and_survive_pickle_deepcopy_and_replace(self):
+        records = parse_corpus(HEADER + "j1,A,1.5,,0.2\nj2,B,2.5,0.1,\n").records
+        assert records == (
+            JournalRecord("j1", "A", 1.5, None, 0.2), JournalRecord("j2", "B", 2.5, 0.1)
+        )
+        for record in records:
+            assert not hasattr(record, "__dict__")  # no dict per record
+            assert pickle.loads(pickle.dumps(record)) == record
+            assert copy.deepcopy(record) == record
+            moved = dataclasses.replace(record, category="C", immediacy=None)
+            assert moved == JournalRecord(
+                record.journal, "C", record.impact_factor, record.eigenfactor
+            )
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                record.journal = "x"
 
     def test_name_with_a_lone_carriage_return_is_quoted(self):
         records = [JournalRecord("a\rb", "C", 1.0, None, 0.5), JournalRecord("j", "C\rD", 2.0)]

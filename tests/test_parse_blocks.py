@@ -1,7 +1,8 @@
-"""parse_corpus reads rows in blocks and checks each block column by column;
-when a check fails, the input is read again and checked one row at a time.
-These tests hold the block path to the row-at-a-time path on random CSV
-text."""
+"""parse_corpus reads rows in blocks, chunks of characters finished on a line
+end, and checks each block column by column; when a check fails, the input
+is read again and checked one row at a time. These tests hold the block
+path to the row-at-a-time path on random CSV text, with blocks cut at every
+character of it."""
 
 import csv
 import gc
@@ -30,6 +31,28 @@ from heliobench.corpus import CSV_COLUMNS
 
 # Fields longer than this make the csv module raise csv.Error mid-file.
 FIELD_LIMIT = 24
+
+# Chunk sizes that hypothesis draws: from one character, which ends every
+# block on the next line end, to blocks of several lines, cut anywhere in
+# one: inside a quoted field, between the CR and LF of a CRLF, before a
+# lone CR, or in a last line with no line end.
+BLOCK_CHARS_DRAWN = 120
+
+
+def chunk_sizes(text: str) -> list[int]:
+    """Chunk sizes that cut the first blocks of text at every character of
+    their first 200, and the default size."""
+    return [*range(1, min(len(text), 200) + 2), corpus_module._BLOCK_CHARS]
+
+
+# The sizes of chunk_sizes in three bands: up to a numbered row's length, so
+# that most blocks are one line; blocks of several lines, cut anywhere in the
+# first 201 characters; and the size parse_corpus reads.
+CHUNK_BANDS = [
+    pytest.param(range(1, 20), id="chars-1-19"),
+    pytest.param(range(20, 202), id="chars-20-201"),
+    pytest.param((corpus_module._BLOCK_CHARS,), id="chars-default"),
+]
 
 
 def parse_row_by_row(text: str) -> Corpus:
@@ -112,9 +135,9 @@ def tables(draw):
     return table
 
 
-@given(tables(), st.integers(min_value=1, max_value=3))
+@given(tables(), st.integers(min_value=1, max_value=BLOCK_CHARS_DRAWN))
 @settings(max_examples=200, deadline=None)
-def test_block_parse_matches_the_row_by_row_parse(table, block_rows):
+def test_block_parse_matches_the_row_by_row_parse(table, block_chars):
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(CSV_COLUMNS)
@@ -124,7 +147,7 @@ def test_block_parse_matches_the_row_by_row_parse(table, block_rows):
     old_limit = csv.field_size_limit(FIELD_LIMIT)
     try:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(corpus_module, "_BLOCK_ROWS", block_rows)
+            mp.setattr(corpus_module, "_BLOCK_CHARS", block_chars)
             got = outcome(parse_corpus, text)
         want = outcome(parse_row_by_row, text)
     finally:
@@ -147,20 +170,20 @@ def test_blocks_of_a_large_file_match_the_row_by_row_parse(tmp_path):
     assert_same_corpus(load_corpus(path), parse_row_by_row(text))
 
 
-@pytest.mark.parametrize("block_rows", [1, 2, 1024])
-def test_error_in_a_later_block_names_its_line(monkeypatch, block_rows):
-    monkeypatch.setattr(corpus_module, "_BLOCK_ROWS", block_rows)
+@pytest.mark.parametrize("sizes", CHUNK_BANDS)
+def test_error_in_a_later_block_names_its_line(monkeypatch, sizes):
     text = "journal,category,impact_factor,eigenfactor,immediacy\n" + "".join(
         f"j{i},C,1.0,0.1,0.2\n" for i in range(2, 7)
     ) + "j2,C,1.0,0.1,0.2\n"
-    with pytest.raises(CorpusFormatError) as exc_info:
-        parse_corpus(text)
-    assert exc_info.value.line == 7
-    assert str(exc_info.value) == "line 7: duplicate (journal, category) pair: ('j2', 'C')"
+    for block_chars in sizes:
+        monkeypatch.setattr(corpus_module, "_BLOCK_CHARS", block_chars)
+        with pytest.raises(CorpusFormatError) as exc_info:
+            parse_corpus(text)
+        assert exc_info.value.line == 7
+        assert str(exc_info.value) == "line 7: duplicate (journal, category) pair: ('j2', 'C')"
 
 
-def test_rows_read_before_a_csv_error_are_checked_first(monkeypatch):
-    monkeypatch.setattr(corpus_module, "_BLOCK_ROWS", 1024)
+def test_rows_read_before_a_csv_error_are_checked_first():
     text = (
         "journal,category,impact_factor,eigenfactor,immediacy\n"
         "j1,C,1.0,0.1,0.2\nj2,C,-1.0,0.1,0.2\n" + f'"{"x" * 200_000}",C,1,1,1\n'
@@ -349,17 +372,30 @@ def test_plain_rows_cost_a_bounded_number_of_python_calls(demo_csv_path):
     assert rates[1] <= rates[0]  # the per-parse calls are spread over more rows
 
 
-def parse_both(text: str, block_rows: int, field_limit: int):
-    """outcome of parse_corpus, in blocks of block_rows lines, and of
-    parse_row_by_row, both under field_limit."""
+DEFAULT_FIELD_LIMIT = csv.field_size_limit()
+
+
+def parse_in_chunks(text: str, block_chars: int, field_limit: int = DEFAULT_FIELD_LIMIT):
+    """outcome of parse_corpus, in chunks of block_chars characters, under
+    field_limit."""
     old_limit = csv.field_size_limit(field_limit)
     try:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(corpus_module, "_BLOCK_ROWS", block_rows)
-            got = outcome(parse_corpus, text)
-        return got, outcome(parse_row_by_row, text)
+            mp.setattr(corpus_module, "_BLOCK_CHARS", block_chars)
+            return outcome(parse_corpus, text)
     finally:
         csv.field_size_limit(old_limit)
+
+
+def parse_both(text: str, block_chars: int, field_limit: int):
+    """outcome of parse_in_chunks and of parse_row_by_row, both under
+    field_limit."""
+    old_limit = csv.field_size_limit(field_limit)
+    try:
+        want = outcome(parse_row_by_row, text)
+    finally:
+        csv.field_size_limit(old_limit)
+    return parse_in_chunks(text, block_chars, field_limit), want
 
 
 def assert_same_outcome(got, want) -> None:
@@ -370,22 +406,23 @@ def assert_same_outcome(got, want) -> None:
         assert_same_corpus(got, want)
 
 
-@given(tables(), st.integers(min_value=1, max_value=3), st.sampled_from([FIELD_LIMIT, 10**6]))
+@given(
+    tables(),
+    st.integers(min_value=1, max_value=BLOCK_CHARS_DRAWN),
+    st.sampled_from([FIELD_LIMIT, 10**6]),
+)
 @settings(max_examples=200, deadline=None)
-def test_block_parse_of_lf_lines_matches_the_row_by_row_parse(table, block_rows, field_limit):
+def test_block_parse_of_lf_lines_matches_the_row_by_row_parse(table, block_chars, field_limit):
     # Line feeds alone, so that blocks without a quoted field are split by
     # str.split, and the first block with one goes to csv.reader.
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     writer.writerows(table)
-    assert_same_outcome(*parse_both(out.getvalue(), block_rows, field_limit))
+    assert_same_outcome(*parse_both(out.getvalue(), block_chars, field_limit))
 
 
-DEFAULT_FIELD_LIMIT = csv.field_size_limit()
-
-
-@pytest.mark.parametrize("block_rows", [1, 2, 3])
+@pytest.mark.parametrize("sizes", CHUNK_BANDS)
 @pytest.mark.parametrize("tail", ["", REPEAT.replace("j3,C3", "j1,C1")], ids=["valid", "repeat"])
 @pytest.mark.parametrize("odd", [
     pytest.param('q,"two\nlines",1,2,3\n', id="quoted-line-break"),
@@ -398,9 +435,11 @@ DEFAULT_FIELD_LIMIT = csv.field_size_limit()
     pytest.param("a,C1,1\n", id="three-fields"),
     pytest.param("a,C1,1,2,3,4\n", id="six-fields"),
 ])
-def test_first_block_that_is_not_plain_goes_to_csv_reader(odd, tail, block_rows):
+def test_first_block_that_is_not_plain_goes_to_csv_reader(odd, tail, sizes):
     text = HEADER + numbered_rows(4) + "k,C2,1,1,1\n" + odd + numbered_rows(3, 100) + tail
-    assert_same_outcome(*parse_both(text, block_rows, DEFAULT_FIELD_LIMIT))
+    want = outcome(parse_row_by_row, text)
+    for block_chars in sizes:
+        assert_same_outcome(parse_in_chunks(text, block_chars), want)
 
 
 @pytest.mark.parametrize("text", [
@@ -414,20 +453,40 @@ def test_first_block_that_is_not_plain_goes_to_csv_reader(odd, tail, block_rows)
                  id="header-over-two-lines"),
 ])
 def test_load_corpus_reads_a_file_as_parse_corpus_reads_its_text(monkeypatch, tmp_path, text):
-    # csv.reader reads the header from the open file, then its lines are
+    # csv.reader reads the header from the open file, then its chunks are
     # read from the same stream.
-    monkeypatch.setattr(corpus_module, "_BLOCK_ROWS", 2)
     path = tmp_path / "corpus.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert_same_outcome(outcome(load_corpus, path), outcome(parse_corpus, text))
-    assert_same_outcome(outcome(load_corpus, path), outcome(parse_row_by_row, text))
+    want = outcome(parse_row_by_row, text)
+    for block_chars in chunk_sizes(text):
+        monkeypatch.setattr(corpus_module, "_BLOCK_CHARS", block_chars)
+        assert_same_outcome(outcome(load_corpus, path), want)
+        assert_same_outcome(outcome(parse_corpus, text), want)
+
+
+def test_a_lone_carriage_return_ends_a_line_of_a_file_but_not_of_text(monkeypatch, tmp_path):
+    # load_corpus opens its file with newline="", which ends a line at a
+    # lone CR; the io.StringIO of a string ends one only at a LF, so there
+    # csv.reader meets the CR inside an unquoted field. A block that _plain
+    # refuses is split into lines by its own stream, so each keeps its rule
+    # wherever a chunk ends.
+    text = HEADER + "a,C1,1,2,3\rb,C1,1,2,3\n"
+    path = tmp_path / "corpus.csv"
+    path.write_bytes(text.encode("utf-8"))
+    for block_chars in chunk_sizes(text):
+        monkeypatch.setattr(corpus_module, "_BLOCK_CHARS", block_chars)
+        with pytest.raises(CorpusFormatError) as exc_info:
+            parse_corpus(text)
+        assert str(exc_info.value).startswith("line 2: new-line character seen in unquoted field")
+        assert [(r.journal, r.category) for r in load_corpus(path).records] == [
+            ("a", "C1"), ("b", "C1"),
+        ]
 
 
 @pytest.mark.parametrize("rows", [0, 2, 4])
 def test_no_empty_final_block_is_checked(monkeypatch, rows):
     # A file whose rows fill whole blocks ends in no empty block, which
     # would be checked row by row together with every row before it.
-    monkeypatch.setattr(corpus_module, "_BLOCK_ROWS", 2)
     calls = []
     checked = corpus_module._checked
     monkeypatch.setattr(
@@ -435,9 +494,11 @@ def test_no_empty_final_block_is_checked(monkeypatch, rows):
     )
     text = HEADER + numbered_rows(rows)
     for text in [text, text.replace("\n", "\r\n")]:
-        corpus = parse_corpus(text)
-        assert len(corpus) == rows
-        assert all(corpus.column(indicator).dtype == np.float64 for indicator in Indicator)
+        for block_chars in chunk_sizes(text):
+            monkeypatch.setattr(corpus_module, "_BLOCK_CHARS", block_chars)
+            corpus = parse_corpus(text)
+            assert len(corpus) == rows
+            assert all(corpus.column(indicator).dtype == np.float64 for indicator in Indicator)
     assert calls == []
 
 
@@ -456,14 +517,17 @@ def test_whitespace_only_cells_are_missing_and_checked_by_column(monkeypatch):
 
 @pytest.mark.parametrize("end", ["\n", ""], ids=["line-end", "no-final-line-end"])
 def test_plain_lines_after_the_header_are_not_read_by_csv_reader(monkeypatch, end):
-    monkeypatch.setattr(corpus_module, "_BLOCK_ROWS", 2)
     read = []
     reader = csv.reader
     monkeypatch.setattr(
         csv, "reader", lambda lines: reader(map(lambda x: read.append(x) or x, lines))
     )
-    assert len(parse_corpus(HEADER + numbered_rows(5).rstrip("\n") + end)) == 5
-    assert read == [HEADER]
+    text = HEADER + numbered_rows(5).rstrip("\n") + end
+    for block_chars in chunk_sizes(text):
+        monkeypatch.setattr(corpus_module, "_BLOCK_CHARS", block_chars)
+        read.clear()
+        assert len(parse_corpus(text)) == 5
+        assert read == [HEADER]
 
 
 SPANNING = 'b,"C\n2",1,2,3\n'  # one record over two lines
@@ -478,10 +542,12 @@ SPANNING = 'b,"C\n2",1,2,3\n'  # one record over two lines
 def test_plain_blocks_after_a_quoted_one_are_not_read_by_csv_reader(monkeypatch, body, seen, rows):
     # Each block that is not plain gets a csv.reader of its own, which reads
     # on past the block's end only to finish a record; the next block is
-    # split again.
+    # split again. A chunk of 13 characters, finished with readline(), makes
+    # a block of the quoted line and the next, of SPANNING whole when it
+    # comes next, and of each numbered row on its own.
     text = HEADER + body
     want = parse_row_by_row(text)
-    monkeypatch.setattr(corpus_module, "_BLOCK_ROWS", 2)
+    monkeypatch.setattr(corpus_module, "_BLOCK_CHARS", 13)
     read = []
     reader = csv.reader
     monkeypatch.setattr(
@@ -493,18 +559,19 @@ def test_plain_blocks_after_a_quoted_one_are_not_read_by_csv_reader(monkeypatch,
     assert_same_corpus(corpus, want)
 
 
-@pytest.mark.parametrize("block_rows", [1, 2, 3])
+@pytest.mark.parametrize("sizes", CHUNK_BANDS)
 @pytest.mark.parametrize("odd", [
     pytest.param("a,C1,1,2,3,x,b,C2,4,5,6\n", id="eleven-fields"),
     pytest.param(",".join(f"f{i}" for i in range(17)) + "\n", id="seventeen-fields"),
 ])
-def test_line_whose_sixth_field_sits_where_a_line_end_would_is_not_split(odd, block_rows):
+def test_line_whose_sixth_field_sits_where_a_line_end_would_is_not_split(odd, sizes):
     # Eleven fields split as two five-field rows around the sixth, were the
     # cells after each line end not counted.
     text = HEADER + numbered_rows(4) + odd + numbered_rows(3, 100)
-    got, want = parse_both(text, block_rows, DEFAULT_FIELD_LIMIT)
+    want = outcome(parse_row_by_row, text)
     assert want[:2] == (CorpusFormatError, f"line 6: expected 5 columns, got {odd.count(',') + 1}")
-    assert got == want
+    for block_chars in sizes:
+        assert parse_in_chunks(text, block_chars) == want
 
 
 @pytest.mark.parametrize("text", [
@@ -513,42 +580,47 @@ def test_line_whose_sixth_field_sits_where_a_line_end_would_is_not_split(odd, bl
     pytest.param(HEADER + (numbered_rows(5) + REPEAT).replace("\n", "\r\n"), id="repeat"),
 ])
 def test_lines_ending_in_crlf_are_split_as_plain_lines(monkeypatch, text):
+    # Also where a chunk ends between the CR and the LF: readline() then
+    # finishes the block with the LF.
     want = outcome(parse_row_by_row, text)
-    monkeypatch.setattr(corpus_module, "_BLOCK_ROWS", 2)
     read = []
     reader = csv.reader
     monkeypatch.setattr(
         csv, "reader", lambda lines: reader(map(lambda x: read.append(x) or x, lines))
     )
-    assert_same_outcome(outcome(parse_corpus, text), want)
-    # Only the header is read by csv.reader, unless the parse fails: then
-    # the whole input is read once more to find the first bad row.
     lines = text.splitlines(keepends=True)
-    assert read == lines[:1] + (lines if isinstance(want, tuple) else [])
+    for block_chars in chunk_sizes(text):
+        monkeypatch.setattr(corpus_module, "_BLOCK_CHARS", block_chars)
+        read.clear()
+        assert_same_outcome(outcome(parse_corpus, text), want)
+        # Only the header is read by csv.reader, unless the parse fails: then
+        # the whole input is read once more to find the first bad row.
+        assert read == lines[:1] + (lines if isinstance(want, tuple) else [])
 
 
 # An eleven-field line and two short ones: fifteen fields in all.
-BALANCED = ["a,C1,1,2,3,x,b,C2,4,5,6\n", "p,q\n", "7,8\n"]
+BALANCED = "a,C1,1,2,3,x,b,C2,4,5,6\np,q\n7,8\n"
 
 
-@pytest.mark.parametrize("block", [
-    pytest.param(["a,b\nc,d"], id="line-feed-inside-a-line"),
-    pytest.param(["a,C1,1,2,3\r"], id="carriage-return-line-end"),
-    pytest.param(["a,C1,1,2,3\r\r\n"], id="carriage-return-before-crlf"),
-    pytest.param(["a,C1,1,2,3,x,b,C2,4,5,6\n"], id="eleven-fields"),
+@pytest.mark.parametrize("text", [
+    pytest.param("a,C1,1,2,3\r", id="carriage-return-line-end"),
+    pytest.param("a,C1,1,2,3\r\r\n", id="carriage-return-before-crlf"),
+    pytest.param("a,C1,1,2,3,x,b,C2,4,5,6\n", id="eleven-fields"),
     pytest.param(BALANCED, id="eleven-fields-balanced-by-short-lines"),
-    pytest.param(["jour\0nal,C1,1,2,3\n"], id="nul"),  # Python 3.10's csv.reader rejects it
+    pytest.param("jour\0nal,C1,1,2,3\n", id="nul"),  # Python 3.10's csv.reader rejects it
 ])
-def test_lines_that_csv_reader_may_read_otherwise_are_not_plain(block):
-    assert corpus_module._plain(block) is None
+def test_lines_that_csv_reader_may_read_otherwise_are_not_plain(text):
+    assert corpus_module._plain(text) is None
 
 
 def test_short_lines_that_balance_a_long_one_in_its_block_are_not_split():
     # Fifteen fields over three lines, as many as three five-field rows, but
     # a line end falls where a field would.
-    got, want = parse_both(HEADER + "".join(BALANCED), 3, DEFAULT_FIELD_LIMIT)
+    text = HEADER + BALANCED
+    want = outcome(parse_row_by_row, text)
     assert want[:2] == (CorpusFormatError, "line 2: expected 5 columns, got 11")
-    assert got == want
+    for block_chars in chunk_sizes(text):
+        assert parse_in_chunks(text, block_chars) == want
 
 
 @given(st.lists(
@@ -574,16 +646,19 @@ def test_column_check_refuses_exactly_the_rows_the_row_check_rejects(rows):
 def test_codes_index_sorted_names_whatever_order_the_names_are_first_seen_in(
     monkeypatch, tmp_path
 ):
-    # Rows name b, a, c, b, a; the second block, whose first row is quoted,
-    # is read by csv.reader, the others are split as plain lines.
-    monkeypatch.setattr(corpus_module, "_BLOCK_ROWS", 2)
+    # Rows name b, a, c, b, a; a block holding the quoted row is read by
+    # csv.reader, the others are split as plain lines.
     text = HEADER + 'j0,b,1,1,1\nj1,a,2,2,2\n"j2","c","3","3","3"\nj3,b,4,4,4\nj4,a,5,5,5\n'
     path = tmp_path / "corpus.csv"
     path.write_text(text, encoding="utf-8")
     records = [
         JournalRecord(f"j{i}", name, i + 1.0, i + 1.0, i + 1.0) for i, name in enumerate("bacba")
     ]
-    for corpus in [parse_corpus(text), load_corpus(path), Corpus(records)]:
+    parsed = []
+    for block_chars in chunk_sizes(text):
+        monkeypatch.setattr(corpus_module, "_BLOCK_CHARS", block_chars)
+        parsed += [parse_corpus(text), load_corpus(path)]
+    for corpus in [*parsed, Corpus(records)]:
         assert corpus.category_names() == ["a", "b", "c"]
         assert corpus.category_codes().tolist() == [1, 0, 2, 1, 0]
         assert {name: rows.tolist() for name, rows in corpus._rows.items()} == {
